@@ -10,11 +10,10 @@ sums whose moduli must hit prescribed values exactly.
 
 from mpf import (
     VectorialFunction,
-    character_eval,
+    character_norms,
     forbidden_subgroup,
     graph_of,
     group_for,
-    group_op,
     make_field,
     rds_verify_bruteforce,
     rds_verify_characters,
@@ -44,9 +43,8 @@ gm = group_for(zero_mv)
 bad = rds_verify_bruteforce(gm, graph_of(zero_mv), forbidden_subgroup(gm))
 print(f"\nmv zero graph: is_rds={bad.is_rds}, witness={bad.failing_element} (count {bad.failing_count})")
 
-# Characters really are homomorphisms into the fourth roots of unity.
-a, b = (2, 1), (3, 3)
-va = character_eval(group, 1, 2, a)
-vb = character_eval(group, 1, 2, b)
-vab = character_eval(group, 1, 2, group_op(group, a, b))
-print(f"\nchi(a)={tuple(va)}, chi(b)={tuple(vb)}, chi(a*b)={tuple(vab)}")
+# Every character sum at once, from one batched transform of the graph:
+# column c = 0 is 16 at u = 0 and 0 elsewhere, every other column is flat at 4.
+print("\n|chi_{u,c}(R)|^2, one row per u, one column per twist c:")
+for u, row in enumerate(character_norms(2, sorted(R), f4)):
+    print(f"  u={u}: {row.tolist()}")

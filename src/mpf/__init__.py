@@ -20,6 +20,7 @@ from .boolfun import (
     weight,
 )
 from .errors import (
+    ElementRangeError,
     FilterDisagreementError,
     ForbiddenSubgroupError,
     InvalidModulusError,
@@ -47,8 +48,6 @@ from .planar import (
     DOPolynomial,
     PlanarVerdict,
     VectorialFunction,
-    component_mv,
-    component_uv,
     do_from_json,
     do_to_json,
     do_to_table,
@@ -61,7 +60,6 @@ from .planar import (
 from .rds import (
     GroupSpec,
     RdsReport,
-    character_eval,
     forbidden_subgroup,
     graph_of,
     group_elements,
@@ -84,6 +82,7 @@ from .transforms import (
     GaussianInt,
     Spectrum,
     bent4_witnesses,
+    character_norms,
     fwht,
     inverse_twisted,
     is_flat,
@@ -100,17 +99,18 @@ __all__ = [
     "MpfError", "InvalidModulusError", "ZeroShiftError", "ZeroComponentError",
     "NonPowerOfTwoError", "UnsupportedGroupLawError", "NotASubgroupError",
     "ForbiddenSubgroupError", "SearchBoundsError", "FilterDisagreementError",
+    "ElementRangeError",
     "FieldSpec", "default_modulus", "dual_mask", "fe_mul", "field_from_json",
     "field_to_json", "make_field", "poly_is_irreducible", "sigma", "trace_n",
-    "DOPolynomial", "PlanarVerdict", "VectorialFunction", "component_mv",
-    "component_uv", "do_from_json", "do_to_json", "do_to_table",
+    "DOPolynomial", "PlanarVerdict", "VectorialFunction",
+    "do_from_json", "do_to_json", "do_to_table",
     "is_modified_planar", "is_modified_planar_components", "is_modified_planar_perm",
     "function_from_json", "function_to_json",
-    "GroupSpec", "RdsReport", "character_eval", "forbidden_subgroup", "graph_of",
+    "GroupSpec", "RdsReport", "forbidden_subgroup", "graph_of",
     "group_elements", "group_for", "group_identity", "group_inverse", "group_op",
     "rds_verify_bruteforce", "rds_verify_characters",
     "SearchJob", "SearchReport", "candidate_function", "class_size",
     "enumerate_class", "run_search",
-    "GaussianInt", "Spectrum", "bent4_witnesses", "fwht", "inverse_twisted",
+    "GaussianInt", "Spectrum", "bent4_witnesses", "character_norms", "fwht", "inverse_twisted",
     "is_flat", "transform_U", "transform_V",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroShiftError
-from .gf2n import FieldSpec, dual_mask, fe_mul
+from .gf2n import MAX_DEGREE, FieldSpec, dual_mask, fe_mul
 
 MODES = ("mv", "uv")
 
@@ -30,7 +30,9 @@ class TruthTable:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+        if not 1 <= self.n <= MAX_DEGREE:
+            raise ValueError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
+        if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise ValueError("bits does not fit in 2^n positions")
 
     @property

@@ -25,6 +25,10 @@ class UnsupportedGroupLawError(MpfError):
     """Operation is not defined for this group law."""
 
 
+class ElementRangeError(MpfError):
+    """A group element is malformed or has a coordinate out of range."""
+
+
 class NotASubgroupError(MpfError):
     """The claimed forbidden subgroup is not a subgroup."""
 

@@ -206,12 +206,8 @@ class _FieldTables:
         """Elementwise field product of integer arrays (broadcasting)."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        nz = (a != 0) & (b != 0)
         m = max(self.spec.order - 1, 1)
-        out[nz] = self.exp[(self.log[a[nz]] + self.log[b[nz]]) % m]
-        return out
+        return np.where((a != 0) & (b != 0), self.exp[(self.log[a] + self.log[b]) % m], 0)
 
     def _frobenius_powers(self) -> list[np.ndarray]:
         q = self.spec.order

@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boolfun import TruthTable, pack_bits
-from .errors import ZeroComponentError
 from .gf2n import FieldSpec, fe_mul, field_from_json, field_tables, field_to_json
-from .transforms import is_flat, transform_U, transform_V
+from .transforms import characters_flat
 
 
 @dataclass(frozen=True)
@@ -96,40 +94,6 @@ def do_to_table(p: DOPolynomial) -> VectorialFunction:
     return VectorialFunction("uv", n, tuple(table), spec)
 
 
-def component_mv(F: VectorialFunction, c: int) -> TruthTable:
-    """Boolean component x -> c . F(x) (dot product of coordinate bits)."""
-    if F.mode != "mv":
-        raise ValueError("component_mv needs a multivariate function")
-    if c == 0:
-        raise ZeroComponentError("components are defined for nonzero c only")
-    if not 0 < c < F.size:
-        raise ValueError("c out of range")
-    bits = 0
-    for x, v in enumerate(F.table):
-        if (c & v).bit_count() & 1:
-            bits |= 1 << x
-    return TruthTable(F.n, bits, "mv")
-
-
-def component_uv(spec: FieldSpec, F: VectorialFunction, c: int) -> TruthTable:
-    """Boolean component x -> Tr(c^2 F(x)), indexed by the twist c.
-
-    Squaring is a bijection of the nonzero elements, so ranging c over
-    them still covers every nonzero linear functional exactly once.
-    """
-    if F.mode != "uv":
-        raise ValueError("component_uv needs a univariate function")
-    if spec != F.spec:
-        raise ValueError("field spec does not match the function")
-    if c == 0:
-        raise ZeroComponentError("components are defined for nonzero c only")
-    if not 0 < c < F.size:
-        raise ValueError("c out of range")
-    t = field_tables(spec)
-    out = t.trace[t.mul(fe_mul(spec, c, c), np.asarray(F.table, dtype=np.int64))]
-    return TruthTable(F.n, pack_bits(out), "uv")
-
-
 @dataclass(frozen=True)
 class PlanarVerdict:
     """Outcome of the permutation route, with a first failure witness."""
@@ -190,13 +154,14 @@ def is_modified_planar_perm(F: VectorialFunction) -> PlanarVerdict:
 
 
 def is_modified_planar_components(F: VectorialFunction) -> bool:
-    """Component-spectrum verdict: every component flat at its own twist."""
-    if F.mode == "uv":
-        return all(
-            is_flat(transform_V(F.spec, component_uv(F.spec, F, c), c))
-            for c in range(1, F.size)
-        )
-    return all(is_flat(transform_U(component_mv(F, c), c)) for c in range(1, F.size))
+    """Component-spectrum verdict: every component flat at its own twist.
+
+    The twisted spectrum of the component at c is the character sum of
+    the graph {(x, F(x))} at twist c, so all of them come from batched
+    transforms of the graph.
+    """
+    graph = np.stack([np.arange(F.size), np.asarray(F.table)], axis=1)
+    return characters_flat(F.n, graph, F.spec)
 
 
 def is_modified_planar(F: VectorialFunction, method: str = "auto") -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import FilterDisagreementError, SearchBoundsError
@@ -192,6 +191,10 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
     if job.shards == 1:
         results = [_run_shard(payloads[0])]
     else:
+        # Imported only here: the process pool machinery adds about 1 MiB of
+        # resident memory that in-process jobs and the other verbs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=job.shards) as pool:
             results = list(pool.map(_run_shard, payloads))
     examined = 0

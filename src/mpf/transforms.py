@@ -9,7 +9,8 @@ trace-dual map so that position u carries the character x -> (-1)^Tr(ux).
 
 Flatness (every squared modulus equal to 2^n) at some twist c is the
 bent4 property; c = 0 is ordinary bentness and the all-ones / unit twist
-is negabentness.
+is negabentness.  character_norms batches the same twists over every c
+at once, as the character sums of a point set in the star groups.
 """
 
 from __future__ import annotations
@@ -68,17 +69,6 @@ class Spectrum:
         return re * re + im * im
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    out = np.zeros(arr.shape, dtype=np.uint64)
-    v = arr.astype(np.uint64)
-    while v.any():
-        out += v & 1
-        v >>= np.uint64(1)
-    return out
-
-
 def fwht(values) -> np.ndarray:
     """Walsh-Hadamard butterfly along axis 0, exact in int64.
 
@@ -120,7 +110,7 @@ def _gaussian_from_quarter_turns(k: np.ndarray) -> np.ndarray:
 def twisted_input_mv(g: TruthTable, c: int) -> np.ndarray:
     """Pointwise twist (-1)^g(x) * i^wt(c&x) as a Gaussian vector."""
     x = np.arange(g.size, dtype=np.uint64)
-    w = _popcount(x & np.uint64(c)).astype(np.int64)
+    w = np.bitwise_count(x & np.uint64(c)).astype(np.int64)
     k = (w + 2 * g.bit_array().astype(np.int64)) & 3
     return _gaussian_from_quarter_turns(k)
 
@@ -179,6 +169,69 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
             raise ValueError("univariate witnesses need the field spec")
         return {c for c in range(g.size) if is_flat(transform_V(spec, g, c))}
     return {c for c in range(g.size) if is_flat(transform_U(g, c))}
+
+
+# Bound on points x twists in one block of the character kernel.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def character_norms(n: int, points, spec: FieldSpec | None = None, twists=None) -> np.ndarray:
+    """Squared moduli |chi_{u,c}(R)|^2 of the star-group character sums, exactly.
+
+    R is the multiset of (x, y) rows of `points`, in star_mv when spec is
+    None and in star_uv over spec otherwise.  Entry [u, j] belongs to the
+    character (u, twists[j]); twists defaults to every c.  On a graph
+    {(x, F(x))}, column c is the twisted spectrum of the component at c.
+
+    A point contributes (-1)^(u.x) i^k, with k = wt(c&x) + 2 c.y (mv) or
+    Tr(cx) + 2 (sigma(c,x) + Tr(c^2 y)) (uv).  The quarter turns k are
+    counted per x, and one butterfly over x applies the (-1)^(u.x) part.
+    """
+    q = 1 << n
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    c = np.arange(q, dtype=np.int64) if twists is None else np.asarray(twists, dtype=np.int64)
+    x, y = pts[:, :1], pts[:, 1:]
+    if spec is None:
+        k = np.bitwise_count(c & x) + 2 * np.bitwise_count(c & y)
+    else:
+        t = field_tables(spec)
+        tr_cx = np.bitwise_count(t.dual[c] & x) & 1
+        tr_c2y = np.bitwise_count(t.dual[t.mul(c, c)] & y)
+        k = tr_cx + 2 * (t.s2[t.mul(c, x)] + tr_c2y)
+    # Count the points at each (x, twist) that contribute each quarter turn.
+    m = len(c)
+    slot = (x * m + np.arange(m)) * 4 + (k & 3)
+    turns = np.bincount(slot.ravel(), minlength=q * m * 4).reshape(q, m, 4)
+    w = fwht(turns[..., :2] - turns[..., 2:])
+    if spec is not None:
+        w = w[field_tables(spec).dual]
+    return (w * w).sum(axis=-1)
+
+
+def characters_flat(n: int, points, spec: FieldSpec | None = None) -> bool:
+    """True iff R has the character moduli of a (2^n, 2^n, 2^n, 1)-RDS.
+
+    That is |chi_{0,0}(R)|^2 = 4^n, |chi_{u,0}(R)|^2 = 0 for u != 0, and
+    |chi_{u,c}(R)|^2 = 2^n for every u and every c != 0.  A graph meets the
+    first two by construction, so for a graph this is flatness of every
+    component at its own twist.  Twists go in blocks [0, 2), [2, 4),
+    [4, 8), ..., capped at a bounded number of entries, and the test
+    stops at the first block that fails: most functions that are not
+    modified planar already fail at a small twist.
+    """
+    q = 1 << n
+    cap = max(1, _BLOCK_ENTRIES // max(len(points), q))
+    lo = 0
+    while lo < q:
+        hi = min(q, lo + min(max(lo, 2), cap))
+        want = np.full((q, hi - lo), q)
+        if lo == 0:
+            want[:, 0] = 0
+            want[0, 0] = q * q
+        if (character_norms(n, points, spec, range(lo, hi)) != want).any():
+            return False
+        lo = hi
+    return True
 
 
 def inverse_twisted(s: Spectrum, spec: FieldSpec | None = None) -> np.ndarray:

@@ -6,8 +6,13 @@ checks) so that it shares no code path with the library implementations
 it verifies.
 """
 
-from mpf.boolfun import TruthTable
-from mpf.gf2n import FieldSpec, fe_mul, sigma, trace_n
+import numpy as np
+
+from mpf.boolfun import TruthTable, pack_bits
+from mpf.errors import UnsupportedGroupLawError, ZeroComponentError
+from mpf.gf2n import FieldSpec, fe_mul, field_tables, sigma, trace_n
+from mpf.planar import VectorialFunction
+from mpf.transforms import GaussianInt
 
 QUARTER_RE = (1, 0, -1, 0)
 QUARTER_IM = (0, 1, 0, -1)
@@ -127,3 +132,85 @@ def is_permutation(values) -> bool:
 
 def spectrum_pairs(s) -> list[tuple[int, int]]:
     return [(int(re), int(im)) for re, im in s.values]
+
+
+_I_UNITS = (
+    GaussianInt(1, 0),
+    GaussianInt(0, 1),
+    GaussianInt(-1, 0),
+    GaussianInt(0, -1),
+)
+
+
+def character_eval(g, u: int, c: int, a) -> GaussianInt:
+    """The (u, c)-indexed character at a group element: a fourth root of unity.
+
+    star_mv: (-1)^(u.x + c.y) * i^wt(c&x)
+    star_uv: (-1)^(Tr(ux) + Tr(c^2 y) + sigma(c,x)) * i^Tr(cx)
+    """
+    x, y = a
+    if g.law == "star_mv":
+        sign = ((u & x).bit_count() + (c & y).bit_count()) & 1
+        k = ((c & x).bit_count() + 2 * sign) & 3
+    elif g.law == "star_uv":
+        spec = g.spec
+        t = field_tables(spec)
+        tr = t.trace
+        cx = fe_mul(spec, c, x)
+        c2 = fe_mul(spec, c, c)
+        sign = (int(tr[fe_mul(spec, u, x)]) ^ int(tr[fe_mul(spec, c2, y)]) ^ int(t.s2[cx])) & 1
+        k = (int(tr[cx]) + 2 * sign) & 3
+    else:
+        raise UnsupportedGroupLawError("characters are only provided for the star laws")
+    return _I_UNITS[k]
+
+
+def characters_direct(g, R) -> list[list[int]]:
+    """|chi_{u,c}(R)|^2 as rows [u][c], one character value at a time (O(q^3))."""
+    R = list(R)
+    q = 1 << g.n
+    out = [[0] * q for _ in range(q)]
+    for c in range(q):
+        for u in range(q):
+            re = 0
+            im = 0
+            for r in R:
+                v = character_eval(g, u, c, r)
+                re += v.re
+                im += v.im
+            out[u][c] = re * re + im * im
+    return out
+
+
+def component_mv(F: VectorialFunction, c: int) -> TruthTable:
+    """Boolean component x -> c . F(x) (dot product of coordinate bits)."""
+    if F.mode != "mv":
+        raise ValueError("component_mv needs a multivariate function")
+    if c == 0:
+        raise ZeroComponentError("components are defined for nonzero c only")
+    if not 0 < c < F.size:
+        raise ValueError("c out of range")
+    bits = 0
+    for x, v in enumerate(F.table):
+        if (c & v).bit_count() & 1:
+            bits |= 1 << x
+    return TruthTable(F.n, bits, "mv")
+
+
+def component_uv(spec: FieldSpec, F: VectorialFunction, c: int) -> TruthTable:
+    """Boolean component x -> Tr(c^2 F(x)), indexed by the twist c.
+
+    Squaring is a bijection of the nonzero elements, so ranging c over
+    them still covers every nonzero linear functional exactly once.
+    """
+    if F.mode != "uv":
+        raise ValueError("component_uv needs a univariate function")
+    if spec != F.spec:
+        raise ValueError("field spec does not match the function")
+    if c == 0:
+        raise ZeroComponentError("components are defined for nonzero c only")
+    if not 0 < c < F.size:
+        raise ValueError("c out of range")
+    t = field_tables(spec)
+    out = t.trace[t.mul(fe_mul(spec, c, c), np.asarray(F.table, dtype=np.int64))]
+    return TruthTable(F.n, pack_bits(out), "uv")

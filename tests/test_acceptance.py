@@ -16,12 +16,10 @@ from mpf.boolfun import TruthTable, is_balanced, shifted_derivative_mv, shifted_
 from mpf.gf2n import fe_mul, make_field, sigma, trace_n
 from mpf.planar import (
     VectorialFunction,
-    component_uv,
     is_modified_planar_components,
     is_modified_planar_perm,
 )
 from mpf.rds import (
-    character_eval,
     forbidden_subgroup,
     graph_of,
     group_elements,
@@ -41,6 +39,8 @@ from mpf.transforms import (
     transform_V,
 )
 from oracles import (
+    character_eval,
+    component_uv,
     is_permutation,
     spectrum_pairs,
     twisted_values_mv,

@@ -36,6 +36,15 @@ def test_is_balanced_examples():
 def test_bits_must_fit():
     with pytest.raises(ValueError):
         TruthTable(1, 0b10000, "mv")
+    with pytest.raises(ValueError):
+        TruthTable(1, -1, "mv")
+    assert TruthTable(1, 0b11, "mv").bits == 3
+
+
+@pytest.mark.parametrize("n", [0, -1, 25])
+def test_degree_must_be_in_range(n):
+    with pytest.raises(ValueError):
+        TruthTable(n, 0, "mv")
 
 
 def test_values_round_trip():

@@ -141,6 +141,28 @@ def test_verify_rds_bad_exits_1(tmp_path, capsys):
     assert obj["failing_element"] is not None
 
 
+@pytest.mark.parametrize("bad", [["0x1", "0x9"], ["0x1"], 5, [1, 2]])
+def test_verify_rds_malformed_element_exits_3(tmp_path, capsys, bad):
+    payload = {
+        "group": {"law": "star_uv", "n": 2, "field": {"n": 2, "modulus": "0x7"}},
+        "elements": [["0x0", "0x0"], bad, ["0x2", "0x0"], ["0x3", "0x0"]],
+    }
+    path = tmp_path / "rds.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify-rds", "--file", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "element" in captured.err
+
+
+@pytest.mark.parametrize("n", [0, 40])
+def test_spectrum_degree_out_of_range_exits_3(tmp_path, n):
+    # The degree is checked before anything of size 2^n is built.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"mode": "mv", "n": n, "bits": "0x0"}))
+    assert main(["spectrum", "--file", str(path)]) == 3
+
+
 def test_search_cli(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([

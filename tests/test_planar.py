@@ -7,8 +7,6 @@ from mpf.gf2n import fe_mul, make_field, trace_n
 from mpf.planar import (
     DOPolynomial,
     VectorialFunction,
-    component_mv,
-    component_uv,
     do_from_json,
     do_to_json,
     do_to_table,
@@ -18,7 +16,7 @@ from mpf.planar import (
     is_modified_planar_components,
     is_modified_planar_perm,
 )
-from oracles import is_permutation
+from oracles import component_mv, component_uv, is_permutation
 
 F4 = make_field(2)
 F8 = make_field(3)

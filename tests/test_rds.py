@@ -3,15 +3,16 @@ import random
 import pytest
 
 from mpf.errors import (
+    ElementRangeError,
     ForbiddenSubgroupError,
     NotASubgroupError,
     UnsupportedGroupLawError,
 )
 from mpf.gf2n import make_field
+from oracles import character_eval, characters_direct
 from mpf.planar import VectorialFunction, is_modified_planar_perm
 from mpf.rds import (
     GroupSpec,
-    character_eval,
     elements_from_json,
     elements_to_json,
     forbidden_subgroup,
@@ -173,6 +174,31 @@ def test_characters_verifier_examples():
     assert not rds_verify_characters(MV, graph_of(zero_mv), forbidden_subgroup(MV))
 
 
+@pytest.mark.parametrize(
+    "g, bad",
+    [(UV, (1, 9)), (UV, (4, 0)), (MV, (0, -1)), (MV, (1, 2, 3)), (Z4, (0, 4)), (Z4, (1,))],
+)
+def test_verifiers_reject_elements_outside_the_group(g, bad):
+    R = [group_identity(g), bad]
+    N = [group_identity(g)]
+    with pytest.raises(ElementRangeError):
+        rds_verify_bruteforce(g, R, N)
+    with pytest.raises(ElementRangeError):
+        rds_verify_bruteforce(g, [group_identity(g)], N + [bad])
+    if g.law != "z4n":
+        with pytest.raises(ElementRangeError):
+            rds_verify_characters(g, R, forbidden_subgroup(g))
+
+
+def test_characters_verifier_checks_the_trivial_twist():
+    # A point taken twice has |chi|^2 = 4 = q at every character, so only
+    # the c = 0 column, 16 at u = 0 and 0 elsewhere, tells it apart.
+    for g in (UV, MV):
+        R = [(0, 1), (0, 1)]
+        assert not rds_verify_characters(g, R, forbidden_subgroup(g))
+        assert not rds_verify_bruteforce(g, R, forbidden_subgroup(g)).is_rds
+
+
 def test_characters_verifier_requires_canonical_subgroup():
     zero_uv = VectorialFunction("uv", 2, (0, 0, 0, 0), F4)
     with pytest.raises(ForbiddenSubgroupError):
@@ -240,3 +266,10 @@ def test_group_and_elements_json_round_trip():
     assert group_from_json(group_to_json(MV)) == MV
     elems = [(0, 3), (2, 1)]
     assert elements_from_json(elements_to_json(elems)) == sorted(elems)
+
+
+@pytest.mark.parametrize("g", [UV, MV, Z4])
+def test_group_elements_are_listed_once_in_increasing_order(g):
+    elems = list(group_elements(g))
+    assert elems == sorted(set(elems))
+    assert len(elems) == g.order

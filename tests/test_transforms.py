@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,13 @@ from hypothesis import strategies as st
 from mpf.boolfun import TruthTable, from_values
 from mpf.errors import NonPowerOfTwoError
 from mpf.gf2n import make_field
+from mpf.rds import GroupSpec, group_elements
 from mpf.transforms import (
     GaussianInt,
     Spectrum,
     bent4_witnesses,
+    character_norms,
+    characters_flat,
     fwht,
     inverse_twisted,
     is_flat,
@@ -17,6 +23,7 @@ from mpf.transforms import (
     transform_V,
 )
 from oracles import (
+    characters_direct,
     spectrum_pairs,
     twisted_values_mv,
     twisted_values_uv,
@@ -213,3 +220,100 @@ def test_spectrum_value_accessor():
     v = s.value(0)
     assert isinstance(v, GaussianInt)
     assert v.norm_sq == 4
+
+
+def _star_group(mode, n):
+    """(group, spec) of the star group a mode's graphs live in."""
+    if mode == "uv":
+        spec = make_field(n)
+        return GroupSpec("star_uv", n, spec), spec
+    return GroupSpec("star_mv", n), None
+
+
+def _rds_norms(norms, q):
+    """The (q, q, q, 1)-RDS character criterion read off a full [u][c] table."""
+    return all(
+        norm == (q if c else q * q if u == 0 else 0)
+        for u, row in enumerate(norms)
+        for c, norm in enumerate(row)
+    )
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_character_norms_match_oracle_on_every_graph_n2(mode):
+    g, spec = _star_group(mode, 2)
+    for table in itertools.product(range(4), repeat=4):
+        R = list(enumerate(table))
+        direct = characters_direct(g, R)
+        assert character_norms(2, R, spec).tolist() == direct, table
+        assert characters_flat(2, R, spec) == _rds_norms(direct, 4), table
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_character_norms_match_oracle_on_every_4_subset_n2(mode):
+    g, spec = _star_group(mode, 2)
+    for R in itertools.combinations(group_elements(g), 4):
+        direct = characters_direct(g, R)
+        assert character_norms(2, R, spec).tolist() == direct, R
+        assert characters_flat(2, R, spec) == _rds_norms(direct, 4), R
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_character_norms_match_oracle_on_sampled_graphs_n3(mode):
+    g, spec = _star_group(mode, 3)
+    rng = random.Random(2013)
+    for _ in range(200):
+        R = [(x, rng.randrange(8)) for x in range(8)]
+        assert character_norms(3, R, spec).tolist() == characters_direct(g, R), R
+
+
+def test_character_norms_selects_twists():
+    g, spec = _star_group("uv", 3)
+    R = [(x, (3 * x + 5) % 8) for x in range(8)] + [(2, 7)]
+    full = character_norms(3, R, spec)
+    assert (character_norms(3, R, spec, [5, 0, 5]) == full[:, [5, 0, 5]]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(min_value=1, max_value=5), st.data())
+def test_character_norms_invariants_on_graphs(mode, n, data):
+    q = 1 << n
+    table = data.draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+    _, spec = _star_group(mode, n)
+    norms = character_norms(n, list(enumerate(table)), spec)
+    # Parseval: one point per x, so every column carries q^2.
+    assert (norms.sum(axis=0) == q * q).all()
+    # The trivial twist sees only the x coordinates, which are all distinct.
+    assert norms[0, 0] == q * q
+    assert not norms[1:, 0].any()
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_characters_flat_does_not_depend_on_block_size(mode, monkeypatch):
+    n = 4
+    _, spec = _star_group(mode, n)
+    rng = random.Random(7)
+    graphs = [list(enumerate(rng.randrange(16) for _ in range(16))) for _ in range(30)]
+    graphs.append([(x, 0) for x in range(16)])  # planar for uv, not for mv
+    verdicts = [characters_flat(n, R, spec) for R in graphs]
+    monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", 16)  # one twist per block
+    assert [characters_flat(n, R, spec) for R in graphs] == verdicts
+    assert verdicts[-1] == (mode == "uv")
+
+
+@pytest.mark.parametrize("block_entries", [16, 1 << 16])
+def test_characters_flat_visits_every_twist_once(block_entries, monkeypatch):
+    import mpf.transforms
+
+    seen = []
+    real = mpf.transforms.character_norms
+
+    def spy(n, points, spec=None, twists=None):
+        seen.extend(twists)
+        return real(n, points, spec, twists)
+
+    monkeypatch.setattr(mpf.transforms, "character_norms", spy)
+    monkeypatch.setattr(mpf.transforms, "_BLOCK_ENTRIES", block_entries)
+    zero = [(x, 0) for x in range(32)]  # modified planar in the univariate setting
+    assert characters_flat(5, zero, make_field(5))
+    assert seen == list(range(32))
