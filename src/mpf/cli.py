@@ -11,6 +11,7 @@ is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,7 +61,9 @@ def _default_shards() -> int:
         return 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The five-verb parser, built once per process and reused."""
     parser = argparse.ArgumentParser(
         prog="mpf",
         description="Analyze modified planar functions, bent4 components, and relative difference sets.",
@@ -92,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", required=True,
                    choices=("all", "affine", "do_quadratic", "do_plus_affine"))
     p.add_argument("--filter", choices=("perm", "components", "both"), default="both")
-    p.add_argument("--shards", type=int, default=_default_shards())
+    p.add_argument("--shards", type=int, default=None,
+                   help="worker shards (default MPF_DEFAULT_SHARDS, else 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=None,
                    help="draw this many candidates instead of exhausting the class")
@@ -107,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_command(argv) -> Command:
     """Parse argv into a validated Command; usage errors exit with code 2."""
     args = build_parser().parse_args(argv)
+    if args.verb == "search" and args.shards is None:
+        args.shards = _default_shards()
     options = {k: v for k, v in vars(args).items() if k != "verb"}
     return Command(args.verb, options)
 

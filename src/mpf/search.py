@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 
 from .errors import FilterDisagreementError, SearchBoundsError
@@ -195,7 +196,8 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
         # resident memory that in-process jobs and the other verbs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=job.shards) as pool:
+        # Shards fix the report; workers beyond the cores would only contend.
+        with ProcessPoolExecutor(max_workers=min(job.shards, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_run_shard, payloads))
     examined = 0
     passing_counters: list[int] = []

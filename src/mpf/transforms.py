@@ -9,8 +9,9 @@ trace-dual map so that position u carries the character x -> (-1)^Tr(ux).
 
 Flatness (every squared modulus equal to 2^n) at some twist c is the
 bent4 property; c = 0 is ordinary bentness and the all-ones / unit twist
-is negabentness.  character_norms batches the same twists over every c
-at once, as the character sums of a point set in the star groups.
+is negabentness.  bent4_witnesses batches the twists over blocks of c;
+character_norms does the same for the character sums of a point set in
+the star groups.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ class GaussianInt(NamedTuple):
         return self.re * self.re + self.im * self.im
 
 
-# Real and imaginary parts of i^k for k = 0..3.
-_I_RE = np.array([1, 0, -1, 0], dtype=np.int64)
-_I_IM = np.array([0, 1, 0, -1], dtype=np.int64)
+# i^k for k = 0..3 as (re, im) rows.
+_I = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,7 @@ def fwht(values) -> np.ndarray:
     """
     a = np.asarray(values)
     if not np.issubdtype(a.dtype, np.integer):
-        if a.dtype != object:
-            raise TypeError("fwht needs integer input; spectra are exact")
-        try:
-            a = a.astype(np.int64)
-        except (TypeError, ValueError):
-            raise TypeError("fwht needs integer input; spectra are exact")
+        raise TypeError("fwht needs integer input; spectra are exact")
     size = a.shape[0]
     if size == 0 or size & (size - 1):
         raise NonPowerOfTwoError(f"length {size} is not a power of two")
@@ -101,26 +96,21 @@ def fwht(values) -> np.ndarray:
     return out
 
 
-def _gaussian_from_quarter_turns(k: np.ndarray) -> np.ndarray:
-    """Stack i^k as an (N, 2) Gaussian vector, k reduced mod 4."""
-    k = k & 3
-    return np.stack([_I_RE[k], _I_IM[k]], axis=1)
+def _twisted_inputs(g: TruthTable, spec: FieldSpec | None, twists) -> np.ndarray:
+    """Twisted inputs of g for a block of twists, as a (2^n, m, 2) Gaussian array.
 
-
-def twisted_input_mv(g: TruthTable, c: int) -> np.ndarray:
-    """Pointwise twist (-1)^g(x) * i^wt(c&x) as a Gaussian vector."""
-    x = np.arange(g.size, dtype=np.uint64)
-    w = np.bitwise_count(x & np.uint64(c)).astype(np.int64)
-    k = (w + 2 * g.bit_array().astype(np.int64)) & 3
-    return _gaussian_from_quarter_turns(k)
-
-
-def twisted_input_uv(spec: FieldSpec, g: TruthTable, c: int) -> np.ndarray:
-    """Pointwise twist (-1)^(g(x)+sigma(c,x)) * i^Tr(cx) as a Gaussian vector."""
-    t = field_tables(spec)
-    cx = t.mul(c, np.arange(spec.order, dtype=np.int64))
-    k = (t.trace[cx] + 2 * (t.s2[cx] ^ g.bit_array().astype(np.int64))) & 3
-    return _gaussian_from_quarter_turns(k)
+    Entry [x, j] is i^k with k = wt(c&x) + 2 g(x) (mv) or
+    k = Tr(cx) + 2 (sigma(c,x) + g(x)) (uv, over spec), for c = twists[j].
+    """
+    x = np.arange(g.size, dtype=np.int64)[:, None]
+    c = np.asarray(twists, dtype=np.int64)
+    if g.mode == "mv":
+        k = np.bitwise_count(c & x)
+    else:
+        t = field_tables(spec)
+        k = (t.trace + 2 * t.s2)[t.mul(c, x)]
+    k += 2 * g.bit_array()[:, None]
+    return np.take(_I, k & 3, axis=0)
 
 
 def transform_U(g: TruthTable, c: int) -> Spectrum:
@@ -133,7 +123,7 @@ def transform_U(g: TruthTable, c: int) -> Spectrum:
         raise ValueError("transform_U needs a multivariate table")
     if not 0 <= c < g.size:
         raise ValueError("twist c out of range")
-    return Spectrum(g.n, "mv", c, fwht(twisted_input_mv(g, c)))
+    return Spectrum(g.n, "mv", c, fwht(_twisted_inputs(g, None, [c]))[:, 0])
 
 
 def transform_V(spec: FieldSpec, g: TruthTable, c: int) -> Spectrum:
@@ -149,7 +139,7 @@ def transform_V(spec: FieldSpec, g: TruthTable, c: int) -> Spectrum:
         raise ValueError("field degree does not match the table")
     if not 0 <= c < g.size:
         raise ValueError("twist c out of range")
-    w = fwht(twisted_input_uv(spec, g, c))
+    w = fwht(_twisted_inputs(g, spec, [c]))[:, 0]
     return Spectrum(g.n, "uv", c, w[field_tables(spec).dual])
 
 
@@ -158,21 +148,34 @@ def is_flat(s: Spectrum) -> bool:
     return bool((s.norms_sq() == s.size).all())
 
 
+# Bound on points (or table entries) x twists in one block of a batched
+# spectral kernel; larger blocks raise peak memory for little speed.
+_BLOCK_ENTRIES = 1 << 14
+
+
 def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     """All twists c whose spectrum of g is flat.
 
     Nonempty means g is bent4; membership of 0 means bent, and of the
-    all-ones point (mv) or the unit element (uv) means negabent.
+    all-ones point (mv) or the unit element (uv) means negabent.  Twists
+    go through one butterfly per block of columns; flatness does not
+    depend on the order of the values, so the univariate dual-map
+    reindex is skipped.
     """
     if g.mode == "uv":
         if spec is None:
             raise ValueError("univariate witnesses need the field spec")
-        return {c for c in range(g.size) if is_flat(transform_V(spec, g, c))}
-    return {c for c in range(g.size) if is_flat(transform_U(g, c))}
-
-
-# Bound on points x twists in one block of the character kernel.
-_BLOCK_ENTRIES = 1 << 16
+        if spec.n != g.n:
+            raise ValueError("field degree does not match the table")
+    q = g.size
+    step = max(1, _BLOCK_ENTRIES // q)
+    found: set[int] = set()
+    for lo in range(0, q, step):
+        w = fwht(_twisted_inputs(g, spec, range(lo, min(q, lo + step))))
+        re, im = w[..., 0], w[..., 1]
+        flat = (re * re + im * im == q).all(axis=0)
+        found.update((lo + np.flatnonzero(flat)).tolist())
+    return found
 
 
 def character_norms(n: int, points, spec: FieldSpec | None = None, twists=None) -> np.ndarray:

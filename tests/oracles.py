@@ -95,12 +95,14 @@ def u_spectrum_symmetric_form(g: TruthTable, c: int) -> list[tuple[int, int]]:
 def v_spectrum_direct(spec: FieldSpec, g: TruthTable, c: int) -> list[tuple[int, int]]:
     """Direct O(4^n) sum using only scalar field operations."""
     size = g.size
+    # The twist at x does not depend on u: (g(x) + sigma(c,x), Tr(cx)).
+    twist = [(g.bit(x) ^ sigma(spec, c, x), trace_n(spec, fe_mul(spec, c, x))) for x in range(size)]
     out = []
     for u in range(size):
         re = im = 0
-        for x in range(size):
-            s = g.bit(x) ^ sigma(spec, c, x) ^ trace_n(spec, fe_mul(spec, u, x))
-            k = (trace_n(spec, fe_mul(spec, c, x)) + 2 * s) & 3
+        for x, (s0, t0) in enumerate(twist):
+            s = s0 ^ trace_n(spec, fe_mul(spec, u, x))
+            k = (t0 + 2 * s) & 3
             re += QUARTER_RE[k]
             im += QUARTER_IM[k]
         out.append((re, im))

@@ -207,6 +207,25 @@ def test_is_modified_planar_methods_agree():
         is_modified_planar(F, "spectral")
 
 
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_auto_route_is_components_and_agrees_with_both(mode, monkeypatch):
+    import mpf.planar
+
+    make = mv if mode == "mv" else uv
+    verdicts = []
+    for table in itertools.product(range(4), repeat=4):
+        F = make(table)
+        auto = is_modified_planar(F)
+        assert auto == is_modified_planar(F, "perm") == is_modified_planar(F, "components"), table
+        verdicts.append(auto)
+    assert 0 < sum(verdicts) < len(verdicts)
+    calls = []
+    real = mpf.planar.is_modified_planar_components
+    monkeypatch.setattr(mpf.planar, "is_modified_planar_components", lambda F: calls.append(F) or real(F))
+    is_modified_planar(F)
+    assert calls == [F]
+
+
 def test_function_json_round_trip():
     F = uv((3, 1, 0, 2))
     obj = function_to_json(F)

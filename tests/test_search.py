@@ -95,6 +95,34 @@ def test_shard_independence(shards):
     assert json.dumps(report_to_json(sharded)) == json.dumps(report_to_json(single))
 
 
+@pytest.mark.parametrize("shards, cpus, workers", [(64, 2, 2), (64, None, 1), (3, 8, 3)])
+def test_pool_workers_capped_at_cpu_count(shards, cpus, workers, monkeypatch):
+    import concurrent.futures
+
+    seen = []
+
+    class InProcessPool:
+        """Stands in for the process pool: records the cap, runs shards here."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    sharded = run_search(SearchJob("mv", 2, "all", "both", shards=shards))
+    assert seen == [workers]
+    assert sharded == run_search(SearchJob("mv", 2, "all", "both"))
+
+
 def test_filters_agree_per_candidate():
     perm = run_search(SearchJob("uv", 2, "all", "perm"))
     comp = run_search(SearchJob("uv", 2, "all", "components"))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpf.boolfun import TruthTable, from_values
+from mpf.boolfun import TruthTable, from_values, linear_form_table
 from mpf.errors import NonPowerOfTwoError
-from mpf.gf2n import make_field
+from mpf.gf2n import dual_mask, make_field
 from mpf.rds import GroupSpec, group_elements
 from mpf.transforms import (
     GaussianInt,
@@ -64,6 +64,8 @@ def test_fwht_rejects_bad_length():
 def test_fwht_rejects_floats():
     with pytest.raises(TypeError):
         fwht(np.ones(4, dtype=np.float64))
+    with pytest.raises(TypeError):
+        fwht(np.array([1, 0, 0, 1], dtype=object))
 
 
 def test_fwht_accepts_gaussian_tuples():
@@ -158,6 +160,73 @@ def test_bent4_witnesses_mv_zero():
 def test_bent4_witnesses_mv_affine_contains_all_ones():
     g = from_values([0, 1, 1, 0], "mv")  # x_1 + x_2
     assert 0b11 in bent4_witnesses(g)
+
+
+def _oracle_witnesses(g, spec=None):
+    """Twists whose spectrum, summed the literal way, is flat."""
+    q = g.size
+    witnesses = set()
+    for c in range(q):
+        pairs = u_spectrum_weight_form(g, c) if spec is None else v_spectrum_direct(spec, g, c)
+        if all(re * re + im * im == q for re, im in pairs):
+            witnesses.add(c)
+    return witnesses
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_bent4_witnesses_match_oracle_on_every_table(mode, n):
+    spec = make_field(n) if mode == "uv" else None
+    for bits in range(1 << (1 << n)):
+        g = TruthTable(n, bits, mode)
+        assert bent4_witnesses(g, spec) == _oracle_witnesses(g, spec), bits
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_bent4_witnesses_match_oracle_on_random_tables(mode, n):
+    spec = make_field(n) if mode == "uv" else None
+    q = 1 << n
+    rng = random.Random(1000 * n + len(mode))
+    # A random quadratic form is flat at many twists; a random table at few.
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.getrandbits(1)]
+    quadratic = from_values([sum(x >> i & x >> j & 1 for i, j in pairs) for x in range(q)], mode)
+    for g in (quadratic, TruthTable(n, rng.getrandbits(q), mode)):
+        assert bent4_witnesses(g, spec) == _oracle_witnesses(g, spec)
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_bent4_witnesses_do_not_depend_on_block_size(mode, monkeypatch):
+    n = 4
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    rng = random.Random(11)
+    # x1x2 + x3x4 is bent, so 0 is a witness.
+    tables = [TruthTable(n, 0, mode), from_values([(x & x >> 1 ^ x >> 2 & x >> 3) & 1 for x in range(q)], mode)]
+    tables += [TruthTable(n, rng.getrandbits(q), mode) for _ in range(20)]
+    expected = [bent4_witnesses(g, spec) for g in tables]
+    assert any(expected)
+    for block_entries in (q, 3 * q):  # one twist per block; last block partial
+        monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", block_entries)
+        assert [bent4_witnesses(g, spec) for g in tables] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(1, 6), st.data())
+def test_bent4_witnesses_invariant_under_affine_terms(mode, n, data):
+    q = 1 << n
+    bits = data.draw(st.integers(0, (1 << q) - 1))
+    v = data.draw(st.integers(0, q - 1))
+    const = data.draw(st.sampled_from([0, (1 << q) - 1]))
+    if mode == "uv":
+        spec = make_field(n)
+        affine = linear_form_table(n, dual_mask(spec, v)) ^ const  # Tr(vx) + b
+    else:
+        spec = None
+        affine = linear_form_table(n, v) ^ const  # v.x + b
+    g = TruthTable(n, bits, mode)
+    shifted = TruthTable(n, bits ^ affine, mode)
+    assert bent4_witnesses(shifted, spec) == bent4_witnesses(g, spec)
 
 
 def test_no_bent_functions_on_three_variables():
