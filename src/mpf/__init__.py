@@ -28,8 +28,6 @@ from .errors import (
     NonPowerOfTwoError,
     NotASubgroupError,
     SearchBoundsError,
-    UnsupportedGroupLawError,
-    ZeroComponentError,
     ZeroShiftError,
 )
 from .gf2n import (
@@ -53,7 +51,6 @@ from .planar import (
     do_to_table,
     function_from_json,
     function_to_json,
-    is_modified_planar,
     is_modified_planar_components,
     is_modified_planar_perm,
 )
@@ -91,26 +88,3 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "TruthTable", "from_values", "is_balanced", "pack_bits",
-    "shifted_derivative_mv", "shifted_derivative_uv", "table_from_json",
-    "table_to_json", "weight",
-    "MpfError", "InvalidModulusError", "ZeroShiftError", "ZeroComponentError",
-    "NonPowerOfTwoError", "UnsupportedGroupLawError", "NotASubgroupError",
-    "ForbiddenSubgroupError", "SearchBoundsError", "FilterDisagreementError",
-    "ElementRangeError",
-    "FieldSpec", "default_modulus", "dual_mask", "fe_mul", "field_from_json",
-    "field_to_json", "make_field", "poly_is_irreducible", "sigma", "trace_n",
-    "DOPolynomial", "PlanarVerdict", "VectorialFunction",
-    "do_from_json", "do_to_json", "do_to_table",
-    "is_modified_planar", "is_modified_planar_components", "is_modified_planar_perm",
-    "function_from_json", "function_to_json",
-    "GroupSpec", "RdsReport", "forbidden_subgroup", "graph_of",
-    "group_elements", "group_for", "group_identity", "group_inverse", "group_op",
-    "rds_verify_bruteforce", "rds_verify_characters",
-    "SearchJob", "SearchReport", "candidate_function", "class_size",
-    "enumerate_class", "run_search",
-    "GaussianInt", "Spectrum", "bent4_witnesses", "character_norms", "fwht", "inverse_twisted",
-    "is_flat", "transform_U", "transform_V",
-]

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .boolfun import TruthTable, table_from_json
 from .errors import FilterDisagreementError, MpfError
@@ -46,12 +45,6 @@ EXIT_VERDICT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass(frozen=True)
-class Command:
-    verb: str
-    options: dict
 
 
 def _default_shards() -> int:
@@ -93,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("mv", "uv"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="klass", required=True,
-                   choices=("all", "affine", "do_quadratic", "do_plus_affine"))
+                   choices=("all", "affine", "do_quadratic"))
     p.add_argument("--filter", choices=("perm", "components", "both"), default="both")
     p.add_argument("--shards", type=int, default=None,
                    help="worker shards (default MPF_DEFAULT_SHARDS, else 1)")
@@ -108,13 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_command(argv) -> Command:
-    """Parse argv into a validated Command; usage errors exit with code 2."""
+def parse_command(argv) -> argparse.Namespace:
+    """Parse argv into the verb and its options; usage errors exit with code 2."""
     args = build_parser().parse_args(argv)
     if args.verb == "search" and args.shards is None:
         args.shards = _default_shards()
-    options = {k: v for k, v in vars(args).items() if k != "verb"}
-    return Command(args.verb, options)
+    return args
 
 
 def _load_json(path: str):
@@ -123,34 +115,28 @@ def _load_json(path: str):
 
 
 def _write(text: str, out_path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
-def emit_report(result: dict, fmt: str) -> str:
-    """Serialize a report dict with stable field order."""
-    if fmt == "json":
-        return json.dumps(result, indent=2)
-    if fmt == "csv":
-        return result["csv"]
-    lines = result.get("text_lines", [])
-    return "\n".join(lines)
+def _emit(args: argparse.Namespace, report: dict, lines: list[str] | None = None) -> None:
+    """Write the report as its text lines when given and JSON is not asked for, else as JSON."""
+    if lines is not None and args.format != "json":
+        text = "\n".join(lines)
+    else:
+        if args.timestamp:
+            report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        text = json.dumps(report, indent=2)
+    _write(text, args.out)
 
 
-def _maybe_timestamp(report: dict, options: dict) -> None:
-    if options.get("timestamp"):
-        report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _cmd_analyze(options: dict) -> int:
-    F = function_from_json(_load_json(options["file"]))
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    F = function_from_json(_load_json(args.file))
     perm = is_modified_planar_perm(F)
     components = is_modified_planar_components(F)
     group = group_for(F)
@@ -159,6 +145,7 @@ def _cmd_analyze(options: dict) -> int:
     brute = rds_verify_bruteforce(group, R, N)
     characters = rds_verify_characters(group, R, N)
     verdicts = (perm.is_planar, components, brute.is_rds, characters)
+    witness = f"0x{perm.witness_a:x}" if perm.witness_a is not None else None
     report = {
         "format_version": "mpf.analyze.v1",
         "mode": F.mode,
@@ -169,65 +156,52 @@ def _cmd_analyze(options: dict) -> int:
         "rds_bruteforce": brute.is_rds,
         "rds_characters": characters,
         "rds_parameters": report_to_json(brute)["parameters"],
-        "witness_a": f"0x{perm.witness_a:x}" if perm.witness_a is not None else None,
+        "witness_a": witness,
         "witness_collision": list(perm.collision) if perm.collision else None,
     }
-    _maybe_timestamp(report, options)
     rds_word = "RDS verified" if brute.is_rds and characters else "RDS refuted"
     w_perm = "true" if perm.is_planar else "false"
     w_comp = "true" if components else "false"
-    report["text_lines"] = [
+    _emit(args, report, [
         "mpf analyze v1",
         f"mode: {F.mode}  n: {F.n}",
         f"modified planar: {w_perm} (perm), {w_comp} (components), {rds_word}",
-        f"witness: {report['witness_a'] or '-'}",
-    ]
-    text = emit_report(report if options["format"] != "json" else _strip_text(report), options["format"])
-    _write(text, options["out"])
+        f"witness: {witness or '-'}",
+    ])
     if len(set(verdicts)) != 1:
         sys.stderr.write("internal error: verdict routes disagree; this is a bug\n")
         return EXIT_INTERNAL
     return EXIT_OK if all(verdicts) else EXIT_VERDICT_FALSE
 
 
-def _strip_text(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "text_lines"}
-
-
-def _cmd_spectrum(options: dict) -> int:
-    obj = _load_json(options["file"])
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    obj = _load_json(args.file)
     g = table_from_json(obj)
-    c = int(options["c"], 16)
+    c = int(args.c, 16)
     if g.mode == "uv":
         spec = field_from_json(obj["field"]) if obj.get("field") else make_field(g.n)
         s = transform_V(spec, g, c)
     else:
         s = transform_U(g, c)
-    rows = ["# mpf.spectrum.v1", "u,re,im,norm_sq"]
-    norms = s.norms_sq()
-    for u in range(s.size):
-        re, im = s.values[u]
-        rows.append(f"0x{u:x},{re},{im},{norms[u]}")
-    report = {
+    if args.format == "csv":
+        norms = s.norms_sq()
+        rows = ["# mpf.spectrum.v1", "u,re,im,norm_sq"]
+        rows += [f"0x{u:x},{re},{im},{norms[u]}" for u, (re, im) in enumerate(s.values)]
+        _write("\n".join(rows), args.out)
+        return EXIT_OK
+    _emit(args, {
         "format_version": "mpf.spectrum.v1",
         "mode": s.mode,
         "n": s.n,
         "twist": f"0x{s.twist:x}",
         "flat": is_flat(s),
         "values": [[int(re), int(im)] for re, im in s.values],
-        "csv": "\n".join(rows),
-    }
-    _maybe_timestamp(report, options)
-    if options["format"] == "json":
-        report.pop("csv")
-        _write(emit_report(report, "json"), options["out"])
-    else:
-        _write(report["csv"], options["out"])
+    })
     return EXIT_OK
 
 
-def _cmd_verify_rds(options: dict) -> int:
-    obj = _load_json(options["file"])
+def _cmd_verify_rds(args: argparse.Namespace) -> int:
+    obj = _load_json(args.file)
     group = group_from_json(obj["group"])
     R = elements_from_json(obj["elements"])
     if obj.get("forbidden"):
@@ -236,39 +210,35 @@ def _cmd_verify_rds(options: dict) -> int:
         N = forbidden_subgroup(group)
     brute = rds_verify_bruteforce(group, R, N)
     characters = None
-    if group.law in ("star_mv", "star_uv") and frozenset(N) == forbidden_subgroup(group):
+    if frozenset(N) == forbidden_subgroup(group):
         characters = rds_verify_characters(group, R, N)
     report = {"format_version": "mpf.verify-rds.v1", "group": {"law": group.law, "n": group.n}}
     report.update(report_to_json(brute))
     report["character_criterion"] = characters
-    _maybe_timestamp(report, options)
-    report["text_lines"] = [
+    _emit(args, report, [
         "mpf verify-rds v1",
         f"group: {group.law}  n: {group.n}",
         f"parameters: ({brute.mu}, {brute.nu}, {brute.k}, {brute.lam})",
         f"is_rds: {str(brute.is_rds).lower()}  characters: {str(characters).lower()}",
-    ]
-    fmt = options["format"]
-    _write(emit_report(report if fmt != "json" else _strip_text(report), fmt), options["out"])
+    ])
     ok = brute.is_rds and characters is not False
     return EXIT_OK if ok else EXIT_VERDICT_FALSE
 
 
-def _cmd_search(options: dict) -> int:
+def _cmd_search(args: argparse.Namespace) -> int:
     job = SearchJob(
-        mode=options["mode"],
-        n=options["n"],
-        klass=options["klass"],
-        filter=options["filter"],
-        shards=options["shards"],
-        seed=options["seed"],
-        sample=options["sample"],
+        mode=args.mode,
+        n=args.n,
+        klass=args.klass,
+        filter=args.filter,
+        shards=args.shards,
+        seed=args.seed,
+        sample=args.sample,
     )
-    report = run_search(job, stream=options["stream"])
+    report = run_search(job, stream=args.stream)
     obj = {"format_version": "mpf.search.v1"}
     obj.update(search_report_to_json(report))
-    _maybe_timestamp(obj, options)
-    _write(emit_report(obj, "json"), options["out"])
+    _emit(args, obj)
     return EXIT_OK
 
 
@@ -308,7 +278,7 @@ def _selftest_checks():
     )
 
 
-def _cmd_selftest(options: dict) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> int:
     passed = 0
     total = 0
     for label, ok in _selftest_checks():
@@ -331,9 +301,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    command = parse_command(argv if argv is not None else sys.argv[1:])
+    args = parse_command(argv if argv is not None else sys.argv[1:])
     try:
-        return _DISPATCH[command.verb](command.options)
+        return _DISPATCH[args.verb](args)
     except FilterDisagreementError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL

@@ -13,16 +13,8 @@ class ZeroShiftError(MpfError):
     """A shifted derivative was requested at shift z = 0."""
 
 
-class ZeroComponentError(MpfError):
-    """A component function was requested at c = 0."""
-
-
 class NonPowerOfTwoError(MpfError):
     """Transform input length is not a power of two."""
-
-
-class UnsupportedGroupLawError(MpfError):
-    """Operation is not defined for this group law."""
 
 
 class ElementRangeError(MpfError):

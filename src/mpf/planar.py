@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2n import FieldSpec, fe_mul, field_from_json, field_tables, field_to_json
+from .gf2n import MAX_DEGREE, FieldSpec, fe_mul, field_from_json, field_tables, field_to_json
 from .transforms import characters_flat
 
 
@@ -32,6 +32,8 @@ class VectorialFunction:
     def __post_init__(self):
         if self.mode not in ("mv", "uv"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not 1 <= self.n <= MAX_DEGREE:
+            raise ValueError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
         object.__setattr__(self, "table", tuple(self.table))
         size = 1 << self.n
         if len(self.table) != size:
@@ -162,22 +164,6 @@ def is_modified_planar_components(F: VectorialFunction) -> bool:
     """
     graph = np.stack([np.arange(F.size), np.asarray(F.table)], axis=1)
     return characters_flat(F.n, graph, F.spec)
-
-
-def is_modified_planar(F: VectorialFunction, method: str = "auto") -> bool:
-    """Boolean planarity verdict by the named route.
-
-    auto is the components route, the faster of the two at every n
-    measured (about 4x at n = 8 and 6x at n = 10 on the planar uv zero
-    function).
-    """
-    if method == "auto":
-        method = "components"
-    if method == "perm":
-        return is_modified_planar_perm(F).is_planar
-    if method == "components":
-        return is_modified_planar_components(F)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

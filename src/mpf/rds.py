@@ -3,7 +3,7 @@
 The two star groups put a graph-of-a-function difference structure on
 pairs: (x1,y1) * (x2,y2) = (x1+x2, y1+y2+x1*x2), with the cross term the
 coordinatewise product (star_mv) or the field product (star_uv).  Both
-are isomorphic to Z_4^n; the z4n law is carried as a sanity baseline.
+are isomorphic to Z_4^n.
 
 A subset R is a relative difference set when every element outside the
 forbidden subgroup N = {0} x F has the same number of ordered-difference
@@ -21,19 +21,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    ElementRangeError,
-    ForbiddenSubgroupError,
-    NotASubgroupError,
-    UnsupportedGroupLawError,
-)
-from .gf2n import FieldSpec, fe_mul, field_from_json, field_to_json
+from .errors import ElementRangeError, ForbiddenSubgroupError, NotASubgroupError
+from .gf2n import MAX_DEGREE, FieldSpec, fe_mul, field_from_json, field_to_json
 from .planar import VectorialFunction
 from .transforms import characters_flat
 
-LAWS = ("star_mv", "star_uv", "z4n")
+LAWS = ("star_mv", "star_uv")
 
-Element = tuple[int, ...]
+Element = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -45,6 +40,8 @@ class GroupSpec:
     def __post_init__(self):
         if self.law not in LAWS:
             raise ValueError(f"unknown law {self.law!r}")
+        if not 1 <= self.n <= MAX_DEGREE:
+            raise ValueError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
         if self.law == "star_uv":
             if self.spec is None or self.spec.n != self.n:
                 raise ValueError("star_uv needs a matching field spec")
@@ -57,26 +54,18 @@ class GroupSpec:
 
 
 def group_identity(g: GroupSpec) -> Element:
-    if g.law == "z4n":
-        return (0,) * g.n
     return (0, 0)
 
 
 def group_elements(g: GroupSpec) -> Iterator[Element]:
     """Every element once, in increasing order."""
-    if g.law == "z4n":
-        for t in range(4 ** g.n):
-            yield tuple((t >> (2 * k)) & 3 for k in reversed(range(g.n)))
-    else:
-        q = 1 << g.n
-        for x in range(q):
-            for y in range(q):
-                yield (x, y)
+    q = 1 << g.n
+    for x in range(q):
+        for y in range(q):
+            yield (x, y)
 
 
 def group_op(g: GroupSpec, a: Element, b: Element) -> Element:
-    if g.law == "z4n":
-        return tuple((u + v) & 3 for u, v in zip(a, b))
     x1, y1 = a
     x2, y2 = b
     if g.law == "star_mv":
@@ -85,8 +74,6 @@ def group_op(g: GroupSpec, a: Element, b: Element) -> Element:
 
 
 def group_inverse(g: GroupSpec, a: Element) -> Element:
-    if g.law == "z4n":
-        return tuple((-u) & 3 for u in a)
     x, y = a
     if g.law == "star_mv":
         return (x, y ^ x)
@@ -105,10 +92,10 @@ class RdsReport:
 
 
 def _check_elements(g: GroupSpec, elements: Iterable) -> None:
-    """Reject anything that is not an element of g: pairs in [0, 2^n)^2, or n digits mod 4."""
-    width, bound = (g.n, 4) if g.law == "z4n" else (2, 1 << g.n)
+    """Reject anything that is not an element of g: a pair in [0, 2^n)^2."""
+    q = 1 << g.n
     for e in elements:
-        if len(e) != width or not all(0 <= v < bound for v in e):
+        if len(e) != 2 or not all(0 <= v < q for v in e):
             raise ElementRangeError(f"{e} is not an element of the {g.law} group at n={g.n}")
 
 
@@ -164,8 +151,6 @@ def rds_verify_bruteforce(g: GroupSpec, R: Iterable[Element], N: Iterable[Elemen
 
 def forbidden_subgroup(g: GroupSpec) -> frozenset:
     """The canonical forbidden subgroup {0} x F."""
-    if g.law == "z4n":
-        raise UnsupportedGroupLawError("forbidden subgroup is defined for the star laws")
     q = 1 << g.n
     return frozenset((0, y) for y in range(q))
 
@@ -179,8 +164,6 @@ def rds_verify_characters(g: GroupSpec, R: Iterable[Element], N: Iterable[Elemen
     generalized to other parameter families.  The character sums come
     from the batched transform in transforms.characters_flat.
     """
-    if g.law not in ("star_mv", "star_uv"):
-        raise UnsupportedGroupLawError("characters are only provided for the star laws")
     if frozenset(N) != forbidden_subgroup(g):
         raise ForbiddenSubgroupError("N must be the canonical forbidden subgroup {0} x F")
     R = list(R)

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import FilterDisagreementError, SearchBoundsError
-from .gf2n import make_field
+from .gf2n import MAX_DEGREE, make_field
 from .planar import (
     DOPolynomial,
     VectorialFunction,
@@ -26,12 +26,12 @@ from .planar import (
     is_modified_planar_perm,
 )
 
-CLASSES = ("all", "affine", "do_quadratic", "do_plus_affine")
+CLASSES = ("all", "affine", "do_quadratic")
 FILTERS = ("perm", "components", "both")
 
 # Largest n per class for exhaustive jobs; sampled jobs only need the
 # candidate space to be indexable.
-_EXHAUSTIVE_BOUNDS = {"all": 2, "affine": 4, "do_quadratic": 5, "do_plus_affine": 5}
+_EXHAUSTIVE_BOUNDS = {"all": 2, "affine": 4, "do_quadratic": 5}
 
 REPORT_FUNCTION_CAP = 10_000
 
@@ -49,6 +49,8 @@ class SearchJob:
     def __post_init__(self):
         if self.mode not in ("mv", "uv"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not 1 <= self.n <= MAX_DEGREE:
+            raise ValueError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
         if self.klass not in CLASSES:
             raise ValueError(f"unknown class {self.klass!r}")
         if self.filter not in FILTERS:
@@ -72,12 +74,11 @@ class SearchReport:
 def _slot_count(n: int, klass: str) -> int:
     if klass == "all":
         return 1 << n
-    quad = n * (n - 1) // 2
     if klass == "affine":
         return n + 1
     if klass == "do_quadratic":
-        return quad
-    return quad + n + 1
+        return n * (n - 1) // 2
+    raise ValueError(f"unknown class {klass!r}")
 
 
 def class_size(mode: str, n: int, klass: str) -> int:
@@ -103,23 +104,12 @@ def candidate_function(mode: str, n: int, klass: str, index: int) -> VectorialFu
             return VectorialFunction("mv", n, tuple(digits))
         return VectorialFunction("uv", n, tuple(digits), make_field(n))
     spec = make_field(n)
+    if klass == "affine":
+        lin = {i: d for i, d in enumerate(digits[:n]) if d}
+        return do_to_table(DOPolynomial(spec, linearized=lin, constant=digits[n]))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    quad: dict[tuple[int, int], int] = {}
-    lin: dict[int, int] = {}
-    const = 0
-    pos = 0
-    if klass in ("do_quadratic", "do_plus_affine"):
-        for pair in pairs:
-            if digits[pos]:
-                quad[pair] = digits[pos]
-            pos += 1
-    if klass in ("affine", "do_plus_affine"):
-        for i in range(n):
-            if digits[pos]:
-                lin[i] = digits[pos]
-            pos += 1
-        const = digits[pos]
-    return do_to_table(DOPolynomial(spec, quad, lin, const))
+    quad = {pair: d for pair, d in zip(pairs, digits) if d}
+    return do_to_table(DOPolynomial(spec, quad))
 
 
 def enumerate_class(mode: str, n: int, klass: str):

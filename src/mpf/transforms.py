@@ -96,20 +96,21 @@ def fwht(values) -> np.ndarray:
     return out
 
 
-def _twisted_inputs(g: TruthTable, spec: FieldSpec | None, twists) -> np.ndarray:
+def _twisted_inputs(bits: np.ndarray, spec: FieldSpec | None, twists) -> np.ndarray:
     """Twisted inputs of g for a block of twists, as a (2^n, m, 2) Gaussian array.
 
-    Entry [x, j] is i^k with k = wt(c&x) + 2 g(x) (mv) or
-    k = Tr(cx) + 2 (sigma(c,x) + g(x)) (uv, over spec), for c = twists[j].
+    bits is g's 0/1 table (TruthTable.bit_array).  Entry [x, j] is i^k with
+    k = wt(c&x) + 2 g(x) (mv, spec None) or k = Tr(cx) + 2 (sigma(c,x) + g(x))
+    (uv, over spec), for c = twists[j].
     """
-    x = np.arange(g.size, dtype=np.int64)[:, None]
+    x = np.arange(len(bits), dtype=np.int64)[:, None]
     c = np.asarray(twists, dtype=np.int64)
-    if g.mode == "mv":
+    if spec is None:
         k = np.bitwise_count(c & x)
     else:
         t = field_tables(spec)
         k = (t.trace + 2 * t.s2)[t.mul(c, x)]
-    k += 2 * g.bit_array()[:, None]
+    k += 2 * bits[:, None]
     return np.take(_I, k & 3, axis=0)
 
 
@@ -123,7 +124,7 @@ def transform_U(g: TruthTable, c: int) -> Spectrum:
         raise ValueError("transform_U needs a multivariate table")
     if not 0 <= c < g.size:
         raise ValueError("twist c out of range")
-    return Spectrum(g.n, "mv", c, fwht(_twisted_inputs(g, None, [c]))[:, 0])
+    return Spectrum(g.n, "mv", c, fwht(_twisted_inputs(g.bit_array(), None, [c]))[:, 0])
 
 
 def transform_V(spec: FieldSpec, g: TruthTable, c: int) -> Spectrum:
@@ -139,7 +140,7 @@ def transform_V(spec: FieldSpec, g: TruthTable, c: int) -> Spectrum:
         raise ValueError("field degree does not match the table")
     if not 0 <= c < g.size:
         raise ValueError("twist c out of range")
-    w = fwht(_twisted_inputs(g, spec, [c]))[:, 0]
+    w = fwht(_twisted_inputs(g.bit_array(), spec, [c]))[:, 0]
     return Spectrum(g.n, "uv", c, w[field_tables(spec).dual])
 
 
@@ -162,16 +163,18 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     depend on the order of the values, so the univariate dual-map
     reindex is skipped.
     """
-    if g.mode == "uv":
-        if spec is None:
-            raise ValueError("univariate witnesses need the field spec")
-        if spec.n != g.n:
-            raise ValueError("field degree does not match the table")
+    if g.mode == "mv":
+        spec = None
+    elif spec is None:
+        raise ValueError("univariate witnesses need the field spec")
+    elif spec.n != g.n:
+        raise ValueError("field degree does not match the table")
     q = g.size
+    bits = g.bit_array()
     step = max(1, _BLOCK_ENTRIES // q)
     found: set[int] = set()
     for lo in range(0, q, step):
-        w = fwht(_twisted_inputs(g, spec, range(lo, min(q, lo + step))))
+        w = fwht(_twisted_inputs(bits, spec, range(lo, min(q, lo + step))))
         re, im = w[..., 0], w[..., 1]
         flat = (re * re + im * im == q).all(axis=0)
         found.update((lo + np.flatnonzero(flat)).tolist())

@@ -9,7 +9,6 @@ it verifies.
 import numpy as np
 
 from mpf.boolfun import TruthTable, pack_bits
-from mpf.errors import UnsupportedGroupLawError, ZeroComponentError
 from mpf.gf2n import FieldSpec, fe_mul, field_tables, sigma, trace_n
 from mpf.planar import VectorialFunction
 from mpf.transforms import GaussianInt
@@ -144,6 +143,18 @@ _I_UNITS = (
 )
 
 
+def z4n_elements(n: int) -> list[tuple[int, ...]]:
+    """Every element of Z_4^n as n digits mod 4."""
+    return [tuple((t >> (2 * k)) & 3 for k in range(n)) for t in range(4 ** n)]
+
+
+def z4n_order(a) -> int:
+    """Additive order in Z_4^n: 4 if a digit is odd, 2 if one is 2, else 1."""
+    if any(v & 1 for v in a):
+        return 4
+    return 2 if any(a) else 1
+
+
 def character_eval(g, u: int, c: int, a) -> GaussianInt:
     """The (u, c)-indexed character at a group element: a fourth root of unity.
 
@@ -163,7 +174,7 @@ def character_eval(g, u: int, c: int, a) -> GaussianInt:
         sign = (int(tr[fe_mul(spec, u, x)]) ^ int(tr[fe_mul(spec, c2, y)]) ^ int(t.s2[cx])) & 1
         k = (int(tr[cx]) + 2 * sign) & 3
     else:
-        raise UnsupportedGroupLawError("characters are only provided for the star laws")
+        raise ValueError("characters are only provided for the star laws")
     return _I_UNITS[k]
 
 
@@ -189,7 +200,7 @@ def component_mv(F: VectorialFunction, c: int) -> TruthTable:
     if F.mode != "mv":
         raise ValueError("component_mv needs a multivariate function")
     if c == 0:
-        raise ZeroComponentError("components are defined for nonzero c only")
+        raise ValueError("components are defined for nonzero c only")
     if not 0 < c < F.size:
         raise ValueError("c out of range")
     bits = 0
@@ -210,7 +221,7 @@ def component_uv(spec: FieldSpec, F: VectorialFunction, c: int) -> TruthTable:
     if spec != F.spec:
         raise ValueError("field spec does not match the function")
     if c == 0:
-        raise ZeroComponentError("components are defined for nonzero c only")
+        raise ValueError("components are defined for nonzero c only")
     if not 0 < c < F.size:
         raise ValueError("c out of range")
     t = field_tables(spec)

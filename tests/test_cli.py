@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mpf.cli import Command, main, parse_command
+import mpf
+from mpf.cli import main, parse_command
 from mpf.gf2n import make_field
 from mpf.planar import VectorialFunction, function_to_json
 
@@ -32,15 +37,15 @@ def uv_zero_table_file(tmp_path):
 
 def test_parse_command_analyze():
     cmd = parse_command(["analyze", "--file", "f.json"])
-    assert cmd == Command("analyze", cmd.options)
-    assert cmd.options["file"] == "f.json"
+    assert cmd.verb == "analyze"
+    assert cmd.file == "f.json"
 
 
 def test_parse_command_spectrum():
     cmd = parse_command(["spectrum", "--file", "g.json", "--c", "0x1", "--out", "s.csv"])
     assert cmd.verb == "spectrum"
-    assert cmd.options["c"] == "0x1"
-    assert cmd.options["out"] == "s.csv"
+    assert cmd.c == "0x1"
+    assert cmd.out == "s.csv"
 
 
 def test_parse_command_missing_required_flag_exits_2():
@@ -179,7 +184,7 @@ def test_search_cli(tmp_path, capsys):
 def test_search_cli_shards_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MPF_DEFAULT_SHARDS", "2")
     cmd = parse_command(["search", "--mode", "mv", "--n", "2", "--class", "all"])
-    assert cmd.options["shards"] == 2
+    assert cmd.shards == 2
 
 
 def test_search_cli_identical_outputs(tmp_path):
@@ -208,3 +213,31 @@ def test_analyze_route_disagreement_exits_4(uv_zero_file, monkeypatch, capsys):
     assert main(["analyze", "--file", uv_zero_file]) == 4
     assert "disagree" in capsys.readouterr().err
 
+
+# Runs the CLI under a 1 GiB address-space cap, so an unchecked 2^n
+# allocation fails fast instead of taking the machine's memory.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mpf.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["analyze"], {"mode": "mv", "n": 100_000_000_000, "field": None, "table": []}),
+    (["verify-rds"], {"group": {"law": "star_mv", "n": 100_000_000_000}, "elements": []}),
+    (["search", "--mode", "mv", "--n", "40", "--class", "all", "--sample", "1"], None),
+], ids=["analyze", "verify-rds", "search"])
+def test_oversized_degree_exits_3_before_allocating(tmp_path, argv, payload):
+    if payload is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        argv = argv + ["--file", str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(mpf.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: n must be in [1, ")
+    assert "Traceback" not in proc.stderr

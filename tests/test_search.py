@@ -4,7 +4,7 @@ import pytest
 
 from mpf.errors import SearchBoundsError
 from mpf.gf2n import make_field
-from mpf.planar import is_modified_planar_perm
+from mpf.planar import VectorialFunction, is_modified_planar_perm
 from mpf.search import (
     SearchJob,
     candidate_function,
@@ -22,7 +22,9 @@ def test_class_sizes():
     assert class_size("mv", 2, "all") == 256
     assert class_size("uv", 2, "affine") == 64  # (a, b, const) over GF(4)
     assert class_size("uv", 3, "do_quadratic") == 512  # three coefficient slots
-    assert class_size("uv", 2, "do_plus_affine") == 256
+    assert class_size("uv", 2, "do_quadratic") * class_size("uv", 2, "affine") == 256
+    with pytest.raises(ValueError):
+        class_size("uv", 2, "do_plus_affine")  # retired: answered by do_quadratic
 
 
 def test_enumerate_all_is_exhaustive_and_canonical():
@@ -85,6 +87,23 @@ def test_run_search_mv_n2_census():
         1 for F in enumerate_class("mv", 2, "all") if is_modified_planar_perm(F).is_planar
     )
     assert report.passing == oracle
+
+
+def test_do_quadratic_plus_affine_census_n2():
+    # Adding L(x) + b never changes the verdict, so every sum counts as its
+    # quadratic part does: census(do_quadratic) * q^(n+1) planar functions.
+    quadratics = list(enumerate_class("uv", 2, "do_quadratic"))
+    affines = list(enumerate_class("uv", 2, "affine"))
+    planar = sum(
+        is_modified_planar_perm(
+            VectorialFunction("uv", 2, tuple(u ^ v for u, v in zip(F.table, L.table)), F4)
+        ).is_planar
+        for F in quadratics
+        for L in affines
+    )
+    census = run_search(SearchJob("uv", 2, "do_quadratic")).passing
+    assert len(quadratics) * len(affines) == 256
+    assert planar == census * 4 ** 3
 
 
 @pytest.mark.parametrize("shards", [1, 2, 8])
