@@ -29,6 +29,10 @@ class ForbiddenSubgroupError(MpfError):
     """The character criterion only covers the canonical forbidden subgroup."""
 
 
+class BruteForceBoundsError(MpfError):
+    """A brute-force RDS check exceeds the permitted amount of work."""
+
+
 class SearchBoundsError(MpfError):
     """Exhaustive search job exceeds the permitted size bounds."""
 

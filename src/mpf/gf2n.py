@@ -174,13 +174,19 @@ class _FieldTables:
             )
         self.spec = spec
         q = spec.order
-        # Discrete-log pair over a generator of the multiplicative group.
-        exp = np.zeros(q - 1 if q > 2 else 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
+        # Discrete-log pair over a generator of the multiplicative group,
+        # made zero-aware: log[0] is a sentinel past every sum of two nonzero
+        # logs, and exp repeats its cycle once and is zero from the sentinel
+        # on, so a product is exp[log[a] + log[b]] with no mask or modulo.
+        # Every index and value fits int32 (q <= 2^MAX_TABLE_DEGREE).
+        cycle = q - 1
+        zero = 2 * cycle
+        exp = np.zeros(2 * zero + 1, dtype=np.int32)
+        log = np.full(q, zero, dtype=np.int32)
         gen = self._find_generator()
         v = 1
-        for i in range(max(q - 1, 1)):
-            exp[i] = v
+        for i in range(cycle):
+            exp[i] = exp[i + cycle] = v
             log[v] = i
             v = fe_mul(spec, v, gen)
         self.exp = exp
@@ -203,13 +209,15 @@ class _FieldTables:
         return 1  # n == 1: the multiplicative group is trivial
 
     def mul(self, a, b) -> np.ndarray:
-        """Elementwise field product of integer arrays (broadcasting)."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        m = max(self.spec.order - 1, 1)
-        return np.where((a != 0) & (b != 0), self.exp[(self.log[a] + self.log[b]) % m], 0)
+        """Elementwise field product of integer arrays (broadcasting).
 
-    def _frobenius_powers(self) -> list[np.ndarray]:
+        One add of logs and one gather; ndarray.take gathers from a 1-D
+        table faster than fancy indexing or np.take, at every size.
+        """
+        return self.exp.take(self.log.take(a) + self.log.take(b))
+
+    def frobenius_powers(self) -> list[np.ndarray]:
+        """The n arrays x -> x^(2^i), i = 0..n-1, over every field element x."""
         q = self.spec.order
         ident = np.arange(q, dtype=np.int64)
         sq = self.mul(ident, ident)
@@ -222,7 +230,7 @@ class _FieldTables:
     def trace(self) -> np.ndarray:
         if self._trace is None:
             acc = np.zeros(self.spec.order, dtype=np.int64)
-            for p in self._frobenius_powers():
+            for p in self.frobenius_powers():
                 acc ^= p
             self._trace = acc  # values land in {0, 1}
         return self._trace
@@ -231,7 +239,7 @@ class _FieldTables:
     def s2(self) -> np.ndarray:
         """Table of sigma(1, y) over all y; sigma(c, x) = s2[c*x]."""
         if self._s2 is None:
-            pows = self._frobenius_powers()
+            pows = self.frobenius_powers()
             acc = np.zeros(self.spec.order, dtype=np.int64)
             for i in range(self.spec.n):
                 for j in range(i + 1, self.spec.n):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2n import MAX_DEGREE, FieldSpec, fe_mul, field_from_json, field_tables, field_to_json
+from .gf2n import MAX_DEGREE, FieldSpec, field_from_json, field_tables, field_to_json
 from .transforms import characters_flat
 
 
@@ -79,21 +79,20 @@ class DOPolynomial:
 
 
 def do_to_table(p: DOPolynomial) -> VectorialFunction:
-    """Evaluate a DO polynomial on every point of the field."""
+    """Evaluate a DO polynomial on every point of the field.
+
+    The Frobenius powers x^(2^i) of every x are computed once; each term
+    then adds one array of products.
+    """
     spec = p.spec
-    n = spec.n
-    table = []
-    for x in spec.elements():
-        pows = [x]
-        for _ in range(n - 1):
-            pows.append(fe_mul(spec, pows[-1], pows[-1]))
-        acc = p.constant
-        for (i, j), a in p.quad.items():
-            acc ^= fe_mul(spec, a, fe_mul(spec, pows[i], pows[j]))
-        for i, b in p.linearized.items():
-            acc ^= fe_mul(spec, b, pows[i])
-        table.append(acc)
-    return VectorialFunction("uv", n, tuple(table), spec)
+    t = field_tables(spec)
+    pows = t.frobenius_powers()
+    acc = np.full(spec.order, p.constant, dtype=np.int64)
+    for (i, j), a in p.quad.items():
+        acc ^= t.mul(a, t.mul(pows[i], pows[j]))
+    for i, b in p.linearized.items():
+        acc ^= t.mul(b, pows[i])
+    return VectorialFunction("uv", spec.n, tuple(acc.tolist()), spec)
 
 
 @dataclass(frozen=True)

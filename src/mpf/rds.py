@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ElementRangeError, ForbiddenSubgroupError, NotASubgroupError
+from .errors import BruteForceBoundsError, ElementRangeError, ForbiddenSubgroupError, NotASubgroupError
 from .gf2n import MAX_DEGREE, FieldSpec, fe_mul, field_from_json, field_to_json
 from .planar import VectorialFunction
 from .transforms import characters_flat
@@ -29,6 +29,11 @@ from .transforms import characters_flat
 LAWS = ("star_mv", "star_uv")
 
 Element = tuple[int, int]
+
+# Bound on the brute-force route's work: |R|^2 ordered differences, |N|^2
+# closure products and the scan of all |G| = 4^n elements.  It admits
+# every n <= 13 graph with the canonical subgroup.
+MAX_PAIR_WORK = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,15 @@ def _check_elements(g: GroupSpec, elements: Iterable) -> None:
             raise ElementRangeError(f"{e} is not an element of the {g.law} group at n={g.n}")
 
 
+def _check_pair_work(g: GroupSpec, *sizes: int) -> None:
+    """Refuse a brute-force job over MAX_PAIR_WORK before building anything of its size."""
+    work = max([g.order] + [k * k for k in sizes])
+    if work > MAX_PAIR_WORK:
+        raise BruteForceBoundsError(
+            f"brute-force RDS work {work} at n={g.n} exceeds the bound {MAX_PAIR_WORK}"
+        )
+
+
 def _check_subgroup(g: GroupSpec, N: frozenset) -> None:
     if group_identity(g) not in N:
         raise NotASubgroupError("identity missing from N")
@@ -118,6 +132,7 @@ def rds_verify_bruteforce(g: GroupSpec, R: Iterable[Element], N: Iterable[Elemen
     """
     R = list(R)
     N = frozenset(N)
+    _check_pair_work(g, len(R), len(N))
     _check_elements(g, R)
     _check_elements(g, N)
     _check_subgroup(g, N)
@@ -150,7 +165,8 @@ def rds_verify_bruteforce(g: GroupSpec, R: Iterable[Element], N: Iterable[Elemen
 
 
 def forbidden_subgroup(g: GroupSpec) -> frozenset:
-    """The canonical forbidden subgroup {0} x F."""
+    """The canonical forbidden subgroup {0} x F, within the brute-force bound."""
+    _check_pair_work(g)
     q = 1 << g.n
     return frozenset((0, y) for y in range(q))
 

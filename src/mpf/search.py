@@ -163,8 +163,11 @@ def _run_shard(payload: tuple) -> tuple[int, list[int], int | None]:
 def run_search(job: SearchJob, stream=None) -> SearchReport:
     """Run a search job; the report is identical for any shard count.
 
-    stream, if given, is a writable text file or a path: every passing
-    function is written to it as one JSON object per line (not capped).
+    A sampled job draws job.sample indices with replacement, so a
+    candidate can come up more than once; examined and passing count
+    every draw, repeats included.  stream, if given, is a writable text
+    file or a path: every passing function is written to it as one JSON
+    object per line (not capped).
     """
     if job.sample is None:
         _check_bounds(job.mode, job.n, job.klass)

@@ -36,7 +36,10 @@ class GaussianInt(NamedTuple):
 
 
 # i^k for k = 0..3 as (re, im) rows.
-_I = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int64)
+_I = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int8)
+
+# fwht's working dtypes, narrowest first, with the largest value each holds.
+_WORK_DTYPES = [(int(np.iinfo(t).max), t) for t in (np.int16, np.int32, np.int64)]
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,14 @@ class Spectrum:
 
 
 def fwht(values) -> np.ndarray:
-    """Walsh-Hadamard butterfly along axis 0, exact in int64.
+    """Walsh-Hadamard butterfly along axis 0, exact; returns int64.
 
     Accepts a length-2^k integer array of any trailing shape; a Gaussian
     vector is the (2^k, 2) case.  output[u] = sum_x values[x] * (-1)^(u.x).
-    Unnormalized: applying it twice multiplies by 2^k.
+    Unnormalized: applying it twice multiplies by 2^k.  Every partial sum
+    is at most max|values| * 2^k in size, so the butterfly runs in the
+    narrowest of int16, int32 and int64 that holds that bound; past
+    int64 it raises OverflowError rather than wrap.
     """
     a = np.asarray(values)
     if not np.issubdtype(a.dtype, np.integer):
@@ -82,8 +88,12 @@ def fwht(values) -> np.ndarray:
     size = a.shape[0]
     if size == 0 or size & (size - 1):
         raise NonPowerOfTwoError(f"length {size} is not a power of two")
-    out = a.astype(np.int64, copy=True)
-    scratch = np.empty((size // 2, *out.shape[1:]), dtype=np.int64)
+    bound = max(-int(a.min()), int(a.max())) * size if a.size else 0
+    work = next((t for top, t in _WORK_DTYPES if bound <= top), None)
+    if work is None:
+        raise OverflowError(f"fwht sums up to {bound}, past int64")
+    out = a.astype(work, copy=True)
+    scratch = np.empty((size // 2, *out.shape[1:]), dtype=work)
     h = 1
     while h < size:
         v = out.reshape(size // (2 * h), 2, h, *out.shape[1:])
@@ -93,7 +103,7 @@ def fwht(values) -> np.ndarray:
         np.add(lo, hi, out=lo)
         hi[...] = diff
         h *= 2
-    return out
+    return out.astype(np.int64, copy=False)
 
 
 def _twisted_inputs(bits: np.ndarray, spec: FieldSpec | None, twists) -> np.ndarray:
@@ -101,17 +111,18 @@ def _twisted_inputs(bits: np.ndarray, spec: FieldSpec | None, twists) -> np.ndar
 
     bits is g's 0/1 table (TruthTable.bit_array).  Entry [x, j] is i^k with
     k = wt(c&x) + 2 g(x) (mv, spec None) or k = Tr(cx) + 2 (sigma(c,x) + g(x))
-    (uv, over spec), for c = twists[j].
+    (uv, over spec), for c = twists[j].  Entries are int8, k is uint8;
+    fwht widens only as far as its bound needs.
     """
-    x = np.arange(len(bits), dtype=np.int64)[:, None]
-    c = np.asarray(twists, dtype=np.int64)
+    x = np.arange(len(bits), dtype=np.int32)[:, None]
+    c = np.asarray(twists, dtype=np.int32)
     if spec is None:
         k = np.bitwise_count(c & x)
     else:
         t = field_tables(spec)
-        k = (t.trace + 2 * t.s2)[t.mul(c, x)]
+        k = (t.trace + 2 * t.s2).astype(np.uint8).take(t.mul(c, x))
     k += 2 * bits[:, None]
-    return np.take(_I, k & 3, axis=0)
+    return _I.take(k & 3, axis=0)
 
 
 def transform_U(g: TruthTable, c: int) -> Spectrum:
@@ -150,8 +161,9 @@ def is_flat(s: Spectrum) -> bool:
 
 
 # Bound on points (or table entries) x twists in one block of a batched
-# spectral kernel; larger blocks raise peak memory for little speed.
-_BLOCK_ENTRIES = 1 << 14
+# spectral kernel.  Larger blocks spread numpy's per-call cost over more
+# twists but raise peak memory, about 25 bytes an entry in bent4_witnesses.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
@@ -175,8 +187,8 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     found: set[int] = set()
     for lo in range(0, q, step):
         w = fwht(_twisted_inputs(bits, spec, range(lo, min(q, lo + step))))
-        re, im = w[..., 0], w[..., 1]
-        flat = (re * re + im * im == q).all(axis=0)
+        np.square(w, out=w)
+        flat = (w[..., 0] + w[..., 1] == q).all(axis=0)
         found.update((lo + np.flatnonzero(flat)).tolist())
     return found
 

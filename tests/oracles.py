@@ -10,7 +10,7 @@ import numpy as np
 
 from mpf.boolfun import TruthTable, pack_bits
 from mpf.gf2n import FieldSpec, fe_mul, field_tables, sigma, trace_n
-from mpf.planar import VectorialFunction
+from mpf.planar import DOPolynomial, VectorialFunction
 from mpf.transforms import GaussianInt
 
 QUARTER_RE = (1, 0, -1, 0)
@@ -105,6 +105,23 @@ def v_spectrum_direct(spec: FieldSpec, g: TruthTable, c: int) -> list[tuple[int,
             re += QUARTER_RE[k]
             im += QUARTER_IM[k]
         out.append((re, im))
+    return out
+
+
+def walsh_hadamard_direct(rows, us=None) -> list[list[int]]:
+    """out[u] = sum_x (-1)^(u.x) rows[x], entrywise over each row, in Python ints.
+
+    rows is a list of equal-length lists of ints; only the positions u in
+    us (default every u) are computed.
+    """
+    us = range(len(rows)) if us is None else us
+    out = []
+    for u in us:
+        acc = [0] * len(rows[0])
+        for x, row in enumerate(rows):
+            sign = -1 if parity(u & x) else 1
+            acc = [a + sign * v for a, v in zip(acc, row)]
+        out.append(acc)
     return out
 
 
@@ -227,3 +244,20 @@ def component_uv(spec: FieldSpec, F: VectorialFunction, c: int) -> TruthTable:
     t = field_tables(spec)
     out = t.trace[t.mul(fe_mul(spec, c, c), np.asarray(F.table, dtype=np.int64))]
     return TruthTable(F.n, pack_bits(out), "uv")
+
+
+def do_table_pointwise(p: DOPolynomial) -> tuple[int, ...]:
+    """A DO polynomial's table, one point at a time with scalar products."""
+    spec = p.spec
+    table = []
+    for x in spec.elements():
+        pows = [x]
+        for _ in range(spec.n - 1):
+            pows.append(fe_mul(spec, pows[-1], pows[-1]))
+        acc = p.constant
+        for (i, j), a in p.quad.items():
+            acc ^= fe_mul(spec, a, fe_mul(spec, pows[i], pows[j]))
+        for i, b in p.linearized.items():
+            acc ^= fe_mul(spec, b, pows[i])
+        table.append(acc)
+    return tuple(table)

@@ -241,3 +241,20 @@ def test_oversized_degree_exits_3_before_allocating(tmp_path, argv, payload):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: n must be in [1, ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("payload", [
+    {"group": {"law": "star_mv", "n": 24}, "elements": []},
+    {"group": {"law": "star_mv", "n": 20}, "elements": [], "forbidden": [["0x0", "0x0"]]},
+], ids=["canonical-subgroup", "explicit-subgroup"])
+def test_oversized_brute_force_rds_exits_3_before_allocating(tmp_path, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    env = dict(os.environ, PYTHONPATH=str(Path(mpf.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "verify-rds", "--file", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: brute-force RDS work ")
+    assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from mpf.gf2n import (
     dual_mask,
     fe_mul,
     field_from_json,
+    field_tables,
     field_to_json,
     make_field,
     poly_is_irreducible,
@@ -78,6 +80,15 @@ def test_fe_mul_matches_naive(n):
     for a in spec.elements():
         for b in spec.elements():
             assert fe_mul(spec, a, b) == naive_field_mul(spec, a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_table_mul_matches_fe_mul_on_every_pair(n):
+    # n = 1 has a trivial multiplicative group; zeros are included.
+    spec = make_field(n)
+    a = np.arange(spec.order)
+    want = np.array([[fe_mul(spec, x, y) for y in spec.elements()] for x in spec.elements()])
+    assert np.array_equal(field_tables(spec).mul(a[:, None], a[None, :]), want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

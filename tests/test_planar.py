@@ -16,7 +16,7 @@ from mpf.planar import (
     is_modified_planar_components,
     is_modified_planar_perm,
 )
-from oracles import component_mv, component_uv, is_permutation
+from oracles import component_mv, component_uv, do_table_pointwise, is_permutation
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -74,6 +74,36 @@ def test_do_to_table_matches_pointwise_evaluation():
         acc ^= fe_mul(F8, 2, x)
         acc ^= fe_mul(F8, 7, x4)
         assert F.table[x] == acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_do_to_table_matches_oracle_on_every_affine_and_quadratic(n):
+    spec = make_field(n)
+    q = 1 << n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    polys = [
+        DOPolynomial(spec, linearized=dict(enumerate(coeffs[:n])), constant=coeffs[n])
+        for coeffs in itertools.product(range(q), repeat=n + 1)
+    ] + [
+        DOPolynomial(spec, quad=dict(zip(pairs, coeffs)))
+        for coeffs in itertools.product(range(q), repeat=len(pairs))
+    ]
+    for p in polys:
+        assert do_to_table(p).table == do_table_pointwise(p)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_do_to_table_matches_oracle_on_a_sample(n):
+    import random
+
+    spec = make_field(n)
+    q = 1 << n
+    rng = random.Random(n)
+    for _ in range(64):
+        quad = {(i, j): rng.randrange(q) for i in range(n) for j in range(i + 1, n)}
+        lin = {i: rng.randrange(q) for i in range(n)}
+        p = DOPolynomial(spec, quad, lin, rng.randrange(q))
+        assert do_to_table(p).table == do_table_pointwise(p)
 
 
 def test_component_mv_examples():

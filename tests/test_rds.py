@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mpf.errors import ElementRangeError, ForbiddenSubgroupError, NotASubgroupError
+from mpf.errors import BruteForceBoundsError, ElementRangeError, ForbiddenSubgroupError, NotASubgroupError
 from mpf.gf2n import make_field
 from oracles import character_eval, characters_direct, z4n_elements, z4n_order
 from mpf.planar import VectorialFunction, is_modified_planar_perm
@@ -152,6 +152,22 @@ def test_bruteforce_rds_r_equals_n():
 def test_bruteforce_rejects_non_subgroup():
     with pytest.raises(NotASubgroupError):
         rds_verify_bruteforce(UV, [(0, 0)], [(0, 0), (1, 0)])
+
+
+def test_bruteforce_work_is_bounded_at_2_26():
+    # n = 13 is the largest n whose canonical subgroup and graph fit:
+    # |N|^2 = |R|^2 = |G| = 2^26.
+    assert len(forbidden_subgroup(GroupSpec("star_mv", 13))) == 1 << 13
+    with pytest.raises(BruteForceBoundsError):
+        forbidden_subgroup(GroupSpec("star_mv", 14))
+    with pytest.raises(BruteForceBoundsError):
+        rds_verify_bruteforce(GroupSpec("star_mv", 14), [], [(0, 0)])
+    # |R| = 2^13 passes the bound (and fails on its bad element); one more does not.
+    R = [(0, 0)] * ((1 << 13) - 1) + [(4, 0)]
+    with pytest.raises(ElementRangeError):
+        rds_verify_bruteforce(MV, R, [(0, 0)])
+    with pytest.raises(BruteForceBoundsError):
+        rds_verify_bruteforce(MV, R + [(0, 0)], [(0, 0)])
 
 
 def test_characters_verifier_examples():

@@ -24,12 +24,14 @@ from mpf.transforms import (
 )
 from oracles import (
     characters_direct,
+    parity,
     spectrum_pairs,
     twisted_values_mv,
     twisted_values_uv,
     u_spectrum_symmetric_form,
     u_spectrum_weight_form,
     v_spectrum_direct,
+    walsh_hadamard_direct,
 )
 
 F4 = make_field(2)
@@ -80,6 +82,61 @@ def test_fwht_parseval_on_signs(n, data):
     signs = np.array([data.draw(st.sampled_from((-1, 1))) for _ in range(size)], dtype=np.int64)
     out = fwht(signs)
     assert int((out * out).sum()) == size * size
+
+
+# (log2 size, scale, input dtype): a column scale * (-1)^(u0.x) peaks at
+# scale * size at u0, so each case sits at the edge of one working dtype:
+# int16 holds 2^14, 2^15 and 2 * 2^14 need int32, 2^40-ish values int64.
+@pytest.mark.parametrize("k, scale, dtype", [
+    (14, 1, np.int8),
+    (15, 1, np.int8),
+    (14, 2, np.int16),
+    (14, (1 << 40) - 3, np.int64),
+    (12, (1 << 40) + 5, np.uint64),
+])
+def test_fwht_exact_at_each_working_dtype_limit(k, scale, dtype):
+    size = 1 << k
+    rng = random.Random(k * 7 + scale)
+    # An unsigned input cannot hold a sign, so its columns are constant (u0 = 0).
+    unsigned = np.issubdtype(dtype, np.unsignedinteger)
+    u0 = [0 if unsigned else rng.randrange(size) for _ in range(2)]
+    rows = [[scale * (-1) ** parity(u & x) for u in u0] for x in range(size)]
+    out = fwht(np.array(rows, dtype=dtype))
+    assert out.dtype == np.int64
+    got = out.tolist()
+    us = sorted({*u0, *(rng.randrange(size) for _ in range(4))})
+    assert [got[u] for u in us] == walsh_hadamard_direct(rows, us)
+    assert [got[u][j] for j, u in enumerate(u0)] == [scale * size] * 2
+    # Parseval in Python ints: a wrapped value anywhere would break it.
+    assert sum(v * v for row in got for v in row) == size * sum(v * v for row in rows for v in row)
+
+
+def test_fwht_refuses_sums_past_int64():
+    # 4 * 2^62 = 2^64 would wrap to 0 in int64.
+    with pytest.raises(OverflowError):
+        fwht(np.full(4, 1 << 62, dtype=np.int64))
+    with pytest.raises(OverflowError):
+        fwht(np.array([(1 << 63) + 5, 0], dtype=np.uint64))
+    assert fwht(np.full(2, (1 << 62) - 1, dtype=np.int64)).tolist() == [(1 << 63) - 2, 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.lists(st.integers(0, 3), max_size=2), st.data())
+def test_fwht_matches_python_int_oracle(k, trailing, data):
+    size = 1 << k
+    dtype = data.draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32]))
+    info = np.iinfo(dtype)
+    top = min(int(info.max), (1 << 56) >> k)
+    bits = data.draw(st.integers(0, top.bit_length()))
+    hi = min(top, 1 << bits)
+    lo = max(int(info.min), -hi)
+    shape = (size, *trailing)
+    flat = data.draw(st.lists(st.integers(lo, hi), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    a = np.array(flat, dtype=dtype).reshape(shape)
+    out = fwht(a)
+    assert out.dtype == np.int64 and out.shape == shape
+    rows = a.reshape(size, -1).tolist()
+    assert out.reshape(size, -1).tolist() == walsh_hadamard_direct(rows)
 
 
 def test_transform_U_examples():
