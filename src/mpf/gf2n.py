@@ -7,7 +7,7 @@ multiplicative identities.  No wrapper object is allocated per element,
 so exhaustive loops over the field stay cheap.
 
 A FieldSpec pins the degree and the modulus.  All derived lookup tables
-(discrete-log pair, trace, the sigma form, the trace-dual index map) are
+(discrete-log pair, the sigma form, the trace-dual index map) are
 cached per spec and built lazily; scalar operations never need them and
 work up to n = 24.
 """
@@ -191,7 +191,6 @@ class _FieldTables:
             v = fe_mul(spec, v, gen)
         self.exp = exp
         self.log = log
-        self._trace: np.ndarray | None = None
         self._s2: np.ndarray | None = None
         self._dual: np.ndarray | None = None
 
@@ -225,15 +224,6 @@ class _FieldTables:
         for _ in range(self.spec.n - 1):
             pows.append(sq[pows[-1]])
         return pows
-
-    @property
-    def trace(self) -> np.ndarray:
-        if self._trace is None:
-            acc = np.zeros(self.spec.order, dtype=np.int64)
-            for p in self.frobenius_powers():
-                acc ^= p
-            self._trace = acc  # values land in {0, 1}
-        return self._trace
 
     @property
     def s2(self) -> np.ndarray:

@@ -2,16 +2,21 @@
 
 Every spectrum here is a vector of 2^n Gaussian integers, held as an
 int64 array of shape (2^n, 2) with columns (re, im); never floats.
-The multivariate transform twists the input by i^wt(c&x) before a
-Walsh-Hadamard butterfly; the univariate transform twists by the sigma
-form and i^Tr(cx), runs the same butterfly, then reindexes through the
-trace-dual map so that position u carries the character x -> (-1)^Tr(ux).
+At twist c the quarter turn of (-1)^g(x) times the twist, i^wt(c&x) (mv)
+or (-1)^sigma(c,x) i^Tr(cx) (uv), is k = a + 2b with a = d.x linear
+(d = c, or the dual mask of c) and b = g + Q_c, Q_c = bit 1 of wt(c&x)
+or sigma(c,x).  As i^k = (1+i)/2 (-1)^b + (1-i)/2 (-1)^(a+b), the one real
+butterfly A of (-1)^b gives V(u) = (A(u) + A(u^d) + i (A(u) - A(u^d))) / 2.
+The univariate spectrum is reindexed through the trace-dual map so that
+position u carries the character x -> (-1)^Tr(ux).
 
 Flatness (every squared modulus equal to 2^n) at some twist c is the
 bent4 property; c = 0 is ordinary bentness and the all-ones / unit twist
-is negabentness.  bent4_witnesses batches the twists over blocks of c;
-character_norms does the same for the character sums of a point set in
-the star groups.
+is negabentness.  It says A(u)^2 + A(u^d)^2 = 2^(n+1) for every u; for
+even n that forces |A| = 2^(n/2), so g is bent4 at c iff g + Q_c is bent
+(Parker-Pott: f is negabent iff f + s_2 is bent).  bent4_witnesses
+batches the twists over blocks of c; character_norms does the same for
+the character sums of a point set in the star groups.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ class GaussianInt(NamedTuple):
         return self.re * self.re + self.im * self.im
 
 
-# i^k for k = 0..3 as (re, im) rows.
-_I = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int8)
+# (-1)^(bit 1 of w) for w = 0..3.
+_BIT1_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
 
 # fwht's working dtypes, narrowest first, with the largest value each holds.
 _WORK_DTYPES = [(int(np.iinfo(t).max), t) for t in (np.int16, np.int32, np.int64)]
@@ -106,23 +111,32 @@ def fwht(values) -> np.ndarray:
     return out.astype(np.int64, copy=False)
 
 
-def _twisted_inputs(bits: np.ndarray, spec: FieldSpec | None, twists) -> np.ndarray:
-    """Twisted inputs of g for a block of twists, as a (2^n, m, 2) Gaussian array.
+def _twisted_signs(bits: np.ndarray, spec: FieldSpec | None, twists) -> tuple[np.ndarray, ...]:
+    """((-1)^b as int8 (2^n, m), d) for the twists c = twists[j]; see above.
 
-    bits is g's 0/1 table (TruthTable.bit_array).  Entry [x, j] is i^k with
-    k = wt(c&x) + 2 g(x) (mv, spec None) or k = Tr(cx) + 2 (sigma(c,x) + g(x))
-    (uv, over spec), for c = twists[j].  Entries are int8, k is uint8;
-    fwht widens only as far as its bound needs.
+    bits is g's 0/1 table (TruthTable.bit_array), spec None for mv.  The
+    uv sigma(c,x) is sigma(1, .) o exp at log x + log c, where the zero
+    sentinel of log reads sigma(0) = 0.
     """
-    x = np.arange(len(bits), dtype=np.int32)[:, None]
     c = np.asarray(twists, dtype=np.int32)
+    g = _BIT1_SIGN.take(2 * bits)[:, None]
     if spec is None:
-        k = np.bitwise_count(c & x)
-    else:
-        t = field_tables(spec)
-        k = (t.trace + 2 * t.s2).astype(np.uint8).take(t.mul(c, x))
-    k += 2 * bits[:, None]
-    return _I.take(k & 3, axis=0)
+        x = np.arange(len(bits), dtype=np.int32)[:, None]
+        return _BIT1_SIGN.take(np.bitwise_count(c & x) & 3) * g, c
+    t = field_tables(spec)
+    sigma = _BIT1_SIGN.take(2 * t.s2.take(t.exp))
+    return sigma.take(t.log[:, None] + t.log.take(c)) * g, t.dual.take(c)
+
+
+def _spectrum(g: TruthTable, spec: FieldSpec | None, c: int) -> Spectrum:
+    """The spectrum at c, (A(u) + A(u^d) + i (A(u) - A(u^d))) / 2, reindexed for uv."""
+    if not 0 <= c < g.size:
+        raise ValueError("twist c out of range")
+    signs, d = _twisted_signs(g.bit_array(), spec, [c])
+    a = fwht(signs)[:, 0]
+    b = a[np.arange(g.size) ^ d[0]]
+    w = np.stack([a + b, a - b], axis=1) >> 1
+    return Spectrum(g.n, g.mode, c, w if spec is None else w[field_tables(spec).dual])
 
 
 def transform_U(g: TruthTable, c: int) -> Spectrum:
@@ -130,12 +144,11 @@ def transform_U(g: TruthTable, c: int) -> Spectrum:
 
     U(u) = sum_x (-1)^(g(x)+u.x) * i^wt(c&x).  c = 0 is the ordinary
     Walsh-Hadamard spectrum, c = all-ones the nega-Hadamard spectrum.
+    Read off one real butterfly, with d = c (module docstring).
     """
     if g.mode != "mv":
         raise ValueError("transform_U needs a multivariate table")
-    if not 0 <= c < g.size:
-        raise ValueError("twist c out of range")
-    return Spectrum(g.n, "mv", c, fwht(_twisted_inputs(g.bit_array(), None, [c]))[:, 0])
+    return _spectrum(g, None, c)
 
 
 def transform_V(spec: FieldSpec, g: TruthTable, c: int) -> Spectrum:
@@ -143,16 +156,14 @@ def transform_V(spec: FieldSpec, g: TruthTable, c: int) -> Spectrum:
 
     V(u) = sum_x (-1)^(g(x)+sigma(c,x)) * i^Tr(cx) * (-1)^Tr(ux).
     c = 0 is the univariate Walsh-Hadamard spectrum (characters Tr(ux)),
-    c = 1 the univariate nega-Hadamard spectrum.
+    c = 1 the univariate nega-Hadamard spectrum.  Read off one real
+    butterfly, with d = dual[c] (module docstring).
     """
     if g.mode != "uv":
         raise ValueError("transform_V needs a univariate table")
     if spec.n != g.n:
         raise ValueError("field degree does not match the table")
-    if not 0 <= c < g.size:
-        raise ValueError("twist c out of range")
-    w = fwht(_twisted_inputs(g.bit_array(), spec, [c]))[:, 0]
-    return Spectrum(g.n, "uv", c, w[field_tables(spec).dual])
+    return _spectrum(g, spec, c)
 
 
 def is_flat(s: Spectrum) -> bool:
@@ -162,7 +173,8 @@ def is_flat(s: Spectrum) -> bool:
 
 # Bound on points (or table entries) x twists in one block of a batched
 # spectral kernel.  Larger blocks spread numpy's per-call cost over more
-# twists but raise peak memory, about 25 bytes an entry in bent4_witnesses.
+# twists but raise peak memory: traced at n = 10, about 22 bytes an entry
+# in bent4_witnesses and 90 in character_norms.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -171,9 +183,9 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
 
     Nonempty means g is bent4; membership of 0 means bent, and of the
     all-ones point (mv) or the unit element (uv) means negabent.  Twists
-    go through one butterfly per block of columns; flatness does not
-    depend on the order of the values, so the univariate dual-map
-    reindex is skipped.
+    go through one real butterfly per block of columns; odd n pairs row u
+    with row u^d, even n needs only |A| = 2^(n/2).  Flatness does not
+    depend on the order of the values, so the dual-map reindex is skipped.
     """
     if g.mode == "mv":
         spec = None
@@ -183,12 +195,16 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
         raise ValueError("field degree does not match the table")
     q = g.size
     bits = g.bit_array()
+    odd = g.n & 1
     step = max(1, _BLOCK_ENTRIES // q)
     found: set[int] = set()
     for lo in range(0, q, step):
-        w = fwht(_twisted_inputs(bits, spec, range(lo, min(q, lo + step))))
-        np.square(w, out=w)
-        flat = (w[..., 0] + w[..., 1] == q).all(axis=0)
+        signs, d = _twisted_signs(bits, spec, range(lo, min(q, lo + step)))
+        a = fwht(signs)
+        np.square(a, out=a)
+        if odd:
+            a += np.take_along_axis(a, np.arange(q)[:, None] ^ d, axis=0)
+        flat = (a == (q << odd)).all(axis=0)
         found.update((lo + np.flatnonzero(flat)).tolist())
     return found
 

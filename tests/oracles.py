@@ -6,6 +6,8 @@ checks) so that it shares no code path with the library implementations
 it verifies.
 """
 
+import functools
+
 import numpy as np
 
 from mpf.boolfun import TruthTable, pack_bits
@@ -15,6 +17,19 @@ from mpf.transforms import GaussianInt
 
 QUARTER_RE = (1, 0, -1, 0)
 QUARTER_IM = (0, 1, 0, -1)
+
+
+@functools.cache
+def trace_table(spec: FieldSpec) -> np.ndarray:
+    """Tr(y) for every field element y, from the scalar trace."""
+    return np.array([trace_n(spec, y) for y in spec.elements()], dtype=np.int64)
+
+
+@functools.cache
+def trace_pairing(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """Tr(ux) as rows [u][x], from the scalar product and trace."""
+    tr = trace_table(spec).tolist()
+    return tuple(tuple(tr[fe_mul(spec, u, x)] for x in spec.elements()) for u in spec.elements())
 
 
 def naive_poly_mul(a: int, b: int) -> int:
@@ -97,10 +112,10 @@ def v_spectrum_direct(spec: FieldSpec, g: TruthTable, c: int) -> list[tuple[int,
     # The twist at x does not depend on u: (g(x) + sigma(c,x), Tr(cx)).
     twist = [(g.bit(x) ^ sigma(spec, c, x), trace_n(spec, fe_mul(spec, c, x))) for x in range(size)]
     out = []
-    for u in range(size):
+    for u, tr_u in enumerate(trace_pairing(spec)):
         re = im = 0
         for x, (s0, t0) in enumerate(twist):
-            s = s0 ^ trace_n(spec, fe_mul(spec, u, x))
+            s = s0 ^ tr_u[x]
             k = (t0 + 2 * s) & 3
             re += QUARTER_RE[k]
             im += QUARTER_IM[k]
@@ -185,7 +200,7 @@ def character_eval(g, u: int, c: int, a) -> GaussianInt:
     elif g.law == "star_uv":
         spec = g.spec
         t = field_tables(spec)
-        tr = t.trace
+        tr = trace_table(spec)
         cx = fe_mul(spec, c, x)
         c2 = fe_mul(spec, c, c)
         sign = (int(tr[fe_mul(spec, u, x)]) ^ int(tr[fe_mul(spec, c2, y)]) ^ int(t.s2[cx])) & 1
@@ -242,7 +257,7 @@ def component_uv(spec: FieldSpec, F: VectorialFunction, c: int) -> TruthTable:
     if not 0 < c < F.size:
         raise ValueError("c out of range")
     t = field_tables(spec)
-    out = t.trace[t.mul(fe_mul(spec, c, c), np.asarray(F.table, dtype=np.int64))]
+    out = trace_table(spec)[t.mul(fe_mul(spec, c, c), np.asarray(F.table, dtype=np.int64))]
     return TruthTable(F.n, pack_bits(out), "uv")
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mpf.boolfun import TruthTable, from_values, linear_form_table
 from mpf.errors import NonPowerOfTwoError
-from mpf.gf2n import dual_mask, make_field
+from mpf.gf2n import dual_mask, make_field, sigma
 from mpf.rds import GroupSpec, group_elements
 from mpf.transforms import (
     GaussianInt,
@@ -231,7 +231,7 @@ def _oracle_witnesses(g, spec=None):
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_bent4_witnesses_match_oracle_on_every_table(mode, n):
     spec = make_field(n) if mode == "uv" else None
     for bits in range(1 << (1 << n)):
@@ -240,7 +240,7 @@ def test_bent4_witnesses_match_oracle_on_every_table(mode, n):
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_bent4_witnesses_match_oracle_on_random_tables(mode, n):
     spec = make_field(n) if mode == "uv" else None
     q = 1 << n
@@ -254,18 +254,78 @@ def test_bent4_witnesses_match_oracle_on_random_tables(mode, n):
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
 def test_bent4_witnesses_do_not_depend_on_block_size(mode, monkeypatch):
-    n = 4
+    cases = []
+    for n in (4, 5):  # n = 5 takes the odd-n branch, which pairs row u with row u ^ d
+        q = 1 << n
+        spec = make_field(n) if mode == "uv" else None
+        rng = random.Random(11 * n)
+        # x1x2 + x3x4 is bent at n = 4, so 0 is a witness there.
+        tables = [TruthTable(n, 0, mode), from_values([(x & x >> 1 ^ x >> 2 & x >> 3) & 1 for x in range(q)], mode)]
+        tables += [TruthTable(n, rng.getrandbits(q), mode) for _ in range(20)]
+        cases.append((q, spec, tables, [bent4_witnesses(g, spec) for g in tables]))
+    for q, spec, tables, expected in cases:
+        assert any(expected)
+        for block_entries in (q, 3 * q):  # one twist per block; last block partial
+            monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", block_entries)
+            assert [bent4_witnesses(g, spec) for g in tables] == expected
+
+
+def _pack(values) -> int:
+    return sum(v << x for x, v in enumerate(values))
+
+
+def _quadratic_of_twist(n, c, spec) -> int:
+    """Q_c as table bits: bit 1 of wt(c&x) (mv), the scalar sigma(c, x) (uv).
+
+    The twist at c is i^(a + 2 Q_c) with a = c.x (mv) or Tr(cx) (uv).
+    """
+    if spec is None:
+        return _pack(((c & x).bit_count() >> 1) & 1 for x in range(1 << n))
+    return _pack(sigma(spec, c, x) for x in range(1 << n))
+
+
+def _maiorana_mcfarland(n, perm) -> int:
+    """x_lo . perm(x_hi) on n = 2k bits, a bent function, as table bits."""
+    lo = (1 << n // 2) - 1
+    return _pack(parity(x & lo & perm[x >> n // 2]) for x in range(1 << n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.sampled_from([2, 4, 6]), st.data())
+def test_bent4_at_c_iff_g_plus_quadratic_of_c_is_bent(mode, n, data):
+    # For even n, a flat twisted spectrum at c is bentness of g + Q_c.
     q = 1 << n
     spec = make_field(n) if mode == "uv" else None
-    rng = random.Random(11)
-    # x1x2 + x3x4 is bent, so 0 is a witness.
-    tables = [TruthTable(n, 0, mode), from_values([(x & x >> 1 ^ x >> 2 & x >> 3) & 1 for x in range(q)], mode)]
-    tables += [TruthTable(n, rng.getrandbits(q), mode) for _ in range(20)]
-    expected = [bent4_witnesses(g, spec) for g in tables]
-    assert any(expected)
-    for block_entries in (q, 3 * q):  # one twist per block; last block partial
-        monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", block_entries)
-        assert [bent4_witnesses(g, spec) for g in tables] == expected
+    c = data.draw(st.integers(0, q - 1))
+    quad = _quadratic_of_twist(n, c, spec)
+    kind = data.draw(st.sampled_from(["random", "quadratic", "bent plus Q_c"]))
+    if kind == "random":
+        bits = data.draw(st.integers(0, (1 << q) - 1))
+    elif kind == "quadratic":
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        bits = _pack(sum(x >> i & x >> j & 1 for i, j in pairs if i < j) & 1 for x in range(q))
+    else:
+        bits = _maiorana_mcfarland(n, data.draw(st.permutations(range(1 << n // 2)))) ^ quad
+    witness = c in bent4_witnesses(TruthTable(n, bits, mode), spec)
+    assert witness == (0 in bent4_witnesses(TruthTable(n, bits ^ quad, mode), spec))
+    assert witness or kind != "bent plus Q_c"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 6]), st.data())
+def test_negabent_iff_plus_s2_is_bent(n, data):
+    # Parker-Pott: at the all-ones twist Q_c is s_2(x) = sum_{i<j} x_i x_j.
+    q = 1 << n
+    s_2 = _pack(sum(x >> i & x >> j & 1 for i in range(n) for j in range(i + 1, n)) & 1 for x in range(q))
+    assert s_2 == _quadratic_of_twist(n, q - 1, None)
+    constructed = data.draw(st.booleans())
+    if constructed:  # negabent by construction
+        bits = _maiorana_mcfarland(n, data.draw(st.permutations(range(1 << n // 2)))) ^ s_2
+    else:
+        bits = data.draw(st.integers(0, (1 << q) - 1))
+    negabent = q - 1 in bent4_witnesses(TruthTable(n, bits, "mv"))
+    assert negabent == (0 in bent4_witnesses(TruthTable(n, bits ^ s_2, "mv")))
+    assert negabent or not constructed
 
 
 @settings(max_examples=60, deadline=None)
