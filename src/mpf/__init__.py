@@ -46,8 +46,6 @@ from .planar import (
     DOPolynomial,
     PlanarVerdict,
     VectorialFunction,
-    do_from_json,
-    do_to_json,
     do_to_table,
     function_from_json,
     function_to_json,
@@ -81,7 +79,6 @@ from .transforms import (
     bent4_witnesses,
     character_norms,
     fwht,
-    inverse_twisted,
     is_flat,
     transform_U,
     transform_V,

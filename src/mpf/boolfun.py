@@ -51,10 +51,6 @@ class TruthTable:
         raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
         return np.unpackbits(raw, bitorder="little")[: self.size]
 
-    def signs(self) -> np.ndarray:
-        """(-1)^g as an int64 vector."""
-        return 1 - 2 * self.bit_array().astype(np.int64)
-
 
 def from_values(values, mode: str) -> TruthTable:
     """Build a table from an iterable of 0/1 values in index order."""

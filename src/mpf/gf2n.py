@@ -15,6 +15,7 @@ work up to n = 24.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,8 +192,6 @@ class _FieldTables:
             v = fe_mul(spec, v, gen)
         self.exp = exp
         self.log = log
-        self._s2: np.ndarray | None = None
-        self._dual: np.ndarray | None = None
 
     def _find_generator(self) -> int:
         spec = self.spec
@@ -225,29 +224,33 @@ class _FieldTables:
             pows.append(sq[pows[-1]])
         return pows
 
-    @property
+    @cached_property
     def s2(self) -> np.ndarray:
         """Table of sigma(1, y) over all y; sigma(c, x) = s2[c*x]."""
-        if self._s2 is None:
-            pows = self.frobenius_powers()
-            acc = np.zeros(self.spec.order, dtype=np.int64)
-            for i in range(self.spec.n):
-                for j in range(i + 1, self.spec.n):
-                    acc ^= self.mul(pows[i], pows[j])
-            self._s2 = acc
-        return self._s2
+        pows = self.frobenius_powers()
+        acc = np.zeros(self.spec.order, dtype=np.int64)
+        for i in range(self.spec.n):
+            for j in range(i + 1, self.spec.n):
+                acc ^= self.mul(pows[i], pows[j])
+        return acc
 
-    @property
+    @cached_property
+    def sigma_exp(self) -> np.ndarray:
+        """sigma(1, .) o exp as uint8, so sigma(c, x) = sigma_exp[log c + log x].
+
+        Like exp it reads 0 from the zero sentinel of log on.
+        """
+        return self.s2.take(self.exp).astype(np.uint8)
+
+    @cached_property
     def dual(self) -> np.ndarray:
         """dual[u] = bit mask m with Tr(u*x) = parity(m & x)."""
-        if self._dual is None:
-            spec = self.spec
-            out = np.zeros(spec.order, dtype=np.int64)
-            for j in range(spec.n):
-                step = 1 << j
-                out[step:2 * step] = out[:step] ^ dual_mask(spec, 1 << j)
-            self._dual = out
-        return self._dual
+        spec = self.spec
+        out = np.zeros(spec.order, dtype=np.int64)
+        for j in range(spec.n):
+            step = 1 << j
+            out[step:2 * step] = out[:step] ^ dual_mask(spec, 1 << j)
+        return out
 
 
 _TABLE_CACHE: dict[FieldSpec, _FieldTables] = {}

@@ -183,20 +183,3 @@ def function_from_json(obj: dict) -> VectorialFunction:
     spec = field_from_json(obj["field"]) if obj.get("field") else None
     table = tuple(int(v, 16) for v in obj["table"])
     return VectorialFunction(obj["mode"], int(obj["n"]), table, spec)
-
-
-def do_to_json(p: DOPolynomial) -> dict:
-    return {
-        "quad": {f"{i},{j}": f"0x{a:x}" for (i, j), a in sorted(p.quad.items())},
-        "lin": {str(i): f"0x{b:x}" for i, b in sorted(p.linearized.items())},
-        "const": f"0x{p.constant:x}",
-    }
-
-
-def do_from_json(spec: FieldSpec, obj: dict) -> DOPolynomial:
-    quad = {}
-    for key, a in obj.get("quad", {}).items():
-        i, j = (int(s) for s in key.split(","))
-        quad[(i, j)] = int(a, 16)
-    lin = {int(i): int(b, 16) for i, b in obj.get("lin", {}).items()}
-    return DOPolynomial(spec, quad, lin, int(obj.get("const", "0x0"), 16))

@@ -1,4 +1,4 @@
-"""Exact twisted spectra over the Gaussian integers.
+"""Exact twisted spectra and star-group character sums, one identity for all.
 
 Every spectrum here is a vector of 2^n Gaussian integers, held as an
 int64 array of shape (2^n, 2) with columns (re, im); never floats.
@@ -10,13 +10,15 @@ butterfly A of (-1)^b gives V(u) = (A(u) + A(u^d) + i (A(u) - A(u^d))) / 2.
 The univariate spectrum is reindexed through the trace-dual map so that
 position u carries the character x -> (-1)^Tr(ux).
 
+That identity serves all three kernels: transform_U / transform_V read
+one spectrum off it, bent4_witnesses tests flatness over blocks of
+twists, and character_norms sums the star-group characters of a point
+set, whose points (x, y) only add c.y (mv) or Tr(c^2 y) (uv) to b.
 Flatness (every squared modulus equal to 2^n) at some twist c is the
 bent4 property; c = 0 is ordinary bentness and the all-ones / unit twist
 is negabentness.  It says A(u)^2 + A(u^d)^2 = 2^(n+1) for every u; for
 even n that forces |A| = 2^(n/2), so g is bent4 at c iff g + Q_c is bent
-(Parker-Pott: f is negabent iff f + s_2 is bent).  bent4_witnesses
-batches the twists over blocks of c; character_norms does the same for
-the character sums of a point set in the star groups.
+(Parker-Pott: f is negabent iff f + s_2 is bent).
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class GaussianInt(NamedTuple):
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
 
-
-# (-1)^(bit 1 of w) for w = 0..3.
-_BIT1_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
 
 # fwht's working dtypes, narrowest first, with the largest value each holds.
 _WORK_DTYPES = [(int(np.iinfo(t).max), t) for t in (np.int16, np.int32, np.int64)]
@@ -78,7 +77,7 @@ class Spectrum:
 
 
 def fwht(values) -> np.ndarray:
-    """Walsh-Hadamard butterfly along axis 0, exact; returns int64.
+    """Walsh-Hadamard butterfly along axis 0, exact, as int64.
 
     Accepts a length-2^k integer array of any trailing shape; a Gaussian
     vector is the (2^k, 2) case.  output[u] = sum_x values[x] * (-1)^(u.x).
@@ -111,21 +110,28 @@ def fwht(values) -> np.ndarray:
     return out.astype(np.int64, copy=False)
 
 
+def _quarter(x: np.ndarray, spec: FieldSpec | None, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q_c(x) as 0/1, d) for points x (a column) and twists c (a row).
+
+    Q_c(x) is bit 1 of wt(c&x) with d = c (spec None, mv), or sigma(c,x)
+    with d = dual[c] (uv), read by one gather of sigma(1, .) o exp at
+    log x + log c; the zero sentinel of log reads 0 there.
+    """
+    if spec is None:
+        return (np.bitwise_count(c & x) >> 1) & 1, c
+    t = field_tables(spec)
+    return t.sigma_exp.take(t.log.take(x) + t.log.take(c)), t.dual.take(c)
+
+
 def _twisted_signs(bits: np.ndarray, spec: FieldSpec | None, twists) -> tuple[np.ndarray, ...]:
     """((-1)^b as int8 (2^n, m), d) for the twists c = twists[j]; see above.
 
-    bits is g's 0/1 table (TruthTable.bit_array), spec None for mv.  The
-    uv sigma(c,x) is sigma(1, .) o exp at log x + log c, where the zero
-    sentinel of log reads sigma(0) = 0.
+    bits is g's 0/1 table (TruthTable.bit_array), spec None for mv.
     """
-    c = np.asarray(twists, dtype=np.int32)
-    g = _BIT1_SIGN.take(2 * bits)[:, None]
-    if spec is None:
-        x = np.arange(len(bits), dtype=np.int32)[:, None]
-        return _BIT1_SIGN.take(np.bitwise_count(c & x) & 3) * g, c
-    t = field_tables(spec)
-    sigma = _BIT1_SIGN.take(2 * t.s2.take(t.exp))
-    return sigma.take(t.log[:, None] + t.log.take(c)) * g, t.dual.take(c)
+    x = np.arange(len(bits), dtype=np.int32)[:, None]
+    b, d = _quarter(x, spec, np.asarray(twists, dtype=np.int32))
+    b ^= bits[:, None]
+    return 1 - 2 * b.view(np.int8), d
 
 
 def _spectrum(g: TruthTable, spec: FieldSpec | None, c: int) -> Spectrum:
@@ -174,7 +180,7 @@ def is_flat(s: Spectrum) -> bool:
 # Bound on points (or table entries) x twists in one block of a batched
 # spectral kernel.  Larger blocks spread numpy's per-call cost over more
 # twists but raise peak memory: traced at n = 10, about 22 bytes an entry
-# in bent4_witnesses and 90 in character_norms.
+# in bent4_witnesses and 49 in character_norms.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -217,29 +223,27 @@ def character_norms(n: int, points, spec: FieldSpec | None = None, twists=None) 
     character (u, twists[j]); twists defaults to every c.  On a graph
     {(x, F(x))}, column c is the twisted spectrum of the component at c.
 
-    A point contributes (-1)^(u.x) i^k, with k = wt(c&x) + 2 c.y (mv) or
-    Tr(cx) + 2 (sigma(c,x) + Tr(c^2 y)) (uv).  The quarter turns k are
-    counted per x, and one butterfly over x applies the (-1)^(u.x) part.
+    A point contributes (-1)^(u.x) i^(a + 2b) with a = d.x and
+    b = Q_c(x) + L_c.y, L_c = c (mv) or dual[c^2] (uv).  The points at
+    each (x, c) are counted by b into B(x) = sum (-1)^b, and one real
+    butterfly A of B gives the sum as ((1+i) A(u) + (1-i) A(u^d)) / 2, of
+    squared modulus (A(u)^2 + A(u^d)^2) / 2.  The halving is exact: both
+    A(u) and A(u^d) are congruent to sum_x B(x) mod 2.
     """
     q = 1 << n
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
     c = np.arange(q, dtype=np.int64) if twists is None else np.asarray(twists, dtype=np.int64)
     x, y = pts[:, :1], pts[:, 1:]
-    if spec is None:
-        k = np.bitwise_count(c & x) + 2 * np.bitwise_count(c & y)
-    else:
-        t = field_tables(spec)
-        tr_cx = np.bitwise_count(t.dual[c] & x) & 1
-        tr_c2y = np.bitwise_count(t.dual[t.mul(c, c)] & y)
-        k = tr_cx + 2 * (t.s2[t.mul(c, x)] + tr_c2y)
-    # Count the points at each (x, twist) that contribute each quarter turn.
+    t = None if spec is None else field_tables(spec)
+    b, d = _quarter(x, spec, c)
+    lc = c if t is None else t.dual.take(t.mul(c, c))
+    b ^= np.bitwise_count(lc & y) & 1
     m = len(c)
-    slot = (x * m + np.arange(m)) * 4 + (k & 3)
-    turns = np.bincount(slot.ravel(), minlength=q * m * 4).reshape(q, m, 4)
-    w = fwht(turns[..., :2] - turns[..., 2:])
-    if spec is not None:
-        w = w[field_tables(spec).dual]
-    return (w * w).sum(axis=-1)
+    count = np.bincount(((x * m + np.arange(m)) * 2 + b).ravel(), minlength=q * m * 2).reshape(q, m, 2)
+    a = fwht(count[..., 0] - count[..., 1])
+    shifted = np.take_along_axis(a, np.arange(q)[:, None] ^ d, axis=0)
+    norms = (a * a + shifted * shifted) >> 1
+    return norms if t is None else norms[t.dual]
 
 
 def characters_flat(n: int, points, spec: FieldSpec | None = None) -> bool:
@@ -266,20 +270,3 @@ def characters_flat(n: int, points, spec: FieldSpec | None = None) -> bool:
             return False
         lo = hi
     return True
-
-
-def inverse_twisted(s: Spectrum, spec: FieldSpec | None = None) -> np.ndarray:
-    """Recover the twisted point values from a spectrum, exactly.
-
-    Returns the Gaussian vector h with h(x) = (-1)^g(x) * (twist at x);
-    the inverse is fixed as 1/2^n of the matching character sum, so
-    inverse_twisted(transform(g, c)) round-trips to the twisted input.
-    """
-    w = fwht(s.values)
-    if s.mode == "uv":
-        if spec is None:
-            raise ValueError("univariate inversion needs the field spec")
-        w = w[field_tables(spec).dual]
-    if (w & (s.size - 1)).any():
-        raise ValueError("spectrum is not in the image of the transform")
-    return w >> int(s.n)

@@ -13,7 +13,7 @@ import numpy as np
 from mpf.boolfun import TruthTable, pack_bits
 from mpf.gf2n import FieldSpec, fe_mul, field_tables, sigma, trace_n
 from mpf.planar import DOPolynomial, VectorialFunction
-from mpf.transforms import GaussianInt
+from mpf.transforms import GaussianInt, Spectrum, fwht
 
 QUARTER_RE = (1, 0, -1, 0)
 QUARTER_IM = (0, 1, 0, -1)
@@ -276,3 +276,20 @@ def do_table_pointwise(p: DOPolynomial) -> tuple[int, ...]:
             acc ^= fe_mul(spec, b, pows[i])
         table.append(acc)
     return tuple(table)
+
+
+def inverse_twisted(s: Spectrum, spec: FieldSpec | None = None) -> np.ndarray:
+    """Recover the twisted point values from a spectrum, exactly.
+
+    Returns the Gaussian vector h with h(x) = (-1)^g(x) * (twist at x);
+    the inverse is fixed as 1/2^n of the matching character sum, so
+    inverse_twisted(transform(g, c)) round-trips to the twisted input.
+    """
+    w = fwht(s.values)
+    if s.mode == "uv":
+        if spec is None:
+            raise ValueError("univariate inversion needs the field spec")
+        w = w[field_tables(spec).dual]
+    if (w & (s.size - 1)).any():
+        raise ValueError("spectrum is not in the image of the transform")
+    return w >> int(s.n)

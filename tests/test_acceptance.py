@@ -33,7 +33,6 @@ from mpf.search import SearchJob, enumerate_class, report_to_json, run_search
 from mpf.transforms import (
     bent4_witnesses,
     fwht,
-    inverse_twisted,
     is_flat,
     transform_U,
     transform_V,
@@ -41,6 +40,7 @@ from mpf.transforms import (
 from oracles import (
     character_eval,
     component_uv,
+    inverse_twisted,
     is_permutation,
     spectrum_pairs,
     twisted_values_mv,

@@ -214,6 +214,27 @@ def test_analyze_route_disagreement_exits_4(uv_zero_file, monkeypatch, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
+def test_analyze_computes_the_character_sums_once(uv_zero_file, monkeypatch, capsys):
+    # The components verdict and the RDS character verdict are the same
+    # character sums of the graph, so analyze computes them once.
+    import mpf.transforms
+
+    real = mpf.transforms.characters_flat
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mpf" and getattr(module, "characters_flat", None) is real:
+            monkeypatch.setattr(module, "characters_flat", spy)
+    assert main(["analyze", "--file", uv_zero_file, "--format", "json"]) == 0
+    assert len(calls) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["planar_components"] is obj["rds_characters"] is True
+
+
 # Runs the CLI under a 1 GiB address-space cap, so an unchecked 2^n
 # allocation fails fast instead of taking the machine's memory.
 _CAPPED_MAIN = """

@@ -1,0 +1,41 @@
+"""CLI output pinned byte for byte.
+
+tests/data/golden/cases.json lists CLI invocations (argv relative to that
+directory) with their exit codes; expected/<name>.out holds the exact
+stdout and expected/<name>.err the exact stderr, if any.  They cover
+analyze (text and json, both modes, n = 2..5, planar and not),
+verify-rds (an RDS graph, a set that is not one, explicit forbidden
+subgroups) and spectrum (twists 0, 1 and all-ones).  Each case also runs
+with --out, which must write the same bytes and leave stdout empty.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from mpf.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+def _expected(case, suffix):
+    path = GOLDEN / "expected" / f"{case['name']}{suffix}"
+    return path.read_bytes() if path.exists() else b""
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case["name"])
+def test_cli_output_matches_golden(case, monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(GOLDEN)
+    assert main(case["argv"]) == case["exit"]
+    out, err = capsys.readouterr()
+    assert out.encode() == _expected(case, ".out")
+    assert err.encode() == _expected(case, ".err")
+
+    target = tmp_path / "report"
+    assert main(case["argv"] + ["--out", str(target)]) == case["exit"]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.encode() == _expected(case, ".err")
+    assert target.read_bytes() == _expected(case, ".out")

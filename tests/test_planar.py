@@ -8,8 +8,6 @@ from mpf.gf2n import fe_mul, make_field, trace_n
 from mpf.planar import (
     DOPolynomial,
     VectorialFunction,
-    do_from_json,
-    do_to_json,
     do_to_table,
     function_from_json,
     function_to_json,
@@ -254,11 +252,3 @@ def test_function_json_round_trip():
     assert function_from_json(obj) == F
     G = mv((0, 1, 2, 3))
     assert function_from_json(function_to_json(G)) == G
-
-
-def test_do_json_round_trip():
-    p = DOPolynomial(F8, quad={(0, 2): 5}, linearized={1: 3}, constant=6)
-    obj = do_to_json(p)
-    assert obj == {"quad": {"0,2": "0x5"}, "lin": {"1": "0x3"}, "const": "0x6"}
-    q = do_from_json(F8, obj)
-    assert q == p

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpf.boolfun import TruthTable, from_values, linear_form_table
 from mpf.errors import NonPowerOfTwoError
 from mpf.gf2n import dual_mask, make_field, sigma
+from mpf.planar import VectorialFunction
 from mpf.rds import GroupSpec, group_elements
 from mpf.transforms import (
     GaussianInt,
@@ -17,13 +18,15 @@ from mpf.transforms import (
     character_norms,
     characters_flat,
     fwht,
-    inverse_twisted,
     is_flat,
     transform_U,
     transform_V,
 )
 from oracles import (
     characters_direct,
+    component_mv,
+    component_uv,
+    inverse_twisted,
     parity,
     spectrum_pairs,
     twisted_values_mv,
@@ -472,6 +475,54 @@ def test_character_norms_invariants_on_graphs(mode, n, data):
     # The trivial twist sees only the x coordinates, which are all distinct.
     assert norms[0, 0] == q * q
     assert not norms[1:, 0].any()
+
+
+@st.composite
+def _point_multisets(draw):
+    """(mode, n, points, twists): a few occupied x columns, each holding 1..4
+    y values with repeats, so B(x) = sum (-1)^b ranges over -4..4 and the
+    other columns stay empty; twists repeat and come in any order."""
+    mode = draw(st.sampled_from(["mv", "uv"]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    q = 1 << n
+    columns = draw(st.lists(st.integers(0, q - 1), max_size=q, unique=True))
+    points = []
+    for x in columns:
+        ys = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=4))
+        points += [(x, y) for y in ys]
+    twists = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q))
+    return mode, n, draw(st.permutations(points)), twists
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_multisets())
+def test_character_norms_match_oracle_on_multisets(case):
+    mode, n, points, twists = case
+    g, spec = _star_group(mode, n)
+    direct = characters_direct(g, points)
+    expected = [[row[c] for c in twists] for row in direct]
+    got = character_norms(n, points, spec, twists)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(min_value=1, max_value=5), st.data())
+def test_graph_characters_are_component_spectra(mode, n, data):
+    # Column c of the graph's character sums is the twisted spectrum of the
+    # component at c: U^c of c.F (mv), V^c of Tr(c^2 F) (uv); c = 0 is the
+    # zero function.
+    q = 1 << n
+    table = tuple(data.draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q)))
+    _, spec = _star_group(mode, n)
+    F = VectorialFunction(mode, n, table, spec)
+    norms = character_norms(n, list(enumerate(table)), spec)
+    for c in range(q):
+        if mode == "mv":
+            s = transform_U(component_mv(F, c) if c else TruthTable(n, 0, "mv"), c)
+        else:
+            s = transform_V(spec, component_uv(spec, F, c) if c else TruthTable(n, 0, "uv"), c)
+        assert norms[:, c].tolist() == s.norms_sq().tolist(), c
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
