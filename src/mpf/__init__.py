@@ -11,10 +11,7 @@ route can serve as an oracle for the others.
 from .boolfun import (
     TruthTable,
     from_values,
-    is_balanced,
     pack_bits,
-    shifted_derivative_mv,
-    shifted_derivative_uv,
     table_from_json,
     table_to_json,
     weight,
@@ -28,7 +25,6 @@ from .errors import (
     NonPowerOfTwoError,
     NotASubgroupError,
     SearchBoundsError,
-    ZeroShiftError,
 )
 from .gf2n import (
     FieldSpec,

@@ -9,10 +9,6 @@ class InvalidModulusError(MpfError):
     """Field modulus is reducible or has the wrong degree."""
 
 
-class ZeroShiftError(MpfError):
-    """A shifted derivative was requested at shift z = 0."""
-
-
 class NonPowerOfTwoError(MpfError):
     """Transform input length is not a power of two."""
 

@@ -11,9 +11,12 @@ The univariate spectrum is reindexed through the trace-dual map so that
 position u carries the character x -> (-1)^Tr(ux).
 
 That identity serves all three kernels: transform_U / transform_V read
-one spectrum off it, bent4_witnesses tests flatness over blocks of
-twists, and character_norms sums the star-group characters of a point
-set, whose points (x, y) only add c.y (mv) or Tr(c^2 y) (uv) to b.
+one spectrum off it, bent4_witnesses screens every twist by its column
+sum A(0) and butterflies only the twists that can still be flat, and
+character_norms sums the star-group characters of a point set, whose
+points (x, y) only add c.y (mv) or Tr(c^2 y) (uv) to b.  Each kernel
+knows a bound on its partial sums, so it calls the butterfly core
+_butterfly directly; the public fwht scans its input for the bound.
 Flatness (every squared modulus equal to 2^n) at some twist c is the
 bent4 property; c = 0 is ordinary bentness and the all-ones / unit twist
 is negabentness.  It says A(u)^2 + A(u^d)^2 = 2^(n+1) for every u; for
@@ -93,9 +96,19 @@ def fwht(values) -> np.ndarray:
     if size == 0 or size & (size - 1):
         raise NonPowerOfTwoError(f"length {size} is not a power of two")
     bound = max(-int(a.min()), int(a.max())) * size if a.size else 0
+    return _butterfly(a, bound).astype(np.int64, copy=False)
+
+
+def _butterfly(a: np.ndarray, bound: int) -> np.ndarray:
+    """fwht's core on a power-of-two length, in the narrowest dtype holding bound.
+
+    bound caps |every partial sum|; the caller vouches for it.  Returns
+    the working dtype (int16, int32 or int64), not int64.
+    """
     work = next((t for top, t in _WORK_DTYPES if bound <= top), None)
     if work is None:
         raise OverflowError(f"fwht sums up to {bound}, past int64")
+    size = a.shape[0]
     out = a.astype(work, copy=True)
     scratch = np.empty((size // 2, *out.shape[1:]), dtype=work)
     h = 1
@@ -107,7 +120,7 @@ def fwht(values) -> np.ndarray:
         np.add(lo, hi, out=lo)
         hi[...] = diff
         h *= 2
-    return out.astype(np.int64, copy=False)
+    return out
 
 
 def _quarter(x: np.ndarray, spec: FieldSpec | None, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +152,7 @@ def _spectrum(g: TruthTable, spec: FieldSpec | None, c: int) -> Spectrum:
     if not 0 <= c < g.size:
         raise ValueError("twist c out of range")
     signs, d = _twisted_signs(g.bit_array(), spec, [c])
-    a = fwht(signs)[:, 0]
+    a = _butterfly(signs, g.size)[:, 0].astype(np.int64)
     b = a[np.arange(g.size) ^ d[0]]
     w = np.stack([a + b, a - b], axis=1) >> 1
     return Spectrum(g.n, g.mode, c, w if spec is None else w[field_tables(spec).dual])
@@ -178,9 +191,11 @@ def is_flat(s: Spectrum) -> bool:
 
 
 # Bound on points (or table entries) x twists in one block of a batched
-# spectral kernel.  Larger blocks spread numpy's per-call cost over more
-# twists but raise peak memory: traced at n = 10, about 22 bytes an entry
-# in bent4_witnesses and 49 in character_norms.
+# spectral kernel, and on the survivor buffer of bent4_witnesses.  Larger
+# blocks spread numpy's per-call cost over more twists but raise peak
+# memory: traced at n = 10, about 17 bytes an entry in bent4_witnesses
+# (block, survivor buffer and its butterfly; 29 at n = 9, whose pair
+# test runs in int64) and 49 in character_norms.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -188,10 +203,23 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     """All twists c whose spectrum of g is flat.
 
     Nonempty means g is bent4; membership of 0 means bent, and of the
-    all-ones point (mv) or the unit element (uv) means negabent.  Twists
-    go through one real butterfly per block of columns; odd n pairs row u
-    with row u^d, even n needs only |A| = 2^(n/2).  Flatness does not
-    depend on the order of the values, so the dual-map reindex is skipped.
+    all-ones point (mv) or the unit element (uv) means negabent.
+
+    Each block of twists is first screened by its column sums.  The sum s0
+    of column c of (-1)^b is A(0), and flatness at c needs
+    A(u)^2 + A(u^d)^2 = 2^(n+1) for every u.  For even n that forces
+    |A(u)| = 2^(n/2), so s0^2 = 2^n.  For odd n, u = 0 gives
+    A(0)^2 + A(d)^2 = 4^k with k = (n+1)/2.  The only ways to write 4^k as
+    a sum of two squares are (+-2^k)^2 + 0^2 and 0^2 + (+-2^k)^2: odd squares
+    are 1 mod 4, so for k >= 1 both terms are even and halving them gives
+    4^(k-1), down to 1 = (+-1)^2 + 0^2.  So s0^2 is 0 or 2^(n+1).  The
+    columns that pass are copied into one (2^n, block) buffer with their
+    c and d, and the buffer gets one real butterfly each time it fills,
+    and once more at the end; a block whose columns all pass skips the
+    copy and is butterflied where it is.  Even n then tests
+    |A| = 2^(n/2) in the butterfly's own dtype; odd n pairs row u with
+    row u^d in int64.  Flatness does not depend on the order of the
+    values, so the dual-map reindex is skipped.
     """
     if g.mode == "mv":
         spec = None
@@ -203,15 +231,44 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     bits = g.bit_array()
     odd = g.n & 1
     step = max(1, _BLOCK_ENTRIES // q)
+    buf = np.empty((q, step), dtype=np.int8)
+    buf_c = np.empty(step, dtype=np.int64)
+    buf_d = np.empty(step, dtype=np.int64)
     found: set[int] = set()
+
+    def flat(signs: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
+        a = _butterfly(signs, q)
+        if odd:
+            a = a.astype(np.int64)
+            np.square(a, out=a)
+            a += np.take_along_axis(a, np.arange(q)[:, None] ^ d, axis=0)
+            ok = (a == q << 1).all(axis=0)
+        else:
+            ok = (np.abs(a, out=a) == 1 << (g.n >> 1)).all(axis=0)
+        found.update(c[ok].tolist())
+
+    fill = 0
     for lo in range(0, q, step):
         signs, d = _twisted_signs(bits, spec, range(lo, min(q, lo + step)))
-        a = fwht(signs)
-        np.square(a, out=a)
-        if odd:
-            a += np.take_along_axis(a, np.arange(q)[:, None] ^ d, axis=0)
-        flat = (a == (q << odd)).all(axis=0)
-        found.update((lo + np.flatnonzero(flat)).tolist())
+        s0 = np.einsum("ij->j", signs, dtype=np.int64)  # 2-3x faster than sum(axis=0)
+        s0 *= s0
+        keep = (s0 == q << 1) | (s0 == 0) if odd else s0 == q
+        if keep.all():  # nothing to drop, so copying would be pure cost
+            flat(signs, lo + np.arange(len(keep)), d)
+            continue
+        signs, c, d = signs[:, keep], lo + np.flatnonzero(keep), d[keep]
+        while len(c):
+            k = min(len(c), step - fill)
+            buf[:, fill : fill + k] = signs[:, :k]
+            buf_c[fill : fill + k] = c[:k]
+            buf_d[fill : fill + k] = d[:k]
+            signs, c, d = signs[:, k:], c[k:], d[k:]
+            fill += k
+            if fill == step:
+                flat(buf, buf_c, buf_d)
+                fill = 0
+    if fill:
+        flat(buf[:, :fill], buf_c[:fill], buf_d[:fill])
     return found
 
 
@@ -240,7 +297,8 @@ def character_norms(n: int, points, spec: FieldSpec | None = None, twists=None) 
     b ^= np.bitwise_count(lc & y) & 1
     m = len(c)
     count = np.bincount(((x * m + np.arange(m)) * 2 + b).ravel(), minlength=q * m * 2).reshape(q, m, 2)
-    a = fwht(count[..., 0] - count[..., 1])
+    # Every partial sum is at most sum_x |B(x)| <= |R| in size.
+    a = _butterfly(count[..., 0] - count[..., 1], len(pts)).astype(np.int64)
     shifted = np.take_along_axis(a, np.arange(q)[:, None] ^ d, axis=0)
     norms = (a * a + shifted * shifted) >> 1
     return norms if t is None else norms[t.dual]

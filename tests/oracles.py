@@ -11,7 +11,8 @@ import functools
 import numpy as np
 
 from mpf.boolfun import TruthTable, pack_bits
-from mpf.gf2n import FieldSpec, fe_mul, field_tables, sigma, trace_n
+from mpf.errors import MpfError
+from mpf.gf2n import FieldSpec, dual_mask, fe_mul, field_tables, sigma, trace_n
 from mpf.planar import DOPolynomial, VectorialFunction
 from mpf.transforms import GaussianInt, Spectrum, fwht
 
@@ -293,3 +294,85 @@ def inverse_twisted(s: Spectrum, spec: FieldSpec | None = None) -> np.ndarray:
     if (w & (s.size - 1)).any():
         raise ValueError("spectrum is not in the image of the transform")
     return w >> int(s.n)
+
+
+# ---------------------------------------------------------------------------
+# The derivative-side bent4 criterion: g is bent4 at c iff every shifted
+# derivative at c (over nonzero shifts z) is balanced.  The library decides
+# bent4 from the twisted spectrum, so this side stays independent of it.
+# ---------------------------------------------------------------------------
+
+class ZeroShiftError(MpfError):
+    """A shifted derivative was requested at shift z = 0."""
+
+
+def is_balanced(g: TruthTable) -> bool:
+    """True iff g takes the value 1 on exactly half of the points."""
+    return g.bits.bit_count() == 1 << (g.n - 1)
+
+
+_BLOCK_MASKS: dict[tuple[int, int], int] = {}
+
+
+def _block_mask(n: int, j: int) -> int:
+    """2^n-bit mask selecting the positions whose index bit j is 0."""
+    mask = _BLOCK_MASKS.get((n, j))
+    if mask is None:
+        s = 1 << j
+        mask = ((1 << (1 << n)) - 1) // ((1 << (2 * s)) - 1) * ((1 << s) - 1)
+        _BLOCK_MASKS[(n, j)] = mask
+    return mask
+
+
+def xor_translate(bits: int, n: int, z: int) -> int:
+    """Table of x -> g(x ^ z), as a block permutation of the packed bits."""
+    for j in range(n):
+        if (z >> j) & 1:
+            s = 1 << j
+            lo = _block_mask(n, j)
+            bits = ((bits >> s) & lo) | ((bits & lo) << s)
+    return bits
+
+
+def linear_form_table(n: int, m: int) -> int:
+    """Packed table of x -> parity(m & x)."""
+    bits = 0
+    for j in range(n):
+        w = 1 << j
+        if (m >> j) & 1:
+            bits |= (bits ^ ((1 << w) - 1)) << w
+        else:
+            bits |= bits << w
+    return bits
+
+
+def shifted_derivative_mv(g: TruthTable, z: int, c: int) -> TruthTable:
+    """Table of x -> g(x) + g(x+z) + c.(z o x), with o the bitwise product.
+
+    The balance of this table over all nonzero z is the derivative-side
+    bent4 criterion; z = 0 is rejected because the criterion only
+    quantifies over nonzero shifts.
+    """
+    if g.mode != "mv":
+        raise ValueError("shifted_derivative_mv needs a multivariate table")
+    if not 0 <= z < g.size or not 0 <= c < g.size:
+        raise ValueError("z and c must be points of the same dimension as g")
+    if z == 0:
+        raise ZeroShiftError("shift z must be nonzero")
+    bits = g.bits ^ xor_translate(g.bits, g.n, z) ^ linear_form_table(g.n, c & z)
+    return TruthTable(g.n, bits, "mv")
+
+
+def shifted_derivative_uv(spec: FieldSpec, g: TruthTable, z: int, c: int) -> TruthTable:
+    """Table of x -> g(x) + g(x+z) + Tr(c^2 x z), products in the field."""
+    if g.mode != "uv":
+        raise ValueError("shifted_derivative_uv needs a univariate table")
+    if spec.n != g.n:
+        raise ValueError("field degree does not match the table")
+    if not 0 <= z < g.size or not 0 <= c < g.size:
+        raise ValueError("z and c must be field elements")
+    if z == 0:
+        raise ZeroShiftError("shift z must be nonzero")
+    u0 = fe_mul(spec, fe_mul(spec, c, c), z)
+    bits = g.bits ^ xor_translate(g.bits, g.n, z) ^ linear_form_table(g.n, dual_mask(spec, u0))
+    return TruthTable(g.n, bits, "uv")

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from mpf.boolfun import TruthTable, is_balanced, shifted_derivative_mv, shifted_derivative_uv
+from mpf.boolfun import TruthTable
 from mpf.gf2n import fe_mul, make_field, sigma, trace_n
 from mpf.planar import (
     VectorialFunction,
@@ -41,7 +41,10 @@ from oracles import (
     character_eval,
     component_uv,
     inverse_twisted,
+    is_balanced,
     is_permutation,
+    shifted_derivative_mv,
+    shifted_derivative_uv,
     spectrum_pairs,
     twisted_values_mv,
     twisted_values_uv,

@@ -2,21 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpf.boolfun import (
-    TruthTable,
-    from_values,
+from mpf.boolfun import TruthTable, from_values, pack_bits, table_from_json, table_to_json, weight
+from mpf.gf2n import fe_mul, make_field, trace_n
+from oracles import (
+    ZeroShiftError,
     is_balanced,
     linear_form_table,
-    pack_bits,
     shifted_derivative_mv,
     shifted_derivative_uv,
-    table_from_json,
-    table_to_json,
-    weight,
     xor_translate,
 )
-from mpf.errors import ZeroShiftError
-from mpf.gf2n import fe_mul, make_field, trace_n
 
 F4 = make_field(2)
 

@@ -232,7 +232,7 @@ def test_perm_verdict_matches_raw_permutation_check():
 
 def test_corollary_balanced_derivative_bridge():
     # planar <=> every component derivative with the matching twist is balanced
-    from mpf.boolfun import is_balanced, shifted_derivative_uv
+    from oracles import is_balanced, shifted_derivative_uv
 
     for table in itertools.product(range(4), repeat=4):
         F = uv(table)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpf.boolfun import TruthTable, from_values, linear_form_table
+from mpf.boolfun import TruthTable, from_values, weight
 from mpf.errors import NonPowerOfTwoError
 from mpf.gf2n import dual_mask, make_field, sigma
 from mpf.planar import VectorialFunction
@@ -23,11 +23,16 @@ from mpf.transforms import (
     transform_V,
 )
 from oracles import (
+    character_eval,
     characters_direct,
     component_mv,
     component_uv,
     inverse_twisted,
+    is_balanced,
+    linear_form_table,
     parity,
+    shifted_derivative_mv,
+    shifted_derivative_uv,
     spectrum_pairs,
     twisted_values_mv,
     twisted_values_uv,
@@ -268,9 +273,109 @@ def test_bent4_witnesses_do_not_depend_on_block_size(mode, monkeypatch):
         cases.append((q, spec, tables, [bent4_witnesses(g, spec) for g in tables]))
     for q, spec, tables, expected in cases:
         assert any(expected)
-        for block_entries in (q, 3 * q):  # one twist per block; last block partial
+        # One twist per block; last block partial; with 5 twists a block the
+        # survivor buffer is usually part full at the end and flushed there.
+        for block_entries in (q, 3 * q, 5 * q):
             monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", block_entries)
             assert [bent4_witnesses(g, spec) for g in tables] == expected
+
+
+def _butterfly_columns(monkeypatch) -> list[int]:
+    """Spy on the butterfly core: the number of twist columns of each call."""
+    import mpf.transforms
+
+    seen = []
+    real = mpf.transforms._butterfly
+
+    def spy(a, bound):
+        seen.append(a.shape[1])
+        return real(a, bound)
+
+    monkeypatch.setattr(mpf.transforms, "_butterfly", spy)
+    return seen
+
+
+def _table_of_weight(n, w, mode, seed):
+    q = 1 << n
+    ones = set(random.Random(seed).sample(range(q), w))
+    return from_values([int(x in ones) for x in range(q)], mode)
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_bent4_column_sum_test_passes_a_bent_weight_that_is_not_bent(mode, monkeypatch):
+    # Weight 28 = 2^5 - 2^2 at n = 6 gives the column sum 64 - 56 = 2^(n/2)
+    # at c = 0 (the trivial twist), so c = 0 reaches the butterfly, which
+    # must still reject it: the table is not bent.
+    n = 6
+    spec = make_field(n) if mode == "uv" else None
+    g = _table_of_weight(n, 28, mode, seed=28)
+    assert g.size - 2 * weight(g) == 1 << n // 2
+    seen = _butterfly_columns(monkeypatch)
+    witnesses = bent4_witnesses(g, spec)
+    assert witnesses == _oracle_witnesses(g, spec)
+    assert 0 not in witnesses
+    assert sum(seen) > len(witnesses)
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+@pytest.mark.parametrize("n", [5, 7])
+def test_bent4_column_sum_test_at_odd_n(mode, n, monkeypatch):
+    # For odd n a column passes with s0 = 0 or s0 = +-2^((n+1)/2).  At c = 0
+    # the twist is trivial and d = 0, so flatness would need 2 A(u)^2 = 2^(n+1),
+    # which no integer meets: a balanced table, or one of weight
+    # (2^n - 2^((n+1)/2)) / 2, passes there and is never flat.
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    seen = _butterfly_columns(monkeypatch)
+    for w in (q // 2, (q - (1 << (n + 1) // 2)) // 2):
+        g = _table_of_weight(n, w, mode, seed=n * w)
+        seen.clear()
+        witnesses = bent4_witnesses(g, spec)
+        assert witnesses == _oracle_witnesses(g, spec), w
+        assert 0 not in witnesses
+        assert sum(seen) > len(witnesses), w
+
+
+@pytest.mark.parametrize(("mode", "survivors"), [("mv", 1), ("uv", (1 << 8) - 1)])
+def test_bent4_butterflies_only_the_twists_that_pass_the_column_sum(mode, survivors, monkeypatch):
+    # The zero function at n = 8: mv is flat only at the all-ones twist and
+    # every other column sum rules its twist out; uv is flat at every c != 0,
+    # and c = 0 (column sum 2^8) is the one twist left out.
+    n = 8
+    spec = make_field(n) if mode == "uv" else None
+    seen = _butterfly_columns(monkeypatch)
+    witnesses = bent4_witnesses(TruthTable(n, 0, mode), spec)
+    assert sum(seen) == survivors == len(witnesses)
+
+
+def _derivative_oracle_witnesses(g, spec):
+    """Twists c at which every shifted derivative over z != 0 is balanced."""
+    q = g.size
+    if spec is None:
+        derivative = shifted_derivative_mv
+    else:
+        def derivative(g, z, c):
+            return shifted_derivative_uv(spec, g, z, c)
+    return {c for c in range(q) if all(is_balanced(derivative(g, z, c)) for z in range(1, q))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(4, 6), st.data())
+def test_bent4_witnesses_are_the_twists_with_balanced_shifted_derivatives(mode, n, data):
+    # The paper's derivative-side criterion: g is bent4 at c iff
+    # g(x) + g(x + z) + (the shifted term at c, z) is balanced for every z != 0.
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    kind = data.draw(st.sampled_from(["random", "quadratic", "quadratic plus a flip"]))
+    if kind == "random":
+        bits = data.draw(st.integers(0, (1 << q) - 1))
+    else:
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        bits = _pack(sum(x >> i & x >> j & 1 for i, j in pairs if i < j) & 1 for x in range(q))
+        if kind == "quadratic plus a flip":
+            bits ^= 1 << data.draw(st.integers(0, q - 1))
+    g = TruthTable(n, bits, mode)
+    assert bent4_witnesses(g, spec) == _derivative_oracle_witnesses(g, spec)
 
 
 def _pack(values) -> int:
@@ -523,6 +628,29 @@ def test_graph_characters_are_component_spectra(mode, n, data):
         else:
             s = transform_V(spec, component_uv(spec, F, c) if c else TruthTable(n, 0, "uv"), c)
         assert norms[:, c].tolist() == s.norms_sq().tolist(), c
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_character_norms_exact_past_int16_on_a_large_multiset(mode):
+    # |R| = 44000 > 32767: the butterfly bound |R| must select int32, since
+    # |A(0)| reaches |R| at the trivial character.  Each distinct point
+    # comes with a multiplicity, so the expected sums are weighted oracle sums.
+    n = 3
+    g, spec = _star_group(mode, n)
+    counts = {(1, 2): 20000, (5, 0): 15000, (6, 7): 8999, (0, 3): 1}
+    points = [p for p, k in counts.items() for _ in range(k)]
+    random.Random(44).shuffle(points)
+    expected = []
+    for u in range(1 << n):
+        row = []
+        for c in range(1 << n):
+            re = sum(k * character_eval(g, u, c, p).re for p, k in counts.items())
+            im = sum(k * character_eval(g, u, c, p).im for p, k in counts.items())
+            row.append(re * re + im * im)
+        expected.append(row)
+    got = character_norms(n, points, spec)
+    assert got[0, 0] == len(points) ** 2
+    assert got.tolist() == expected
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
