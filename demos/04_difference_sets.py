@@ -9,14 +9,15 @@ sums whose moduli must hit prescribed values exactly.
 """
 
 from mpf import (
+    TruthTable,
     VectorialFunction,
-    character_norms,
     forbidden_subgroup,
     graph_of,
     group_for,
     make_field,
     rds_verify_bruteforce,
     rds_verify_characters,
+    transform_V,
 )
 
 f4 = make_field(2)
@@ -43,8 +44,10 @@ gm = group_for(zero_mv)
 bad = rds_verify_bruteforce(gm, graph_of(zero_mv), forbidden_subgroup(gm))
 print(f"\nmv zero graph: is_rds={bad.is_rds}, witness={bad.failing_element} (count {bad.failing_count})")
 
-# Every character sum at once, from one batched transform of the graph:
+# The character sum at (u, c) over a graph is the twisted spectrum V^c at u
+# of the component Tr(c^2 F(x)); for F = 0 every component is zero.  So
 # column c = 0 is 16 at u = 0 and 0 elsewhere, every other column is flat at 4.
 print("\n|chi_{u,c}(R)|^2, one row per u, one column per twist c:")
-for u, row in enumerate(character_norms(2, sorted(R), f4)):
-    print(f"  u={u}: {row.tolist()}")
+columns = [transform_V(f4, TruthTable(2, 0, "uv"), c).norms_sq() for c in range(4)]
+for u, row in enumerate(zip(*columns)):
+    print(f"  u={u}: {[int(v) for v in row]}")

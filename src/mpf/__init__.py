@@ -20,6 +20,7 @@ from .errors import (
     ElementRangeError,
     FilterDisagreementError,
     ForbiddenSubgroupError,
+    InputFormatError,
     InvalidModulusError,
     MpfError,
     NonPowerOfTwoError,
@@ -73,7 +74,6 @@ from .transforms import (
     GaussianInt,
     Spectrum,
     bent4_witnesses,
-    character_norms,
     fwht,
     is_flat,
     transform_U,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import json_loader
 from .gf2n import MAX_DEGREE
 
 MODES = ("mv", "uv")
@@ -83,5 +84,6 @@ def table_to_json(g: TruthTable) -> dict:
     return {"mode": g.mode, "n": g.n, "bits": f"0x{g.bits:x}"}
 
 
+@json_loader
 def table_from_json(obj: dict) -> TruthTable:
     return TruthTable(int(obj["n"]), int(obj["bits"], 16), obj["mode"])

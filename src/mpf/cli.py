@@ -18,7 +18,7 @@ import sys
 import time
 
 from .boolfun import TruthTable, table_from_json
-from .errors import FilterDisagreementError, MpfError
+from .errors import FilterDisagreementError, InputFormatError, MpfError
 from .gf2n import fe_mul, field_from_json, field_to_json, make_field, poly_is_irreducible, sigma, trace_n
 from .planar import (
     VectorialFunction,
@@ -109,9 +109,12 @@ def parse_command(argv) -> argparse.Namespace:
     return args
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{path}: the top level must be a JSON object")
+    return obj
 
 
 def _write(text: str, out_path: str | None) -> None:

@@ -1,8 +1,27 @@
 """Exception types raised by the mpf library."""
 
+import functools
+
 
 class MpfError(Exception):
     """Base class for all mpf-specific errors."""
+
+
+class InputFormatError(MpfError):
+    """An input JSON value has the wrong type, say a number where a list belongs."""
+
+
+def json_loader(load):
+    """Report a wrong-typed JSON value as InputFormatError (int() of 1e400 overflows)."""
+
+    @functools.wraps(load)
+    def checked(obj):
+        try:
+            return load(obj)
+        except (TypeError, AttributeError, OverflowError) as exc:
+            raise InputFormatError(str(exc)) from None
+
+    return checked
 
 
 class InvalidModulusError(MpfError):

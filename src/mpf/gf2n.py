@@ -15,11 +15,11 @@ work up to n = 24.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import InvalidModulusError
+from .errors import InvalidModulusError, json_loader
 
 MAX_DEGREE = 24
 
@@ -76,20 +76,16 @@ def poly_is_irreducible(p: int) -> bool:
     return True
 
 
-_DEFAULT_MODULI: dict[int, int] = {}
-
-
+@cache
 def default_modulus(n: int) -> int:
     """Smallest irreducible polynomial of degree n, by integer encoding."""
-    mod = _DEFAULT_MODULI.get(n)
-    if mod is None:
-        for cand in range(1 << n, 1 << (n + 1)):
-            if poly_is_irreducible(cand):
-                mod = cand
-                break
-        assert mod is not None  # irreducibles exist in every degree
-        _DEFAULT_MODULI[n] = mod
-    return mod
+    # Irreducibles exist in every degree, so the search always ends.
+    return next(cand for cand in range(1 << n, 1 << (n + 1)) if poly_is_irreducible(cand))
+
+
+@cache
+def _default_field(n: int) -> FieldSpec:
+    return FieldSpec(n, default_modulus(n))
 
 
 def make_field(n: int, modulus: int | None = None) -> FieldSpec:
@@ -97,10 +93,11 @@ def make_field(n: int, modulus: int | None = None) -> FieldSpec:
 
     Raises InvalidModulusError if the supplied modulus does not have
     degree exactly n or is reducible (the FieldSpec constructor checks).
+    The default spec is built, and so checked, once per n.
     """
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {n}")
-    return FieldSpec(n, default_modulus(n) if modulus is None else modulus)
+    return _default_field(n) if modulus is None else FieldSpec(n, modulus)
 
 
 def fe_mul(spec: FieldSpec, a: int, b: int) -> int:
@@ -253,15 +250,9 @@ class _FieldTables:
         return out
 
 
-_TABLE_CACHE: dict[FieldSpec, _FieldTables] = {}
-
-
+@cache
 def field_tables(spec: FieldSpec) -> _FieldTables:
-    tables = _TABLE_CACHE.get(spec)
-    if tables is None:
-        tables = _FieldTables(spec)
-        _TABLE_CACHE[spec] = tables
-    return tables
+    return _FieldTables(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -272,5 +263,6 @@ def field_to_json(spec: FieldSpec) -> dict:
     return {"n": spec.n, "modulus": f"0x{spec.modulus:x}"}
 
 
+@json_loader
 def field_from_json(obj: dict) -> FieldSpec:
     return make_field(int(obj["n"]), int(obj["modulus"], 16))

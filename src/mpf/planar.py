@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import json_loader
 from .gf2n import MAX_DEGREE, FieldSpec, field_from_json, field_tables, field_to_json
 from .transforms import characters_flat
 
@@ -141,15 +142,7 @@ def is_modified_planar_perm(F: VectorialFunction) -> PlanarVerdict:
             values = [table[x ^ a] ^ table[x] ^ int(cross[x]) for x in range(size)]
         else:
             values = [table[x ^ a] ^ table[x] ^ (a & x) for x in range(size)]
-        seen = 0
-        collided = False
-        for v in values:
-            bit = 1 << v
-            if seen & bit:
-                collided = True
-                break
-            seen |= bit
-        if collided:
+        if len(set(values)) < size:
             return PlanarVerdict(False, a, _first_collision(values))
     return PlanarVerdict(True)
 
@@ -179,6 +172,7 @@ def function_to_json(F: VectorialFunction) -> dict:
     return obj
 
 
+@json_loader
 def function_from_json(obj: dict) -> VectorialFunction:
     spec = field_from_json(obj["field"]) if obj.get("field") else None
     table = tuple(int(v, 16) for v in obj["table"])

@@ -21,7 +21,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BruteForceBoundsError, ElementRangeError, ForbiddenSubgroupError, NotASubgroupError
+from .errors import (
+    BruteForceBoundsError,
+    ElementRangeError,
+    ForbiddenSubgroupError,
+    NotASubgroupError,
+    json_loader,
+)
 from .gf2n import MAX_DEGREE, FieldSpec, fe_mul, field_from_json, field_to_json
 from .planar import VectorialFunction
 from .transforms import characters_flat
@@ -177,8 +183,9 @@ def rds_verify_characters(g: GroupSpec, R: Iterable[Element], N: Iterable[Elemen
     True iff |chi_{u,c}(R)|^2 = 2^n for every c != 0 and every u,
     |chi_{u,0}(R)| = 0 for u != 0, and |chi_{0,0}(R)| = 2^n.  Only the
     canonical forbidden subgroup is supported; the criterion is not
-    generalized to other parameter families.  The character sums come
-    from the batched transform in transforms.characters_flat.
+    generalized to other parameter families.  transforms.characters_flat
+    decides it: twist 0 holds iff R is a graph, and every other twist is
+    the flatness of a component at its own twist.
     """
     if frozenset(N) != forbidden_subgroup(g):
         raise ForbiddenSubgroupError("N must be the canonical forbidden subgroup {0} x F")
@@ -210,6 +217,7 @@ def group_to_json(g: GroupSpec) -> dict:
     return obj
 
 
+@json_loader
 def group_from_json(obj: dict) -> GroupSpec:
     spec = field_from_json(obj["field"]) if obj.get("field") else None
     return GroupSpec(obj["law"], int(obj["n"]), spec)

@@ -1,4 +1,4 @@
-"""Exact twisted spectra and star-group character sums, one identity for all.
+"""Exact twisted spectra and the character criterion, one identity for all.
 
 Every spectrum here is a vector of 2^n Gaussian integers, held as an
 int64 array of shape (2^n, 2) with columns (re, im); never floats.
@@ -11,11 +11,13 @@ The univariate spectrum is reindexed through the trace-dual map so that
 position u carries the character x -> (-1)^Tr(ux).
 
 That identity serves all three kernels: transform_U / transform_V read
-one spectrum off it, bent4_witnesses screens every twist by its column
-sum A(0) and butterflies only the twists that can still be flat, and
-character_norms sums the star-group characters of a point set, whose
-points (x, y) only add c.y (mv) or Tr(c^2 y) (uv) to b.  Each kernel
-knows a bound on its partial sums, so it calls the butterfly core
+one spectrum off it, and bent4_witnesses and characters_flat screen each
+twist by its column sum A(0) and butterfly only the twists that can
+still be flat.  The star-group character sum of a graph {(x, F(x))} at
+(u, c) is the twisted spectrum at u of its component L_c.F at twist c,
+L_c = c (mv) or dual[c^2] (uv), so characters_flat is bent4's flatness
+test run on each component at its own twist.  Each kernel knows a bound
+on its partial sums (2^n for +-1 inputs), so it calls the butterfly core
 _butterfly directly; the public fwht scans its input for the bound.
 Flatness (every squared modulus equal to 2^n) at some twist c is the
 bent4 property; c = 0 is ordinary bentness and the all-ones / unit twist
@@ -123,27 +125,22 @@ def _butterfly(a: np.ndarray, bound: int) -> np.ndarray:
     return out
 
 
-def _quarter(x: np.ndarray, spec: FieldSpec | None, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q_c(x) as 0/1, d) for points x (a column) and twists c (a row).
-
-    Q_c(x) is bit 1 of wt(c&x) with d = c (spec None, mv), or sigma(c,x)
-    with d = dual[c] (uv), read by one gather of sigma(1, .) o exp at
-    log x + log c; the zero sentinel of log reads 0 there.
-    """
-    if spec is None:
-        return (np.bitwise_count(c & x) >> 1) & 1, c
-    t = field_tables(spec)
-    return t.sigma_exp.take(t.log.take(x) + t.log.take(c)), t.dual.take(c)
-
-
 def _twisted_signs(bits: np.ndarray, spec: FieldSpec | None, twists) -> tuple[np.ndarray, ...]:
     """((-1)^b as int8 (2^n, m), d) for the twists c = twists[j]; see above.
 
-    bits is g's 0/1 table (TruthTable.bit_array), spec None for mv.
+    bits is g's 0/1 table as a uint8 (2^n, 1) column, or one column per
+    twist; spec None for mv.  Q_c(x) is bit 1 of wt(c&x) with d = c (mv),
+    or sigma(c,x) with d = dual[c] (uv), read by one gather of
+    sigma(1, .) o exp at log x + log c; the zero sentinel of log reads 0.
     """
     x = np.arange(len(bits), dtype=np.int32)[:, None]
-    b, d = _quarter(x, spec, np.asarray(twists, dtype=np.int32))
-    b ^= bits[:, None]
+    c = np.asarray(twists, dtype=np.int32)
+    if spec is None:
+        b, d = (np.bitwise_count(c & x) >> 1) & 1, c
+    else:
+        t = field_tables(spec)
+        b, d = t.sigma_exp.take(t.log.take(x) + t.log.take(c)), t.dual.take(c)
+    b ^= bits
     return 1 - 2 * b.view(np.int8), d
 
 
@@ -151,7 +148,7 @@ def _spectrum(g: TruthTable, spec: FieldSpec | None, c: int) -> Spectrum:
     """The spectrum at c, (A(u) + A(u^d) + i (A(u) - A(u^d))) / 2, reindexed for uv."""
     if not 0 <= c < g.size:
         raise ValueError("twist c out of range")
-    signs, d = _twisted_signs(g.bit_array(), spec, [c])
+    signs, d = _twisted_signs(g.bit_array()[:, None], spec, [c])
     a = _butterfly(signs, g.size)[:, 0].astype(np.int64)
     b = a[np.arange(g.size) ^ d[0]]
     w = np.stack([a + b, a - b], axis=1) >> 1
@@ -190,13 +187,49 @@ def is_flat(s: Spectrum) -> bool:
     return bool((s.norms_sq() == s.size).all())
 
 
-# Bound on points (or table entries) x twists in one block of a batched
-# spectral kernel, and on the survivor buffer of bent4_witnesses.  Larger
-# blocks spread numpy's per-call cost over more twists but raise peak
-# memory: traced at n = 10, about 17 bytes an entry in bent4_witnesses
-# (block, survivor buffer and its butterfly; 29 at n = 9, whose pair
-# test runs in int64) and 49 in character_norms.
+# Bound on table entries x twists in one block of a batched spectral
+# kernel, and on the survivor buffer of bent4_witnesses.  Larger blocks
+# spread numpy's per-call cost over more twists but raise peak memory:
+# traced at n = 10, about 17 bytes an entry in bent4_witnesses (block,
+# survivor buffer and its butterfly; 29 at n = 9, whose pair test runs
+# in int64) and 16 in characters_flat (28 at n = 9), which keeps no
+# survivor buffer.
 _BLOCK_ENTRIES = 1 << 15
+
+
+def _column_screen(signs: np.ndarray, n: int) -> np.ndarray:
+    """Which columns of (-1)^b (2^n, m) can still be flat, by their sums alone.
+
+    The sum s0 of column c is A(0), and flatness at c needs
+    A(u)^2 + A(u^d)^2 = 2^(n+1) for every u.  For even n that forces
+    |A(u)| = 2^(n/2), so s0^2 = 2^n.  For odd n, u = 0 gives
+    A(0)^2 + A(d)^2 = 4^k with k = (n+1)/2.  The only ways to write 4^k as
+    a sum of two squares are (+-2^k)^2 + 0^2 and 0^2 + (+-2^k)^2: odd squares
+    are 1 mod 4, so for k >= 1 both terms are even and halving them gives
+    4^(k-1), down to 1 = (+-1)^2 + 0^2.  So s0^2 is 0 or 2^(n+1).
+    """
+    q = 1 << n
+    s0 = np.einsum("ij->j", signs, dtype=np.int64)  # 2-3x faster than sum(axis=0)
+    s0 *= s0
+    return (s0 == q << 1) | (s0 == 0) if n & 1 else s0 == q
+
+
+def _flat_columns(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """Which columns of (-1)^b (2^n, m), with their d, have a flat spectrum.
+
+    One real butterfly of the block.  Even n tests |A| = 2^(n/2) in the
+    butterfly's own dtype; odd n pairs row u with row u^d in int64.
+    Flatness does not depend on the order of the values, so the dual-map
+    reindex is skipped.
+    """
+    q = 1 << n
+    a = _butterfly(signs, q)
+    if n & 1:
+        a = a.astype(np.int64)
+        np.square(a, out=a)
+        a += np.take_along_axis(a, np.arange(q)[:, None] ^ d, axis=0)
+        return (a == q << 1).all(axis=0)
+    return (np.abs(a, out=a) == 1 << (n >> 1)).all(axis=0)
 
 
 def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
@@ -205,21 +238,12 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     Nonempty means g is bent4; membership of 0 means bent, and of the
     all-ones point (mv) or the unit element (uv) means negabent.
 
-    Each block of twists is first screened by its column sums.  The sum s0
-    of column c of (-1)^b is A(0), and flatness at c needs
-    A(u)^2 + A(u^d)^2 = 2^(n+1) for every u.  For even n that forces
-    |A(u)| = 2^(n/2), so s0^2 = 2^n.  For odd n, u = 0 gives
-    A(0)^2 + A(d)^2 = 4^k with k = (n+1)/2.  The only ways to write 4^k as
-    a sum of two squares are (+-2^k)^2 + 0^2 and 0^2 + (+-2^k)^2: odd squares
-    are 1 mod 4, so for k >= 1 both terms are even and halving them gives
-    4^(k-1), down to 1 = (+-1)^2 + 0^2.  So s0^2 is 0 or 2^(n+1).  The
-    columns that pass are copied into one (2^n, block) buffer with their
-    c and d, and the buffer gets one real butterfly each time it fills,
-    and once more at the end; a block whose columns all pass skips the
-    copy and is butterflied where it is.  Even n then tests
-    |A| = 2^(n/2) in the butterfly's own dtype; odd n pairs row u with
-    row u^d in int64.  Flatness does not depend on the order of the
-    values, so the dual-map reindex is skipped.
+    Each block of twists is first screened by its column sums
+    (_column_screen).  The columns that pass are copied into one
+    (2^n, block) buffer with their c and d, and the buffer gets one real
+    butterfly each time it fills, and once more at the end
+    (_flat_columns); a block whose columns all pass skips the copy and is
+    butterflied where it is.
     """
     if g.mode == "mv":
         spec = None
@@ -228,8 +252,7 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     elif spec.n != g.n:
         raise ValueError("field degree does not match the table")
     q = g.size
-    bits = g.bit_array()
-    odd = g.n & 1
+    bits = g.bit_array()[:, None]
     step = max(1, _BLOCK_ENTRIES // q)
     buf = np.empty((q, step), dtype=np.int8)
     buf_c = np.empty(step, dtype=np.int64)
@@ -237,22 +260,12 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     found: set[int] = set()
 
     def flat(signs: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
-        a = _butterfly(signs, q)
-        if odd:
-            a = a.astype(np.int64)
-            np.square(a, out=a)
-            a += np.take_along_axis(a, np.arange(q)[:, None] ^ d, axis=0)
-            ok = (a == q << 1).all(axis=0)
-        else:
-            ok = (np.abs(a, out=a) == 1 << (g.n >> 1)).all(axis=0)
-        found.update(c[ok].tolist())
+        found.update(c[_flat_columns(signs, d, g.n)].tolist())
 
     fill = 0
     for lo in range(0, q, step):
         signs, d = _twisted_signs(bits, spec, range(lo, min(q, lo + step)))
-        s0 = np.einsum("ij->j", signs, dtype=np.int64)  # 2-3x faster than sum(axis=0)
-        s0 *= s0
-        keep = (s0 == q << 1) | (s0 == 0) if odd else s0 == q
+        keep = _column_screen(signs, g.n)
         if keep.all():  # nothing to drop, so copying would be pure cost
             flat(signs, lo + np.arange(len(keep)), d)
             continue
@@ -272,59 +285,32 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     return found
 
 
-def character_norms(n: int, points, spec: FieldSpec | None = None, twists=None) -> np.ndarray:
-    """Squared moduli |chi_{u,c}(R)|^2 of the star-group character sums, exactly.
-
-    R is the multiset of (x, y) rows of `points`, in star_mv when spec is
-    None and in star_uv over spec otherwise.  Entry [u, j] belongs to the
-    character (u, twists[j]); twists defaults to every c.  On a graph
-    {(x, F(x))}, column c is the twisted spectrum of the component at c.
-
-    A point contributes (-1)^(u.x) i^(a + 2b) with a = d.x and
-    b = Q_c(x) + L_c.y, L_c = c (mv) or dual[c^2] (uv).  The points at
-    each (x, c) are counted by b into B(x) = sum (-1)^b, and one real
-    butterfly A of B gives the sum as ((1+i) A(u) + (1-i) A(u^d)) / 2, of
-    squared modulus (A(u)^2 + A(u^d)^2) / 2.  The halving is exact: both
-    A(u) and A(u^d) are congruent to sum_x B(x) mod 2.
-    """
-    q = 1 << n
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    c = np.arange(q, dtype=np.int64) if twists is None else np.asarray(twists, dtype=np.int64)
-    x, y = pts[:, :1], pts[:, 1:]
-    t = None if spec is None else field_tables(spec)
-    b, d = _quarter(x, spec, c)
-    lc = c if t is None else t.dual.take(t.mul(c, c))
-    b ^= np.bitwise_count(lc & y) & 1
-    m = len(c)
-    count = np.bincount(((x * m + np.arange(m)) * 2 + b).ravel(), minlength=q * m * 2).reshape(q, m, 2)
-    # Every partial sum is at most sum_x |B(x)| <= |R| in size.
-    a = _butterfly(count[..., 0] - count[..., 1], len(pts)).astype(np.int64)
-    shifted = np.take_along_axis(a, np.arange(q)[:, None] ^ d, axis=0)
-    norms = (a * a + shifted * shifted) >> 1
-    return norms if t is None else norms[t.dual]
-
-
 def characters_flat(n: int, points, spec: FieldSpec | None = None) -> bool:
     """True iff R has the character moduli of a (2^n, 2^n, 2^n, 1)-RDS.
 
     That is |chi_{0,0}(R)|^2 = 4^n, |chi_{u,0}(R)|^2 = 0 for u != 0, and
-    |chi_{u,c}(R)|^2 = 2^n for every u and every c != 0.  A graph meets the
-    first two by construction, so for a graph this is flatness of every
-    component at its own twist.  Twists go in blocks [0, 2), [2, 4),
-    [4, 8), ..., capped at a bounded number of entries, and the test
-    stops at the first block that fails: most functions that are not
-    modified planar already fail at a small twist.
+    |chi_{u,c}(R)|^2 = 2^n for every u and every c != 0; R is the multiset
+    of (x, y) rows of points, in star_mv when spec is None and in star_uv
+    over spec otherwise.  Column 0 is the butterfly of the counts of each
+    x, so it holds iff every x occurs exactly once: R is the graph of
+    some F.  Column c != 0 of a graph is the twisted spectrum of the
+    component parity(L_c & F(x)) at its own twist c, L_c = c (mv) or
+    dual[c^2] (uv), so it holds iff bent4_witnesses' flatness test passes
+    there.  Twists go in bent4's blocks; the test stops at the first
+    block that fails.
     """
     q = 1 << n
-    cap = max(1, _BLOCK_ENTRIES // max(len(points), q))
-    lo = 0
-    while lo < q:
-        hi = min(q, lo + min(max(lo, 2), cap))
-        want = np.full((q, hi - lo), q)
-        if lo == 0:
-            want[:, 0] = 0
-            want[0, 0] = q * q
-        if (character_norms(n, points, spec, range(lo, hi)) != want).any():
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    pts = pts[pts[:, 0].argsort()]
+    if len(pts) != q or (pts[:, 0] != np.arange(q)).any():
+        return False
+    f = pts[:, 1:]
+    t = None if spec is None else field_tables(spec)
+    step = max(1, _BLOCK_ENTRIES // q)
+    for lo in range(1, q, step):
+        c = np.arange(lo, min(q, lo + step))
+        lc = c if t is None else t.dual.take(t.mul(c, c))
+        signs, d = _twisted_signs(np.bitwise_count(lc & f) & 1, spec, c)
+        if not (_column_screen(signs, n).all() and _flat_columns(signs, d, n).all()):
             return False
-        lo = hi
     return True

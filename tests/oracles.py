@@ -228,6 +228,39 @@ def characters_direct(g, R) -> list[list[int]]:
     return out
 
 
+def character_norms(n: int, points, spec: FieldSpec | None = None, twists=None) -> np.ndarray:
+    """|chi_{u,c}(R)|^2 for any point multiset R, batched over twists (O(q^2 n)).
+
+    R is the multiset of (x, y) rows of `points`, in star_mv when spec is
+    None and in star_uv over spec otherwise.  Entry [u, j] belongs to the
+    character (u, twists[j]); twists defaults to every c.
+
+    A point contributes (-1)^(u.x) i^(a + 2b) with a = d.x and
+    b = Q_c(x) + L_c.y: Q_c(x) is bit 1 of wt(c&x) with d = L_c = c (mv),
+    or sigma(c,x) with d = dual[c] and L_c = dual[c^2] (uv).  The points at
+    each (x, c) are counted by b into B(x) = sum (-1)^b, and one real
+    butterfly A of B gives the sum as ((1+i) A(u) + (1-i) A(u^d)) / 2, of
+    squared modulus (A(u)^2 + A(u^d)^2) / 2.  The halving is exact: both
+    A(u) and A(u^d) are congruent to sum_x B(x) mod 2.
+    """
+    q = 1 << n
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    c = np.arange(q, dtype=np.int64) if twists is None else np.asarray(twists, dtype=np.int64)
+    x, y = pts[:, :1], pts[:, 1:]
+    if spec is None:
+        b, d, lc = (np.bitwise_count(c & x) >> 1) & 1, c, c
+    else:
+        t = field_tables(spec)
+        b, d, lc = t.s2[t.mul(c, x)], t.dual[c], t.dual[t.mul(c, c)]
+    b = b ^ (np.bitwise_count(lc & y) & 1)
+    m = len(c)
+    count = np.bincount(((x * m + np.arange(m)) * 2 + b).ravel(), minlength=q * m * 2).reshape(q, m, 2)
+    a = fwht(count[..., 0] - count[..., 1])
+    shifted = np.take_along_axis(a, np.arange(q)[:, None] ^ d, axis=0)
+    norms = (a * a + shifted * shifted) >> 1
+    return norms if spec is None else norms[t.dual]
+
+
 def component_mv(F: VectorialFunction, c: int) -> TruthTable:
     """Boolean component x -> c . F(x) (dot product of coordinate bits)."""
     if F.mode != "mv":

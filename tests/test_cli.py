@@ -160,6 +160,31 @@ def test_verify_rds_malformed_element_exits_3(tmp_path, capsys, bad):
     assert "element" in captured.err
 
 
+_F4 = {"n": 2, "modulus": "0x7"}
+_ZEROS = ["0x0"] * 4
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": 5}),
+    ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": [None, "0x0", "0x0", "0x0"]}),
+    ("analyze", {"mode": "uv", "n": 2, "field": {"n": 2, "modulus": 7}, "table": _ZEROS}),
+    ("analyze", [1, 2]),
+    ("verify-rds", {"group": 5, "elements": []}),
+    ("spectrum", {"mode": "mv", "n": 2, "bits": 5}),
+    ("analyze", '{"mode": "mv", "n": 1e400, "field": null, "table": []}'),
+], ids=["table-number", "table-null", "modulus-number", "top-level-list", "group-number", "bits-number",
+        "degree-infinite"])
+def test_wrong_typed_json_exits_3(tmp_path, capsys, verb, payload):
+    # Exit 1 would read as a false verdict; a malformed file is bad input.
+    path = tmp_path / "in.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    assert main([verb, "--file", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 @pytest.mark.parametrize("n", [0, 40])
 def test_spectrum_degree_out_of_range_exits_3(tmp_path, n):
     # The degree is checked before anything of size 2^n is built.

@@ -57,6 +57,42 @@ def test_enumerate_rejects_oversized_jobs():
         run_search(SearchJob("uv", 6, "do_quadratic"))
 
 
+def test_exhaustive_do_quadratic_n5_is_refused_before_decoding(monkeypatch, capsys):
+    # 32^10 = 2^50 candidates: refused before the first one is decoded.
+    import mpf.search
+    from mpf.cli import main
+
+    decoded = []
+    monkeypatch.setattr(mpf.search, "candidate_function", lambda *args: decoded.append(args))
+    with pytest.raises(SearchBoundsError):
+        run_search(SearchJob("uv", 5, "do_quadratic"))
+    assert main(["search", "--mode", "uv", "--n", "5", "--class", "do_quadratic"]) == 3
+    assert capsys.readouterr().err.startswith("error: exhaustive do_quadratic jobs are limited to n <= 4")
+    assert decoded == []
+
+
+def test_decoding_checks_the_default_modulus_once_per_degree(monkeypatch):
+    import mpf.gf2n
+
+    for n in (3, 4):
+        mpf.gf2n.default_modulus(n)  # the search for it is not a re-check
+    mpf.gf2n._default_field.cache_clear()
+    degrees = []
+    real = mpf.gf2n.poly_is_irreducible
+
+    def spy(p):
+        degrees.append(p.bit_length() - 1)
+        return real(p)
+
+    monkeypatch.setattr(mpf.gf2n, "poly_is_irreducible", spy)
+    for n in (3, 4):
+        for index in range(200):
+            candidate_function("uv", n, "do_quadratic", index)
+            candidate_function("uv", n, "affine", index)
+            candidate_function("uv", n, "all", index)
+    assert sorted(degrees) == [3, 4]
+
+
 def test_job_validation():
     with pytest.raises(ValueError):
         SearchJob("mv", 2, "affine")  # polynomial classes are univariate

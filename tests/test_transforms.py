@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from mpf.boolfun import TruthTable, from_values, weight
 from mpf.errors import NonPowerOfTwoError
 from mpf.gf2n import dual_mask, make_field, sigma
-from mpf.planar import VectorialFunction
+from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm
 from mpf.rds import GroupSpec, group_elements
 from mpf.transforms import (
     GaussianInt,
     Spectrum,
     bent4_witnesses,
-    character_norms,
     characters_flat,
     fwht,
     is_flat,
@@ -24,6 +23,7 @@ from mpf.transforms import (
 )
 from oracles import (
     character_eval,
+    character_norms,
     characters_direct,
     component_mv,
     component_uv,
@@ -632,9 +632,9 @@ def test_graph_characters_are_component_spectra(mode, n, data):
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
 def test_character_norms_exact_past_int16_on_a_large_multiset(mode):
-    # |R| = 44000 > 32767: the butterfly bound |R| must select int32, since
-    # |A(0)| reaches |R| at the trivial character.  Each distinct point
-    # comes with a multiplicity, so the expected sums are weighted oracle sums.
+    # |R| = 44000 > 32767: |A(0)| reaches |R| at the trivial character, so
+    # the butterfly must not run in int16.  Each distinct point comes with
+    # a multiplicity, so the expected sums are weighted oracle sums.
     n = 3
     g, spec = _star_group(mode, n)
     counts = {(1, 2): 20000, (5, 0): 15000, (6, 7): 8999, (0, 3): 1}
@@ -668,17 +668,61 @@ def test_characters_flat_does_not_depend_on_block_size(mode, monkeypatch):
 
 @pytest.mark.parametrize("block_entries", [16, 1 << 16])
 def test_characters_flat_visits_every_twist_once(block_entries, monkeypatch):
+    # Twist 0 is the graph check, so only the twists 1..q-1 get signs.
     import mpf.transforms
 
     seen = []
-    real = mpf.transforms.character_norms
+    real = mpf.transforms._twisted_signs
 
-    def spy(n, points, spec=None, twists=None):
-        seen.extend(twists)
-        return real(n, points, spec, twists)
+    def spy(bits, spec, twists):
+        seen.extend(np.asarray(twists).tolist())
+        return real(bits, spec, twists)
 
-    monkeypatch.setattr(mpf.transforms, "character_norms", spy)
+    monkeypatch.setattr(mpf.transforms, "_twisted_signs", spy)
     monkeypatch.setattr(mpf.transforms, "_BLOCK_ENTRIES", block_entries)
     zero = [(x, 0) for x in range(32)]  # modified planar in the univariate setting
     assert characters_flat(5, zero, make_field(5))
-    assert seen == list(range(32))
+    assert seen == list(range(1, 32))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_point_multisets())
+def test_characters_flat_matches_oracle_on_multisets(case):
+    # Repeats, empty columns and |R| != q all fail the graph check.
+    mode, n, points, _ = case
+    g, spec = _star_group(mode, n)
+    assert characters_flat(n, points, spec) == _rds_norms(characters_direct(g, points), 1 << n)
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_characters_flat_agrees_with_perm_on_sampled_graphs(mode, n):
+    # Odd n runs the paired flatness test, even n the |A| = 2^(n/2) one.
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    rng = random.Random(f"{mode}{n}")
+    for _ in range(40):
+        F = VectorialFunction(mode, n, [rng.randrange(q) for _ in range(q)], spec)
+        R = np.stack([np.arange(q), F.table], axis=1)
+        assert characters_flat(n, R, spec) == is_modified_planar_perm(F).is_planar, F.table
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_characters_flat_accepts_planar_affine_uv_functions(n):
+    # Every affine univariate function is modified planar; shuffling the
+    # graph's rows must not matter.
+    spec = make_field(n)
+    rng = random.Random(n)
+    for _ in range(10):
+        lin = {i: rng.randrange(1 << n) for i in range(n)}
+        F = do_to_table(DOPolynomial(spec, linearized=lin, constant=rng.randrange(1 << n)))
+        R = list(enumerate(F.table))
+        rng.shuffle(R)
+        assert characters_flat(n, R, spec)
+        assert is_modified_planar_perm(F).is_planar
+        # One moved value: the routes must still agree.
+        x = rng.randrange(1 << n)
+        table = list(F.table)
+        table[x] ^= 1 + rng.randrange((1 << n) - 1)
+        G = VectorialFunction("uv", n, table, spec)
+        assert characters_flat(n, list(enumerate(table)), spec) == is_modified_planar_perm(G).is_planar
