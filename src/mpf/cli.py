@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -45,13 +44,6 @@ EXIT_VERDICT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
-
-
-def _default_shards() -> int:
-    try:
-        return max(1, int(os.environ.get("MPF_DEFAULT_SHARDS", "1")))
-    except ValueError:
-        return 1
 
 
 @functools.cache
@@ -88,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", required=True,
                    choices=("all", "affine", "do_quadratic"))
     p.add_argument("--filter", choices=("perm", "components", "both"), default="both")
-    p.add_argument("--shards", type=int, default=None,
-                   help="worker shards (default MPF_DEFAULT_SHARDS, else 1)")
+    p.add_argument("--shards", type=int, default=1, help="worker shards (default 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=None,
                    help="draw this many candidates instead of exhausting the class")
@@ -103,10 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_command(argv) -> argparse.Namespace:
     """Parse argv into the verb and its options; usage errors exit with code 2."""
-    args = build_parser().parse_args(argv)
-    if args.verb == "search" and args.shards is None:
-        args.shards = _default_shards()
-    return args
+    return build_parser().parse_args(argv)
 
 
 def _load_json(path: str) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import json_loader
 from .gf2n import MAX_DEGREE, FieldSpec, field_from_json, field_tables, field_to_json
-from .transforms import characters_flat
+from .transforms import components_flat
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,10 @@ def is_modified_planar_perm(F: VectorialFunction) -> PlanarVerdict:
 def is_modified_planar_components(F: VectorialFunction) -> bool:
     """Component-spectrum verdict: every component flat at its own twist.
 
-    The twisted spectrum of the component at c is the character sum of
-    the graph {(x, F(x))} at twist c, so all of them come from batched
-    transforms of the graph.
+    transforms.components_flat screens and butterflies the components of
+    F's table in batched blocks of twists.
     """
-    graph = np.stack([np.arange(F.size), np.asarray(F.table)], axis=1)
-    return characters_flat(F.n, graph, F.spec)
+    return components_flat(F.n, F.table, F.spec)
 
 
 # ---------------------------------------------------------------------------

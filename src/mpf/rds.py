@@ -30,7 +30,7 @@ from .errors import (
 )
 from .gf2n import MAX_DEGREE, FieldSpec, fe_mul, field_from_json, field_to_json
 from .planar import VectorialFunction
-from .transforms import characters_flat
+from .transforms import components_flat
 
 LAWS = ("star_mv", "star_uv")
 
@@ -183,15 +183,21 @@ def rds_verify_characters(g: GroupSpec, R: Iterable[Element], N: Iterable[Elemen
     True iff |chi_{u,c}(R)|^2 = 2^n for every c != 0 and every u,
     |chi_{u,0}(R)| = 0 for u != 0, and |chi_{0,0}(R)| = 2^n.  Only the
     canonical forbidden subgroup is supported; the criterion is not
-    generalized to other parameter families.  transforms.characters_flat
-    decides it: twist 0 holds iff R is a graph, and every other twist is
-    the flatness of a component at its own twist.
+    generalized to other parameter families.  Twist 0 is the butterfly
+    of the counts of each x, so it holds iff every x occurs exactly once:
+    R is the graph of some F (Zhou 2013).  At c != 0 the character sum
+    of a graph is the twisted spectrum of the component of F at c, so
+    transforms.components_flat decides the rest from the sorted y column.
     """
     if frozenset(N) != forbidden_subgroup(g):
         raise ForbiddenSubgroupError("N must be the canonical forbidden subgroup {0} x F")
     R = list(R)
     _check_elements(g, R)
-    return characters_flat(g.n, np.array(R, dtype=np.int64).reshape(-1, 2), g.spec)
+    pts = np.array(R, dtype=np.int64).reshape(-1, 2)
+    pts = pts[pts[:, 0].argsort()]
+    if len(pts) != 1 << g.n or (pts[:, 0] != np.arange(len(pts))).any():
+        return False
+    return components_flat(g.n, pts[:, 1], g.spec)
 
 
 def graph_of(F: VectorialFunction) -> set[Element]:

@@ -175,15 +175,15 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
         total = class_size(job.mode, job.n, job.klass)
     else:
         total = job.sample
-    chunks = [
-        (s * total // job.shards, (s + 1) * total // job.shards)
-        for s in range(job.shards)
-    ]
+    # Shards past the candidate count would be empty, and the report does
+    # not depend on the shard count, so at most one shard per candidate.
+    shards = max(1, min(job.shards, total))
     payloads = [
-        (job.mode, job.n, job.klass, job.filter, job.seed, job.sample, lo, hi)
-        for lo, hi in chunks
+        (job.mode, job.n, job.klass, job.filter, job.seed, job.sample,
+         s * total // shards, (s + 1) * total // shards)
+        for s in range(shards)
     ]
-    if job.shards == 1:
+    if shards == 1:
         results = [_run_shard(payloads[0])]
     else:
         # Imported only here: the process pool machinery adds about 1 MiB of
@@ -191,7 +191,7 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
         from concurrent.futures import ProcessPoolExecutor
 
         # Shards fix the report; workers beyond the cores would only contend.
-        with ProcessPoolExecutor(max_workers=min(job.shards, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_run_shard, payloads))
     examined = 0
     passing_counters: list[int] = []

@@ -10,20 +10,19 @@ butterfly A of (-1)^b gives V(u) = (A(u) + A(u^d) + i (A(u) - A(u^d))) / 2.
 The univariate spectrum is reindexed through the trace-dual map so that
 position u carries the character x -> (-1)^Tr(ux).
 
-That identity serves all three kernels: transform_U / transform_V read
-one spectrum off it, and bent4_witnesses and characters_flat screen each
-twist by its column sum A(0) and butterfly only the twists that can
-still be flat.  The star-group character sum of a graph {(x, F(x))} at
-(u, c) is the twisted spectrum at u of its component L_c.F at twist c,
-L_c = c (mv) or dual[c^2] (uv), so characters_flat is bent4's flatness
-test run on each component at its own twist.  Each kernel knows a bound
-on its partial sums (2^n for +-1 inputs), so it calls the butterfly core
-_butterfly directly; the public fwht scans its input for the bound.
-Flatness (every squared modulus equal to 2^n) at some twist c is the
-bent4 property; c = 0 is ordinary bentness and the all-ones / unit twist
-is negabentness.  It says A(u)^2 + A(u^d)^2 = 2^(n+1) for every u; for
-even n that forces |A| = 2^(n/2), so g is bent4 at c iff g + Q_c is bent
-(Parker-Pott: f is negabent iff f + s_2 is bent).
+That identity serves all three kernels: transform_U / transform_V read one
+spectrum off it, and bent4_witnesses and components_flat screen each twist
+by its column sum A(0) and butterfly only the twists that can still be
+flat.  components_flat tests each component L_c.F of F's table at its own
+twist c, L_c = c (mv) or dual[c^2] (uv); that spectrum is the star-group
+character sum of the graph of F at (u, c), so the RDS character route
+shares it.  Each kernel knows a bound on its partial sums (2^n for +-1
+inputs), so it calls the butterfly core _butterfly directly; the public
+fwht scans its input for the bound.  Flatness (every squared modulus equal
+to 2^n) at some twist c is the bent4 property; c = 0 is ordinary bentness
+and the all-ones / unit twist is negabentness.  It says A(u)^2 + A(u^d)^2
+= 2^(n+1) for every u; for even n that forces |A| = 2^(n/2), so g is bent4
+at c iff g + Q_c is bent (Parker-Pott: f is negabent iff f + s_2 is bent).
 """
 
 from __future__ import annotations
@@ -188,12 +187,11 @@ def is_flat(s: Spectrum) -> bool:
 
 
 # Bound on table entries x twists in one block of a batched spectral
-# kernel, and on the survivor buffer of bent4_witnesses.  Larger blocks
-# spread numpy's per-call cost over more twists but raise peak memory:
-# traced at n = 10, about 17 bytes an entry in bent4_witnesses (block,
-# survivor buffer and its butterfly; 29 at n = 9, whose pair test runs
-# in int64) and 16 in characters_flat (28 at n = 9), which keeps no
-# survivor buffer.
+# kernel.  Larger blocks spread numpy's per-call cost over more twists
+# but raise peak memory: traced on the uv zero function, whose twists
+# all reach the butterfly, about 16 bytes an entry at n = 10 in
+# bent4_witnesses and 15 in components_flat (28 and 27 at n = 9, whose
+# pair test runs in int64).
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -239,11 +237,10 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     all-ones point (mv) or the unit element (uv) means negabent.
 
     Each block of twists is first screened by its column sums
-    (_column_screen).  The columns that pass are copied into one
-    (2^n, block) buffer with their c and d, and the buffer gets one real
-    butterfly each time it fills, and once more at the end
-    (_flat_columns); a block whose columns all pass skips the copy and is
-    butterflied where it is.
+    (_column_screen).  A block whose columns all pass is butterflied
+    where it is (_flat_columns); the other blocks set their surviving
+    twists aside, and a second pass rebuilds the signs of those in full
+    blocks and butterflies them.
     """
     if g.mode == "mv":
         spec = None
@@ -254,57 +251,36 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     q = g.size
     bits = g.bit_array()[:, None]
     step = max(1, _BLOCK_ENTRIES // q)
-    buf = np.empty((q, step), dtype=np.int8)
-    buf_c = np.empty(step, dtype=np.int64)
-    buf_d = np.empty(step, dtype=np.int64)
     found: set[int] = set()
-
-    def flat(signs: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
-        found.update(c[_flat_columns(signs, d, g.n)].tolist())
-
-    fill = 0
+    survivors: list[int] = []
     for lo in range(0, q, step):
-        signs, d = _twisted_signs(bits, spec, range(lo, min(q, lo + step)))
+        c = np.arange(lo, min(q, lo + step))
+        signs, d = _twisted_signs(bits, spec, c)
         keep = _column_screen(signs, g.n)
-        if keep.all():  # nothing to drop, so copying would be pure cost
-            flat(signs, lo + np.arange(len(keep)), d)
-            continue
-        signs, c, d = signs[:, keep], lo + np.flatnonzero(keep), d[keep]
-        while len(c):
-            k = min(len(c), step - fill)
-            buf[:, fill : fill + k] = signs[:, :k]
-            buf_c[fill : fill + k] = c[:k]
-            buf_d[fill : fill + k] = d[:k]
-            signs, c, d = signs[:, k:], c[k:], d[k:]
-            fill += k
-            if fill == step:
-                flat(buf, buf_c, buf_d)
-                fill = 0
-    if fill:
-        flat(buf[:, :fill], buf_c[:fill], buf_d[:fill])
+        if keep.all():  # nothing to drop, so rebuilding would be pure cost
+            found.update(c[_flat_columns(signs, d, g.n)].tolist())
+        else:
+            survivors.extend(c[keep].tolist())
+    for lo in range(0, len(survivors), step):
+        c = np.array(survivors[lo : lo + step])
+        signs, d = _twisted_signs(bits, spec, c)
+        found.update(c[_flat_columns(signs, d, g.n)].tolist())
     return found
 
 
-def characters_flat(n: int, points, spec: FieldSpec | None = None) -> bool:
-    """True iff R has the character moduli of a (2^n, 2^n, 2^n, 1)-RDS.
+def components_flat(n: int, f, spec: FieldSpec | None = None) -> bool:
+    """True iff every component of F but the zero one is flat at its own twist.
 
-    That is |chi_{0,0}(R)|^2 = 4^n, |chi_{u,0}(R)|^2 = 0 for u != 0, and
-    |chi_{u,c}(R)|^2 = 2^n for every u and every c != 0; R is the multiset
-    of (x, y) rows of points, in star_mv when spec is None and in star_uv
-    over spec otherwise.  Column 0 is the butterfly of the counts of each
-    x, so it holds iff every x occurs exactly once: R is the graph of
-    some F.  Column c != 0 of a graph is the twisted spectrum of the
-    component parity(L_c & F(x)) at its own twist c, L_c = c (mv) or
-    dual[c^2] (uv), so it holds iff bent4_witnesses' flatness test passes
-    there.  Twists go in bent4's blocks; the test stops at the first
-    block that fails.
+    f holds F(x) in index order (2^n values, read as an int64 column);
+    spec None for mv.  The component at twist c != 0 is
+    parity(L_c & F(x)), L_c = c (mv) or dual[c^2] (uv), and it is tested
+    with bent4_witnesses' screen and flatness test at c.  Its twisted
+    spectrum is also the star-group character sum of the graph of F at
+    (u, c), which is how rds_verify_characters uses this.  Twists go in
+    bent4's blocks; the test stops at the first block that fails.
     """
     q = 1 << n
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    pts = pts[pts[:, 0].argsort()]
-    if len(pts) != q or (pts[:, 0] != np.arange(q)).any():
-        return False
-    f = pts[:, 1:]
+    f = np.asarray(f, dtype=np.int64).reshape(q, 1)
     t = None if spec is None else field_tables(spec)
     step = max(1, _BLOCK_ENTRIES // q)
     for lo in range(1, q, step):

@@ -206,10 +206,8 @@ def test_search_cli(tmp_path, capsys):
     assert obj["cross_check"] is True
 
 
-def test_search_cli_shards_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MPF_DEFAULT_SHARDS", "2")
-    cmd = parse_command(["search", "--mode", "mv", "--n", "2", "--class", "all"])
-    assert cmd.shards == 2
+def test_search_cli_shards_default_to_one():
+    assert parse_command(["search", "--mode", "mv", "--n", "2", "--class", "all"]).shards == 1
 
 
 def test_search_cli_identical_outputs(tmp_path):
@@ -244,7 +242,7 @@ def test_analyze_computes_the_character_sums_once(uv_zero_file, monkeypatch, cap
     # character sums of the graph, so analyze computes them once.
     import mpf.transforms
 
-    real = mpf.transforms.characters_flat
+    real = mpf.transforms.components_flat
     calls = []
 
     def spy(*args, **kwargs):
@@ -252,8 +250,8 @@ def test_analyze_computes_the_character_sums_once(uv_zero_file, monkeypatch, cap
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "mpf" and getattr(module, "characters_flat", None) is real:
-            monkeypatch.setattr(module, "characters_flat", spy)
+        if name.split(".")[0] == "mpf" and getattr(module, "components_flat", None) is real:
+            monkeypatch.setattr(module, "components_flat", spy)
     assert main(["analyze", "--file", uv_zero_file, "--format", "json"]) == 0
     assert len(calls) == 1
     obj = json.loads(capsys.readouterr().out)
@@ -287,6 +285,23 @@ def test_oversized_degree_exits_3_before_allocating(tmp_path, argv, payload):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: n must be in [1, ")
     assert "Traceback" not in proc.stderr
+
+
+def test_huge_shard_count_matches_one_shard_under_a_memory_cap():
+    # 10^8 shards of a 4-candidate job: one shard per candidate is built,
+    # not one per requested shard, and the report does not change.
+    argv = ["search", "--mode", "mv", "--n", "1", "--class", "all", "--filter", "perm"]
+    env = dict(os.environ, PYTHONPATH=str(Path(mpf.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    outs = []
+    for shards in ("1", "100000000"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_MAIN, *argv, "--shards", shards],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["examined"] == 4
 
 
 @pytest.mark.parametrize("payload", [

@@ -5,7 +5,8 @@ directory) with their exit codes; expected/<name>.out holds the exact
 stdout and expected/<name>.err the exact stderr, if any.  They cover
 analyze (text and json, both modes, n = 2..5, planar and not),
 verify-rds (an RDS graph, a set that is not one, explicit forbidden
-subgroups) and spectrum (twists 0, 1 and all-ones).  Each case also runs
+subgroups), spectrum (twists 0, 1 and all-ones) and search (the mv n = 2
+`all` census, and the uv n = 3 DO census at one and two shards).  Each case also runs
 with --out, which must write the same bytes and leave stdout empty.
 """
 

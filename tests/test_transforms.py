@@ -10,12 +10,12 @@ from mpf.boolfun import TruthTable, from_values, weight
 from mpf.errors import NonPowerOfTwoError
 from mpf.gf2n import dual_mask, make_field, sigma
 from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm
-from mpf.rds import GroupSpec, group_elements
+from mpf.rds import GroupSpec, forbidden_subgroup, group_elements, rds_verify_characters
 from mpf.transforms import (
     GaussianInt,
     Spectrum,
     bent4_witnesses,
-    characters_flat,
+    components_flat,
     fwht,
     is_flat,
     transform_U,
@@ -274,7 +274,7 @@ def test_bent4_witnesses_do_not_depend_on_block_size(mode, monkeypatch):
     for q, spec, tables, expected in cases:
         assert any(expected)
         # One twist per block; last block partial; with 5 twists a block the
-        # survivor buffer is usually part full at the end and flushed there.
+        # survivors of several blocks share a second-pass block.
         for block_entries in (q, 3 * q, 5 * q):
             monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", block_entries)
             assert [bent4_witnesses(g, spec) for g in tables] == expected
@@ -336,16 +336,31 @@ def test_bent4_column_sum_test_at_odd_n(mode, n, monkeypatch):
         assert sum(seen) > len(witnesses), w
 
 
-@pytest.mark.parametrize(("mode", "survivors"), [("mv", 1), ("uv", (1 << 8) - 1)])
-def test_bent4_butterflies_only_the_twists_that_pass_the_column_sum(mode, survivors, monkeypatch):
+@pytest.mark.parametrize(("mode", "survivors", "blocks"), [
+    pytest.param(mode, survivors, blocks, id=f"{mode}-{survivors}" + (f"-{blocks}q" if blocks else ""))
+    for mode, survivors in (("mv", 1), ("uv", (1 << 8) - 1))
+    for blocks in (None, 1, 3)  # None keeps the default _BLOCK_ENTRIES
+])
+def test_bent4_butterflies_only_the_twists_that_pass_the_column_sum(mode, survivors, blocks, monkeypatch):
     # The zero function at n = 8: mv is flat only at the all-ones twist and
     # every other column sum rules its twist out; uv is flat at every c != 0,
     # and c = 0 (column sum 2^8) is the one twist left out.
     n = 8
     spec = make_field(n) if mode == "uv" else None
+    if blocks:
+        monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", blocks << n)
     seen = _butterfly_columns(monkeypatch)
     witnesses = bent4_witnesses(TruthTable(n, 0, mode), spec)
     assert sum(seen) == survivors == len(witnesses)
+    # A random table of even weight (odd weight puts every A(0) at 2 mod 4)
+    # passes the column sum A(0) = re + im of the spectrum at u = 0 at 20 to
+    # 40 scattered twists, so survivors come from several blocks.
+    g = TruthTable(n, random.Random(0).getrandbits(1 << n), mode)
+    transform = transform_U if spec is None else lambda g, c: transform_V(spec, g, c)
+    passing = sum(sum(transform(g, c).value(0)) ** 2 == 1 << n for c in range(1 << n))
+    seen.clear()
+    assert bent4_witnesses(g, spec) == _oracle_witnesses(g, spec)
+    assert sum(seen) == passing > 1
 
 
 def _derivative_oracle_witnesses(g, spec):
@@ -524,6 +539,11 @@ def _star_group(mode, n):
     return GroupSpec("star_mv", n), None
 
 
+def _rds_characters(g, R):
+    """rds_verify_characters with the canonical forbidden subgroup."""
+    return rds_verify_characters(g, R, forbidden_subgroup(g))
+
+
 def _rds_norms(norms, q):
     """The (q, q, q, 1)-RDS character criterion read off a full [u][c] table."""
     return all(
@@ -540,7 +560,7 @@ def test_character_norms_match_oracle_on_every_graph_n2(mode):
         R = list(enumerate(table))
         direct = characters_direct(g, R)
         assert character_norms(2, R, spec).tolist() == direct, table
-        assert characters_flat(2, R, spec) == _rds_norms(direct, 4), table
+        assert _rds_characters(g, R) == _rds_norms(direct, 4), table
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
@@ -549,7 +569,7 @@ def test_character_norms_match_oracle_on_every_4_subset_n2(mode):
     for R in itertools.combinations(group_elements(g), 4):
         direct = characters_direct(g, R)
         assert character_norms(2, R, spec).tolist() == direct, R
-        assert characters_flat(2, R, spec) == _rds_norms(direct, 4), R
+        assert _rds_characters(g, R) == _rds_norms(direct, 4), R
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
@@ -656,19 +676,22 @@ def test_character_norms_exact_past_int16_on_a_large_multiset(mode):
 @pytest.mark.parametrize("mode", ["mv", "uv"])
 def test_characters_flat_does_not_depend_on_block_size(mode, monkeypatch):
     n = 4
-    _, spec = _star_group(mode, n)
+    g, spec = _star_group(mode, n)
     rng = random.Random(7)
-    graphs = [list(enumerate(rng.randrange(16) for _ in range(16))) for _ in range(30)]
-    graphs.append([(x, 0) for x in range(16)])  # planar for uv, not for mv
-    verdicts = [characters_flat(n, R, spec) for R in graphs]
+    tables = [[rng.randrange(16) for _ in range(16)] for _ in range(30)]
+    tables.append([0] * 16)  # planar for uv, not for mv
+    verdicts = [components_flat(n, f, spec) for f in tables]
+    assert [_rds_characters(g, enumerate(f)) for f in tables] == verdicts
     monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", 16)  # one twist per block
-    assert [characters_flat(n, R, spec) for R in graphs] == verdicts
+    assert [components_flat(n, f, spec) for f in tables] == verdicts
+    assert [_rds_characters(g, enumerate(f)) for f in tables] == verdicts
     assert verdicts[-1] == (mode == "uv")
 
 
 @pytest.mark.parametrize("block_entries", [16, 1 << 16])
 def test_characters_flat_visits_every_twist_once(block_entries, monkeypatch):
-    # Twist 0 is the graph check, so only the twists 1..q-1 get signs.
+    # Twist 0 is rds_verify_characters' graph check, so only the twists
+    # 1..q-1 get signs.
     import mpf.transforms
 
     seen = []
@@ -680,8 +703,12 @@ def test_characters_flat_visits_every_twist_once(block_entries, monkeypatch):
 
     monkeypatch.setattr(mpf.transforms, "_twisted_signs", spy)
     monkeypatch.setattr(mpf.transforms, "_BLOCK_ENTRIES", block_entries)
+    g, spec = _star_group("uv", 5)
     zero = [(x, 0) for x in range(32)]  # modified planar in the univariate setting
-    assert characters_flat(5, zero, make_field(5))
+    assert _rds_characters(g, zero)
+    assert seen == list(range(1, 32))
+    seen.clear()
+    assert components_flat(5, [0] * 32, spec)
     assert seen == list(range(1, 32))
 
 
@@ -691,7 +718,7 @@ def test_characters_flat_matches_oracle_on_multisets(case):
     # Repeats, empty columns and |R| != q all fail the graph check.
     mode, n, points, _ = case
     g, spec = _star_group(mode, n)
-    assert characters_flat(n, points, spec) == _rds_norms(characters_direct(g, points), 1 << n)
+    assert _rds_characters(g, points) == _rds_norms(characters_direct(g, points), 1 << n)
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
@@ -699,30 +726,34 @@ def test_characters_flat_matches_oracle_on_multisets(case):
 def test_characters_flat_agrees_with_perm_on_sampled_graphs(mode, n):
     # Odd n runs the paired flatness test, even n the |A| = 2^(n/2) one.
     q = 1 << n
-    spec = make_field(n) if mode == "uv" else None
+    g, spec = _star_group(mode, n)
     rng = random.Random(f"{mode}{n}")
     for _ in range(40):
         F = VectorialFunction(mode, n, [rng.randrange(q) for _ in range(q)], spec)
-        R = np.stack([np.arange(q), F.table], axis=1)
-        assert characters_flat(n, R, spec) == is_modified_planar_perm(F).is_planar, F.table
+        planar = is_modified_planar_perm(F).is_planar
+        assert components_flat(n, F.table, spec) == planar, F.table
+        assert _rds_characters(g, enumerate(F.table)) == planar, F.table
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_characters_flat_accepts_planar_affine_uv_functions(n):
     # Every affine univariate function is modified planar; shuffling the
     # graph's rows must not matter.
-    spec = make_field(n)
+    g, spec = _star_group("uv", n)
     rng = random.Random(n)
     for _ in range(10):
         lin = {i: rng.randrange(1 << n) for i in range(n)}
         F = do_to_table(DOPolynomial(spec, linearized=lin, constant=rng.randrange(1 << n)))
         R = list(enumerate(F.table))
         rng.shuffle(R)
-        assert characters_flat(n, R, spec)
+        assert _rds_characters(g, R)
+        assert components_flat(n, F.table, spec)
         assert is_modified_planar_perm(F).is_planar
         # One moved value: the routes must still agree.
         x = rng.randrange(1 << n)
         table = list(F.table)
         table[x] ^= 1 + rng.randrange((1 << n) - 1)
         G = VectorialFunction("uv", n, table, spec)
-        assert characters_flat(n, list(enumerate(table)), spec) == is_modified_planar_perm(G).is_planar
+        planar = is_modified_planar_perm(G).is_planar
+        assert components_flat(n, table, spec) == planar
+        assert _rds_characters(g, enumerate(table)) == planar
