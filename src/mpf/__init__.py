@@ -8,14 +8,7 @@ the components, relative-difference-set checks on the graph), so each
 route can serve as an oracle for the others.
 """
 
-from .boolfun import (
-    TruthTable,
-    from_values,
-    pack_bits,
-    table_from_json,
-    table_to_json,
-    weight,
-)
+from .boolfun import TruthTable, from_values, table_from_json, weight
 from .errors import (
     ElementRangeError,
     FilterDisagreementError,
@@ -67,7 +60,6 @@ from .search import (
     SearchReport,
     candidate_function,
     class_size,
-    enumerate_class,
     run_search,
 )
 from .transforms import (

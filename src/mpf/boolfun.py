@@ -39,12 +39,6 @@ class TruthTable:
     def size(self) -> int:
         return 1 << self.n
 
-    def bit(self, t: int) -> int:
-        return (self.bits >> t) & 1
-
-    def values(self) -> list[int]:
-        return [(self.bits >> t) & 1 for t in range(self.size)]
-
     def bit_array(self) -> np.ndarray:
         """Table as a 0/1 uint8 vector (index order, LSB first)."""
         nbytes = (self.size + 7) // 8
@@ -65,12 +59,6 @@ def from_values(values, mode: str) -> TruthTable:
     return TruthTable(n, bits, mode)
 
 
-def pack_bits(array) -> int:
-    """Pack a 0/1 vector (index order) into a truth-table int."""
-    arr = np.asarray(array, dtype=np.uint8) & 1
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
-
-
 def weight(g: TruthTable) -> int:
     """Hamming weight: number of points where g is 1."""
     return g.bits.bit_count()
@@ -79,10 +67,6 @@ def weight(g: TruthTable) -> int:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def table_to_json(g: TruthTable) -> dict:
-    return {"mode": g.mode, "n": g.n, "bits": f"0x{g.bits:x}"}
-
 
 @json_loader
 def table_from_json(obj: dict) -> TruthTable:

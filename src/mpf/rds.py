@@ -229,10 +229,6 @@ def group_from_json(obj: dict) -> GroupSpec:
     return GroupSpec(obj["law"], int(obj["n"]), spec)
 
 
-def elements_to_json(elements: Iterable[Element]) -> list:
-    return [[f"0x{v:x}" for v in e] for e in sorted(elements)]
-
-
 def elements_from_json(items: Iterable) -> list[Element]:
     try:
         return [tuple(int(v, 16) for v in e) for e in items]

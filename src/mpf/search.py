@@ -15,6 +15,8 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FilterDisagreementError, SearchBoundsError
 from .gf2n import MAX_DEGREE, make_field
 from .planar import (
@@ -22,9 +24,9 @@ from .planar import (
     VectorialFunction,
     do_to_table,
     function_to_json,
-    is_modified_planar_components,
     is_modified_planar_perm,
 )
+from .transforms import _BLOCK_ENTRIES, components_flat
 
 CLASSES = ("all", "affine", "do_quadratic")
 FILTERS = ("perm", "components", "both")
@@ -113,13 +115,6 @@ def candidate_function(mode: str, n: int, klass: str, index: int) -> VectorialFu
     return do_to_table(DOPolynomial(spec, quad))
 
 
-def enumerate_class(mode: str, n: int, klass: str):
-    """Yield every function of a class exactly once, in canonical order."""
-    _check_bounds(mode, n, klass)
-    for index in range(class_size(mode, n, klass)):
-        yield candidate_function(mode, n, klass, index)
-
-
 def _check_bounds(mode: str, n: int, klass: str) -> None:
     bound = _EXHAUSTIVE_BOUNDS[klass]
     if n > bound:
@@ -133,31 +128,36 @@ def _sample_index(seed: int, counter: int, size: int) -> int:
     return int.from_bytes(digest, "big") % size
 
 
-def _passes(F: VectorialFunction, filt: str):
-    """(verdict, disagreement) for one candidate under the chosen filter."""
-    if filt == "perm":
-        return is_modified_planar_perm(F).is_planar, False
-    if filt == "components":
-        return is_modified_planar_components(F), False
-    by_perm = is_modified_planar_perm(F).is_planar
-    by_components = is_modified_planar_components(F)
-    return by_perm, by_perm != by_components
-
-
 def _run_shard(payload: tuple) -> tuple[int, list[int], int | None]:
+    """(examined, passing counters, index of the first disagreement or None).
+
+    Each candidate is decoded and perm-tested alone; components_flat
+    decides a block of at most _BLOCK_ENTRIES (function, twist) entries.
+    """
     mode, n, klass, filt, seed, sample, lo, hi = payload
     size = class_size(mode, n, klass)
+    q = 1 << n
+    block = max(1, _BLOCK_ENTRIES // (q * (q - 1)))
     examined = 0
     passing: list[int] = []
-    for counter in range(lo, hi):
-        index = counter if sample is None else _sample_index(seed, counter, size)
-        F = candidate_function(mode, n, klass, index)
-        verdict, disagreement = _passes(F, filt)
-        if disagreement:
-            return examined, passing, index
-        examined += 1
-        if verdict:
-            passing.append(counter)
+    for start in range(lo, hi, block):
+        counters = range(start, min(hi, start + block))
+        indices = [c if sample is None else _sample_index(seed, c, size) for c in counters]
+        funcs = [candidate_function(mode, n, klass, index) for index in indices]
+        if filt != "components":
+            verdicts = [is_modified_planar_perm(F).is_planar for F in funcs]
+        if filt != "perm":
+            tables = np.array([F.table for F in funcs], dtype=np.int64).T
+            flat = components_flat(n, tables, funcs[0].spec).tolist()
+        agree = len(funcs)
+        if filt == "components":
+            verdicts = flat
+        elif filt == "both":
+            agree = next((j for j, (a, b) in enumerate(zip(verdicts, flat)) if a != b), agree)
+        examined += agree
+        passing.extend(c for c, v in zip(counters[:agree], verdicts) if v)
+        if agree < len(funcs):
+            return examined, passing, indices[agree]
     return examined, passing, None
 
 
@@ -175,9 +175,10 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
         total = class_size(job.mode, job.n, job.klass)
     else:
         total = job.sample
-    # Shards past the candidate count would be empty, and the report does
-    # not depend on the shard count, so at most one shard per candidate.
-    shards = max(1, min(job.shards, total))
+    # The report does not depend on the shard count, so shards stop at the
+    # candidate count (past it they are empty) and at four per core (a
+    # sampled job's count is --sample, which need not fit in memory).
+    shards = max(1, min(job.shards, total, 4 * (os.cpu_count() or 1)))
     payloads = [
         (job.mode, job.n, job.klass, job.filter, job.seed, job.sample,
          s * total // shards, (s + 1) * total // shards)

@@ -130,15 +130,16 @@ def _twisted_signs(bits: np.ndarray, spec: FieldSpec | None, twists) -> tuple[np
     bits is g's 0/1 table as a uint8 (2^n, 1) column, or one column per
     twist; spec None for mv.  Q_c(x) is bit 1 of wt(c&x) with d = c (mv),
     or sigma(c,x) with d = dual[c] (uv), read by one gather of
-    sigma(1, .) o exp at log x + log c; the zero sentinel of log reads 0.
+    sigma(1, .) o exp at log x + log c (log itself is log x, x in index
+    order); the zero sentinel of log reads 0.
     """
-    x = np.arange(len(bits), dtype=np.int32)[:, None]
     c = np.asarray(twists, dtype=np.int32)
     if spec is None:
+        x = np.arange(len(bits), dtype=np.int32)[:, None]
         b, d = (np.bitwise_count(c & x) >> 1) & 1, c
     else:
         t = field_tables(spec)
-        b, d = t.sigma_exp.take(t.log.take(x) + t.log.take(c)), t.dual.take(c)
+        b, d = t.sigma_exp.take(t.log[:, None] + t.log.take(c)), t.dual.take(c)
     b ^= bits
     return 1 - 2 * b.view(np.int8), d
 
@@ -204,12 +205,13 @@ def _column_screen(signs: np.ndarray, n: int) -> np.ndarray:
     A(0)^2 + A(d)^2 = 4^k with k = (n+1)/2.  The only ways to write 4^k as
     a sum of two squares are (+-2^k)^2 + 0^2 and 0^2 + (+-2^k)^2: odd squares
     are 1 mod 4, so for k >= 1 both terms are even and halving them gives
-    4^(k-1), down to 1 = (+-1)^2 + 0^2.  So s0^2 is 0 or 2^(n+1).
+    4^(k-1), down to 1 = (+-1)^2 + 0^2.  So s0^2 is 0 or 2^(n+1): it has
+    no bit set but bit n+1.
     """
     q = 1 << n
     s0 = np.einsum("ij->j", signs, dtype=np.int64)  # 2-3x faster than sum(axis=0)
     s0 *= s0
-    return (s0 == q << 1) | (s0 == 0) if n & 1 else s0 == q
+    return (s0 & ~(q << 1)) == 0 if n & 1 else s0 == q
 
 
 def _flat_columns(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -268,25 +270,54 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     return found
 
 
-def components_flat(n: int, f, spec: FieldSpec | None = None) -> bool:
+def components_flat(n: int, f, spec: FieldSpec | None = None):
     """True iff every component of F but the zero one is flat at its own twist.
 
-    f holds F(x) in index order (2^n values, read as an int64 column);
+    f holds F(x) in index order: one table of 2^n values (gives a bool)
+    or a (2^n, m) stack, one table per column (gives an (m,) bool array);
     spec None for mv.  The component at twist c != 0 is
     parity(L_c & F(x)), L_c = c (mv) or dual[c^2] (uv), and it is tested
     with bent4_witnesses' screen and flatness test at c.  Its twisted
     spectrum is also the star-group character sum of the graph of F at
-    (u, c), which is how rds_verify_characters uses this.  Twists go in
-    bent4's blocks; the test stops at the first block that fails.
+    (u, c), which is how rds_verify_characters uses this.  Tables go in
+    groups of bent4's step // (q-1), so a block has at most step columns.
     """
     q = 1 << n
-    f = np.asarray(f, dtype=np.int64).reshape(q, 1)
+    f = np.asarray(f, dtype=np.int64)
+    if f.ndim == 1:
+        return bool(len(_flat_group(n, f.reshape(q, 1, 1), spec)))
+    group = max(1, _BLOCK_ENTRIES // q // (q - 1))
+    flat = np.zeros(f.shape[1], dtype=bool)
+    for first in range(0, f.shape[1], group):
+        flat[first + _flat_group(n, f[:, first : first + group, None], spec)] = True
+    return flat
+
+
+def _flat_group(n: int, f: np.ndarray, spec: FieldSpec | None) -> np.ndarray:
+    """Indices of the tables f[:, j, 0] (f is (2^n, k, 1)) that components_flat accepts.
+
+    Only the tables that pass the screen are butterflied.  k > 1 tables
+    fit every twist in one block; one table stops at the first failing block.
+    """
+    q = 1 << n
     t = None if spec is None else field_tables(spec)
-    step = max(1, _BLOCK_ENTRIES // q)
-    for lo in range(1, q, step):
-        c = np.arange(lo, min(q, lo + step))
+    live = np.arange(f.shape[1])
+    width = max(1, _BLOCK_ENTRIES // q // len(live))
+    for lo in range(1, q, width):
+        c = np.arange(lo, min(q, lo + width))
         lc = c if t is None else t.dual.take(t.mul(c, c))
-        signs, d = _twisted_signs(np.bitwise_count(lc & f) & 1, spec, c)
-        if not (_column_screen(signs, n).all() and _flat_columns(signs, d, n).all()):
-            return False
-    return True
+        k = len(live)
+        bits = (np.bitwise_count(lc & f) & 1).reshape(q, -1)
+        signs, d = _twisted_signs(bits, spec, c if k == 1 else np.tile(c, k))
+        ok = _column_screen(signs, n).reshape(k, -1).all(axis=1)
+        live = live[ok]
+        if not len(live):
+            break
+        if len(live) < k:  # take, not a mask: a C-contiguous block butterflies fastest
+            keep = ok.nonzero()[0]
+            signs = signs.reshape(q, k, -1).take(keep, axis=1).reshape(q, -1)
+            d = d.reshape(k, -1).take(keep, axis=0).reshape(-1)
+        live = live[_flat_columns(signs, d, n).reshape(len(live), -1).all(axis=1)]
+        if not len(live):
+            break
+    return live

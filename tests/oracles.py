@@ -10,10 +10,11 @@ import functools
 
 import numpy as np
 
-from mpf.boolfun import TruthTable, pack_bits
+from mpf.boolfun import TruthTable
 from mpf.errors import MpfError
 from mpf.gf2n import FieldSpec, dual_mask, fe_mul, field_tables, sigma, trace_n
 from mpf.planar import DOPolynomial, VectorialFunction
+from mpf.search import _check_bounds, candidate_function, class_size
 from mpf.transforms import GaussianInt, Spectrum, fwht
 
 QUARTER_RE = (1, 0, -1, 0)
@@ -80,7 +81,7 @@ def u_spectrum_weight_form(g: TruthTable, c: int) -> list[tuple[int, int]]:
     for u in range(size):
         re = im = 0
         for x in range(size):
-            k = ((c & x).bit_count() + 2 * (g.bit(x) ^ parity(u & x))) & 3
+            k = ((c & x).bit_count() + 2 * (bit(g, x) ^ parity(u & x))) & 3
             re += QUARTER_RE[k]
             im += QUARTER_IM[k]
         out.append((re, im))
@@ -100,7 +101,7 @@ def u_spectrum_symmetric_form(g: TruthTable, c: int) -> list[tuple[int, int]]:
         for x in range(size):
             w = (c & x).bit_count()
             s2 = (w * (w - 1) // 2) & 1
-            k = ((w & 1) + 2 * (g.bit(x) ^ s2 ^ parity(u & x))) & 3
+            k = ((w & 1) + 2 * (bit(g, x) ^ s2 ^ parity(u & x))) & 3
             re += QUARTER_RE[k]
             im += QUARTER_IM[k]
         out.append((re, im))
@@ -111,7 +112,7 @@ def v_spectrum_direct(spec: FieldSpec, g: TruthTable, c: int) -> list[tuple[int,
     """Direct O(4^n) sum using only scalar field operations."""
     size = g.size
     # The twist at x does not depend on u: (g(x) + sigma(c,x), Tr(cx)).
-    twist = [(g.bit(x) ^ sigma(spec, c, x), trace_n(spec, fe_mul(spec, c, x))) for x in range(size)]
+    twist = [(bit(g, x) ^ sigma(spec, c, x), trace_n(spec, fe_mul(spec, c, x))) for x in range(size)]
     out = []
     for u, tr_u in enumerate(trace_pairing(spec)):
         re = im = 0
@@ -145,7 +146,7 @@ def twisted_values_mv(g: TruthTable, c: int) -> list[tuple[int, int]]:
     """Pointwise (-1)^g(x) * i^wt(c&x), computed scalar."""
     out = []
     for x in range(g.size):
-        k = ((c & x).bit_count() + 2 * g.bit(x)) & 3
+        k = ((c & x).bit_count() + 2 * bit(g, x)) & 3
         out.append((QUARTER_RE[k], QUARTER_IM[k]))
     return out
 
@@ -154,7 +155,7 @@ def twisted_values_uv(spec: FieldSpec, g: TruthTable, c: int) -> list[tuple[int,
     """Pointwise (-1)^(g(x)+sigma(c,x)) * i^Tr(cx), computed scalar."""
     out = []
     for x in range(g.size):
-        k = (trace_n(spec, fe_mul(spec, c, x)) + 2 * (g.bit(x) ^ sigma(spec, c, x))) & 3
+        k = (trace_n(spec, fe_mul(spec, c, x)) + 2 * (bit(g, x) ^ sigma(spec, c, x))) & 3
         out.append((QUARTER_RE[k], QUARTER_IM[k]))
     return out
 
@@ -327,6 +328,42 @@ def inverse_twisted(s: Spectrum, spec: FieldSpec | None = None) -> np.ndarray:
     if (w & (s.size - 1)).any():
         raise ValueError("spectrum is not in the image of the transform")
     return w >> int(s.n)
+
+
+# ---------------------------------------------------------------------------
+# Codecs and enumerators that only the tests use; the library has no
+# caller for them.
+# ---------------------------------------------------------------------------
+
+def bit(g: TruthTable, t: int) -> int:
+    """The value of g at the point encoded by t."""
+    return (g.bits >> t) & 1
+
+
+def table_values(g: TruthTable) -> list[int]:
+    """g's 0/1 values in index order."""
+    return [bit(g, t) for t in range(g.size)]
+
+
+def pack_bits(array) -> int:
+    """Pack a 0/1 vector (index order) into a truth-table int."""
+    arr = np.asarray(array, dtype=np.uint8) & 1
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def table_to_json(g: TruthTable) -> dict:
+    return {"mode": g.mode, "n": g.n, "bits": f"0x{g.bits:x}"}
+
+
+def elements_to_json(elements) -> list:
+    return [[f"0x{v:x}" for v in e] for e in sorted(elements)]
+
+
+def enumerate_class(mode: str, n: int, klass: str):
+    """Yield every function of a search class exactly once, in canonical order."""
+    _check_bounds(mode, n, klass)
+    for index in range(class_size(mode, n, klass)):
+        yield candidate_function(mode, n, klass, index)
 
 
 # ---------------------------------------------------------------------------

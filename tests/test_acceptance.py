@@ -29,7 +29,7 @@ from mpf.rds import (
     rds_verify_bruteforce,
     rds_verify_characters,
 )
-from mpf.search import SearchJob, enumerate_class, report_to_json, run_search
+from mpf.search import SearchJob, report_to_json, run_search
 from mpf.transforms import (
     bent4_witnesses,
     fwht,
@@ -39,6 +39,7 @@ from mpf.transforms import (
 )
 from oracles import (
     character_eval,
+    enumerate_class,
     component_uv,
     inverse_twisted,
     is_balanced,

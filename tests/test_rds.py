@@ -4,12 +4,11 @@ import pytest
 
 from mpf.errors import BruteForceBoundsError, ElementRangeError, ForbiddenSubgroupError, NotASubgroupError
 from mpf.gf2n import make_field
-from oracles import character_eval, characters_direct, z4n_elements, z4n_order
+from oracles import character_eval, characters_direct, elements_to_json, z4n_elements, z4n_order
 from mpf.planar import VectorialFunction, is_modified_planar_perm
 from mpf.rds import (
     GroupSpec,
     elements_from_json,
-    elements_to_json,
     forbidden_subgroup,
     graph_of,
     group_elements,

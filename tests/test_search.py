@@ -2,17 +2,19 @@ import json
 
 import pytest
 
-from mpf.errors import SearchBoundsError
+from mpf import search
+from mpf.cli import main
+from mpf.errors import FilterDisagreementError, SearchBoundsError
 from mpf.gf2n import make_field
 from mpf.planar import VectorialFunction, is_modified_planar_perm
 from mpf.search import (
     SearchJob,
     candidate_function,
     class_size,
-    enumerate_class,
     report_to_json,
     run_search,
 )
+from oracles import enumerate_class
 
 F4 = make_field(2)
 
@@ -150,17 +152,16 @@ def test_shard_independence(shards):
     assert json.dumps(report_to_json(sharded)) == json.dumps(report_to_json(single))
 
 
-@pytest.mark.parametrize("shards, cpus, workers", [(64, 2, 2), (64, None, 1), (3, 8, 3)])
-def test_pool_workers_capped_at_cpu_count(shards, cpus, workers, monkeypatch):
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stands in for the process pool: records the worker cap and the payloads, runs shards here."""
     import concurrent.futures
 
-    seen = []
+    seen = {"workers": [], "payloads": []}
 
     class InProcessPool:
-        """Stands in for the process pool: records the cap, runs shards here."""
-
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            seen["workers"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -169,13 +170,76 @@ def test_pool_workers_capped_at_cpu_count(shards, cpus, workers, monkeypatch):
             return False
 
         def map(self, fn, payloads):
+            seen["payloads"].extend(payloads)
             return map(fn, payloads)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return seen
+
+
+@pytest.mark.parametrize("shards, cpus, workers", [(64, 2, 2), (64, None, 1), (3, 8, 3)])
+def test_pool_workers_capped_at_cpu_count(shards, cpus, workers, in_process_pool, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     sharded = run_search(SearchJob("mv", 2, "all", "both", shards=shards))
-    assert seen == [workers]
+    assert in_process_pool["workers"] == [workers]
     assert sharded == run_search(SearchJob("mv", 2, "all", "both"))
+
+
+def test_sampled_shards_capped_at_four_per_cpu(in_process_pool, monkeypatch):
+    # A sampled job's candidate count is --sample, so that cap alone would
+    # build one payload per draw.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    job = SearchJob("mv", 2, "all", "both", shards=10**6, sample=20000)
+    sharded = run_search(job)
+    assert 1 < len(in_process_pool["payloads"]) <= 8
+    assert sharded == run_search(SearchJob("mv", 2, "all", "both", sample=20000))
+
+
+def _flip_components(monkeypatch, indices):
+    """Flip the components verdict of the mv n = 2 candidates at indices, in the kernel search calls."""
+    flipped = {candidate_function("mv", 2, "all", i).table for i in indices}
+    real = search.components_flat
+
+    def flipping(n, f, spec=None):
+        verdicts = real(n, f, spec)
+        for j, table in enumerate(f.T.tolist()):
+            if tuple(table) in flipped:
+                verdicts[j] = not verdicts[j]
+        return verdicts
+
+    monkeypatch.setattr(search, "components_flat", flipping)
+
+
+# Indices of the exhaustive mv n = 2 job (256 candidates: one block per
+# shard); at 2 shards, 128.. is the second shard.
+_FLIPS = [[0], [5], [9, 5], [130], [250, 130], [200, 9]]
+
+
+@pytest.mark.parametrize("flips", _FLIPS, ids=str)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_filter_disagreement_stops_at_first_flipped_index(shards, flips, in_process_pool, monkeypatch):
+    _flip_components(monkeypatch, flips)
+    first = min(flips)
+    with pytest.raises(FilterDisagreementError, match=rf"at index {first}$") as exc:
+        run_search(SearchJob("mv", 2, "all", "both", shards=shards))
+    assert exc.value.function == candidate_function("mv", 2, "all", first)
+    assert len(in_process_pool["payloads"]) == (shards if shards > 1 else 0)
+    # The shard that meets it reports the candidates before it.
+    lo = 128 if shards == 2 and first >= 128 else 0
+    examined, passing, index = search._run_shard(("mv", 2, "all", "both", 0, None, lo, 256 // shards + lo))
+    assert (examined, index) == (first - lo, first)
+    planar = [is_modified_planar_perm(candidate_function("mv", 2, "all", i)).is_planar for i in range(lo, first)]
+    assert passing == [i for i, p in zip(range(lo, first), planar) if p]
+
+
+@pytest.mark.parametrize("shards", ["1", "2"])
+def test_cli_search_exits_4_on_filter_disagreement(shards, in_process_pool, monkeypatch, capsys):
+    _flip_components(monkeypatch, [9, 5])
+    argv = ["search", "--mode", "mv", "--n", "2", "--class", "all", "--filter", "both", "--shards", shards]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: planarity filters disagree at index 5"]
 
 
 def test_filters_agree_per_candidate():

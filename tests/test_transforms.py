@@ -27,6 +27,7 @@ from oracles import (
     characters_direct,
     component_mv,
     component_uv,
+    enumerate_class,
     inverse_twisted,
     is_balanced,
     linear_form_table,
@@ -686,6 +687,79 @@ def test_characters_flat_does_not_depend_on_block_size(mode, monkeypatch):
     assert [components_flat(n, f, spec) for f in tables] == verdicts
     assert [_rds_characters(g, enumerate(f)) for f in tables] == verdicts
     assert verdicts[-1] == (mode == "uv")
+
+
+def _stack_cases(mode):
+    """(n, spec, tables): every table at n <= 2, and every affine and DO table at n = 3."""
+    for n in (1, 2):
+        q = 1 << n
+        spec = make_field(n) if mode == "uv" else None
+        yield n, spec, [list(t) for t in itertools.product(range(q), repeat=q)]
+    tables = [list(F.table) for k in ("affine", "do_quadratic") for F in enumerate_class("uv", 3, k)]
+    yield 3, make_field(3) if mode == "uv" else None, tables
+
+
+@pytest.mark.parametrize("blocks", [1, 3, None])  # None keeps the default _BLOCK_ENTRIES
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_components_flat_stack_matches_single_tables_and_perm(mode, blocks, monkeypatch):
+    # Blocks of q and 3q entries split both the functions and the twists.
+    for n, spec, tables in _stack_cases(mode):
+        if blocks is not None:
+            monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", blocks << n)
+        stacked = components_flat(n, np.array(tables).T, spec)
+        assert stacked.dtype == bool and stacked.shape == (len(tables),)
+        alone = [components_flat(n, f, spec) for f in tables]
+        perm = [is_modified_planar_perm(VectorialFunction(mode, n, f, spec)).is_planar for f in tables]
+        assert stacked.tolist() == alone == perm
+        assert any(perm) and not all(perm) or n == 1
+
+
+# Modified planar mv tables at n = 2..4 (any mv table is at n = 1); the
+# uv zero function is modified planar at every n.
+_MV_PLANAR = {
+    2: [0, 0, 0, 3],
+    3: [0, 0, 0, 4, 0, 6, 7, 5],
+    4: [0, 0, 0, 11, 0, 12, 10, 13, 0, 15, 4, 0, 1, 2, 15, 7],
+}
+
+
+def _affine_table(n, images, const):
+    """x -> const + sum of images[i] over the bits i of x, in index order."""
+    table = [const]
+    for image in images:
+        table += [v ^ image for v in table]
+    return np.array(table)
+
+
+@st.composite
+def _stacks(draw):
+    mode = draw(st.sampled_from(["mv", "uv"]))
+    n = draw(st.integers(1, 6))
+    q = 1 << n
+    points = st.integers(0, q - 1)
+    affine = st.tuples(st.lists(points, min_size=n, max_size=n), points)
+    planar = [0] * q if mode == "uv" else _MV_PLANAR.get(n, [0] * q if n == 1 else None)
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        if planar is not None and draw(st.booleans()):
+            columns.append(planar ^ _affine_table(n, *draw(affine)))
+        else:
+            columns.append(np.array(draw(st.lists(points, min_size=q, max_size=q))))
+    order = draw(st.permutations(range(len(columns))))
+    return mode, n, np.stack(columns, axis=1), order, _affine_table(n, *draw(affine))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacks())
+def test_components_flat_stack_ignores_column_order_and_affine_shifts(case):
+    # F + A is modified planar iff F is: D_a(F + A) is D_a F shifted by the
+    # constant A(a) + A(0).
+    mode, n, stack, order, shift = case
+    spec = make_field(n) if mode == "uv" else None
+    verdicts = components_flat(n, stack, spec)
+    assert verdicts.tolist() == [components_flat(n, f, spec) for f in stack.T]
+    assert components_flat(n, stack[:, order], spec).tolist() == verdicts[order].tolist()
+    assert components_flat(n, stack ^ shift[:, None], spec).tolist() == verdicts.tolist()
 
 
 @pytest.mark.parametrize("block_entries", [16, 1 << 16])
