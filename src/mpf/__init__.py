@@ -12,7 +12,6 @@ from .boolfun import TruthTable, from_values, table_from_json, weight
 from .errors import (
     ElementRangeError,
     FilterDisagreementError,
-    ForbiddenSubgroupError,
     InputFormatError,
     InvalidModulusError,
     MpfError,

@@ -133,7 +133,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # of the component at c: one computation answers both verdicts.
     components = is_modified_planar_components(F)
     group = group_for(F)
-    brute = rds_verify_bruteforce(group, graph_of(F), forbidden_subgroup(group))
+    brute = rds_verify_bruteforce(group, graph_of(F))
     verdicts = (perm.is_planar, components, brute.is_rds)
     witness = f"0x{perm.witness_a:x}" if perm.witness_a is not None else None
     report = {
@@ -194,14 +194,11 @@ def _cmd_verify_rds(args: argparse.Namespace) -> int:
     obj = _load_json(args.file)
     group = group_from_json(obj["group"])
     R = elements_from_json(obj["elements"])
-    if obj.get("forbidden"):
-        N = elements_from_json(obj["forbidden"])
-    else:
-        N = forbidden_subgroup(group)
+    N = elements_from_json(obj["forbidden"]) if obj.get("forbidden") else None
     brute = rds_verify_bruteforce(group, R, N)
     characters = None
-    if frozenset(N) == forbidden_subgroup(group):
-        characters = rds_verify_characters(group, R, N)
+    if N is None or frozenset(N) == forbidden_subgroup(group):
+        characters = rds_verify_characters(group, R)
     report = {"format_version": "mpf.verify-rds.v1", "group": {"law": group.law, "n": group.n}}
     report.update(report_to_json(brute))
     report["character_criterion"] = characters
@@ -255,11 +252,9 @@ def _selftest_checks():
     yield "multivariate zero function is not", not is_modified_planar_perm(zero_mv).is_planar
     g = group_for(zero_uv)
     yield "graph of the univariate zero function is a (4,4,4,1)-RDS", rds_verify_bruteforce(
-        g, graph_of(zero_uv), forbidden_subgroup(g)
+        g, graph_of(zero_uv)
     ).is_rds
-    yield "character criterion agrees", rds_verify_characters(
-        g, graph_of(zero_uv), forbidden_subgroup(g)
-    )
+    yield "character criterion agrees", rds_verify_characters(g, graph_of(zero_uv))
     witnesses = bent4_witnesses(gu, f4)
     yield "zero function over GF(4) is bent4 exactly at nonzero twists", witnesses == {1, 2, 3}
     report = run_search(SearchJob("uv", 1, "all", "both"))

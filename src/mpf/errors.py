@@ -40,10 +40,6 @@ class NotASubgroupError(MpfError):
     """The claimed forbidden subgroup is not a subgroup."""
 
 
-class ForbiddenSubgroupError(MpfError):
-    """The character criterion only covers the canonical forbidden subgroup."""
-
-
 class BruteForceBoundsError(MpfError):
     """A brute-force RDS check exceeds the permitted amount of work."""
 

@@ -211,6 +211,7 @@ class _FieldTables:
         """
         return self.exp.take(self.log.take(a) + self.log.take(b))
 
+    @cached_property
     def frobenius_powers(self) -> list[np.ndarray]:
         """The n arrays x -> x^(2^i), i = 0..n-1, over every field element x."""
         q = self.spec.order
@@ -223,13 +224,19 @@ class _FieldTables:
 
     @cached_property
     def s2(self) -> np.ndarray:
-        """Table of sigma(1, y) over all y; sigma(c, x) = s2[c*x]."""
-        pows = self.frobenius_powers()
-        acc = np.zeros(self.spec.order, dtype=np.int64)
-        for i in range(self.spec.n):
-            for j in range(i + 1, self.spec.n):
-                acc ^= self.mul(pows[i], pows[j])
-        return acc
+        """Table of sigma(1, y) over all y; sigma(c, x) = s2[c*x].
+
+        Doubled over a = alpha^k by sigma(y + a) = sigma(y) + sigma(a) +
+        Tr(y)Tr(a) + Tr(ya); Tr(y) and Tr(ya) are bits 0 and k of dual[y].
+        """
+        spec, dual = self.spec, self.dual
+        out = np.zeros(spec.order, dtype=np.int64)
+        for k in range(spec.n):
+            step = 1 << k
+            low = dual[:step]
+            tr_a = int(dual[step]) & 1
+            out[step:2 * step] = out[:step] ^ sigma(spec, 1, step) ^ (low & tr_a) ^ ((low >> k) & 1)
+        return out
 
     @cached_property
     def sigma_exp(self) -> np.ndarray:

@@ -82,12 +82,12 @@ class DOPolynomial:
 def do_to_table(p: DOPolynomial) -> VectorialFunction:
     """Evaluate a DO polynomial on every point of the field.
 
-    The Frobenius powers x^(2^i) of every x are computed once; each term
-    then adds one array of products.
+    The Frobenius powers x^(2^i) of every x are built once per field and
+    cached; each term then adds one array of products.
     """
     spec = p.spec
     t = field_tables(spec)
-    pows = t.frobenius_powers()
+    pows = t.frobenius_powers
     acc = np.full(spec.order, p.constant, dtype=np.int64)
     for (i, j), a in p.quad.items():
         acc ^= t.mul(a, t.mul(pows[i], pows[j]))

@@ -6,11 +6,11 @@ coordinatewise product (star_mv) or the field product (star_uv).  Both
 are isomorphic to Z_4^n.
 
 A subset R is a relative difference set when every element outside the
-forbidden subgroup N = {0} x F has the same number of ordered-difference
+forbidden subgroup N has the same number of ordered-difference
 representations from R and no nonidentity element of N has any.  Two
-independent verifiers are provided: exhaustive difference counting, and
-the character-modulus criterion specialized to (2^n, 2^n, 2^n, 1)
-parameters.
+independent verifiers test (2^n, 2^n, 2^n, 1) graphs relative to the
+canonical N = {0} x F: exhaustive difference counting, which also takes
+any other N, and the character-modulus criterion.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     BruteForceBoundsError,
     ElementRangeError,
-    ForbiddenSubgroupError,
     NotASubgroupError,
     json_loader,
 )
@@ -36,9 +35,9 @@ LAWS = ("star_mv", "star_uv")
 
 Element = tuple[int, int]
 
-# Bound on the brute-force route's work: |R|^2 ordered differences, |N|^2
-# closure products and the scan of all |G| = 4^n elements.  It admits
-# every n <= 13 graph with the canonical subgroup.
+# Bound on the brute-force route's work: |R|^2 ordered differences, the
+# scan of all |G| = 4^n elements and, for a given N, |N|^2 closure
+# products.  It admits every n <= 13 graph with the canonical subgroup.
 MAX_PAIR_WORK = 1 << 26
 
 
@@ -130,18 +129,24 @@ def _check_subgroup(g: GroupSpec, N: frozenset) -> None:
                 raise NotASubgroupError(f"N not closed under the group law at {a}, {b}")
 
 
-def rds_verify_bruteforce(g: GroupSpec, R: Iterable[Element], N: Iterable[Element]) -> RdsReport:
+def rds_verify_bruteforce(
+    g: GroupSpec, R: Iterable[Element], N: Iterable[Element] | None = None
+) -> RdsReport:
     """Exhaustive ordered-difference count, d = r1 * r2^(-1).
 
-    The ordered-difference convention is fixed as r1 * r2^(-1); for
-    these groups the verdict does not depend on the choice.
+    N defaults to {0} x F, a subgroup by construction; a given N is range-
+    and closure-checked.  The convention does not change the verdict in
+    these groups.  lam is None, and is_rds false, when |R|(|R| - 1) is
+    not a multiple of |G| - |N|, or N is all of G.
     """
     R = list(R)
-    N = frozenset(N)
+    canonical = N is None
+    N = forbidden_subgroup(g) if canonical else frozenset(N)
     _check_pair_work(g, len(R), len(N))
     _check_elements(g, R)
-    _check_elements(g, N)
-    _check_subgroup(g, N)
+    if not canonical:
+        _check_elements(g, N)
+        _check_subgroup(g, N)
     identity = group_identity(g)
     counts: Counter = Counter()
     inverses = {r: group_inverse(g, r) for r in set(R)}
@@ -154,7 +159,7 @@ def rds_verify_bruteforce(g: GroupSpec, R: Iterable[Element], N: Iterable[Elemen
     k = len(R)
     mu = order // nu
     off_n = order - nu
-    lam_target = k * (k - 1) // off_n if k * (k - 1) % off_n == 0 else None
+    lam_target = k * (k - 1) // off_n if off_n and k * (k - 1) % off_n == 0 else None
     failing = None
     failing_count = None
     for d in group_elements(g):
@@ -177,20 +182,18 @@ def forbidden_subgroup(g: GroupSpec) -> frozenset:
     return frozenset((0, y) for y in range(q))
 
 
-def rds_verify_characters(g: GroupSpec, R: Iterable[Element], N: Iterable[Element]) -> bool:
+def rds_verify_characters(g: GroupSpec, R: Iterable[Element]) -> bool:
     """Character-modulus criterion at (2^n, 2^n, 2^n, 1) parameters.
 
     True iff |chi_{u,c}(R)|^2 = 2^n for every c != 0 and every u,
-    |chi_{u,0}(R)| = 0 for u != 0, and |chi_{0,0}(R)| = 2^n.  Only the
-    canonical forbidden subgroup is supported; the criterion is not
-    generalized to other parameter families.  Twist 0 is the butterfly
+    |chi_{u,0}(R)| = 0 for u != 0, and |chi_{0,0}(R)| = 2^n: R is then a
+    relative difference set relative to the canonical forbidden subgroup
+    {0} x F, the only one the criterion covers.  Twist 0 is the butterfly
     of the counts of each x, so it holds iff every x occurs exactly once:
     R is the graph of some F (Zhou 2013).  At c != 0 the character sum
     of a graph is the twisted spectrum of the component of F at c, so
     transforms.components_flat decides the rest from the sorted y column.
     """
-    if frozenset(N) != forbidden_subgroup(g):
-        raise ForbiddenSubgroupError("N must be the canonical forbidden subgroup {0} x F")
     R = list(R)
     _check_elements(g, R)
     pts = np.array(R, dtype=np.int64).reshape(-1, 2)

@@ -128,31 +128,32 @@ def _sample_index(seed: int, counter: int, size: int) -> int:
     return int.from_bytes(digest, "big") % size
 
 
-def _run_shard(payload: tuple) -> tuple[int, list[int], int | None]:
+def _run_shard(payload: tuple[SearchJob, int, int]) -> tuple[int, list[int], int | None]:
     """(examined, passing counters, index of the first disagreement or None).
 
+    The payload is the job and the counter range [lo, hi) of one shard.
     Each candidate is decoded and perm-tested alone; components_flat
     decides a block of at most _BLOCK_ENTRIES (function, twist) entries.
     """
-    mode, n, klass, filt, seed, sample, lo, hi = payload
-    size = class_size(mode, n, klass)
-    q = 1 << n
+    job, lo, hi = payload
+    size = class_size(job.mode, job.n, job.klass)
+    q = 1 << job.n
     block = max(1, _BLOCK_ENTRIES // (q * (q - 1)))
     examined = 0
     passing: list[int] = []
     for start in range(lo, hi, block):
         counters = range(start, min(hi, start + block))
-        indices = [c if sample is None else _sample_index(seed, c, size) for c in counters]
-        funcs = [candidate_function(mode, n, klass, index) for index in indices]
-        if filt != "components":
+        indices = [c if job.sample is None else _sample_index(job.seed, c, size) for c in counters]
+        funcs = [candidate_function(job.mode, job.n, job.klass, index) for index in indices]
+        if job.filter != "components":
             verdicts = [is_modified_planar_perm(F).is_planar for F in funcs]
-        if filt != "perm":
+        if job.filter != "perm":
             tables = np.array([F.table for F in funcs], dtype=np.int64).T
-            flat = components_flat(n, tables, funcs[0].spec).tolist()
+            flat = components_flat(job.n, tables, funcs[0].spec).tolist()
         agree = len(funcs)
-        if filt == "components":
+        if job.filter == "components":
             verdicts = flat
-        elif filt == "both":
+        elif job.filter == "both":
             agree = next((j for j, (a, b) in enumerate(zip(verdicts, flat)) if a != b), agree)
         examined += agree
         passing.extend(c for c, v in zip(counters[:agree], verdicts) if v)
@@ -179,11 +180,7 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
     # candidate count (past it they are empty) and at four per core (a
     # sampled job's count is --sample, which need not fit in memory).
     shards = max(1, min(job.shards, total, 4 * (os.cpu_count() or 1)))
-    payloads = [
-        (job.mode, job.n, job.klass, job.filter, job.seed, job.sample,
-         s * total // shards, (s + 1) * total // shards)
-        for s in range(shards)
-    ]
+    payloads = [(job, s * total // shards, (s + 1) * total // shards) for s in range(shards)]
     if shards == 1:
         results = [_run_shard(payloads[0])]
     else:
@@ -203,8 +200,8 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
                 f"planarity filters disagree at index {disagreement}", F
             )
         examined += shard_examined
+        # Shards cover ascending ranges and map keeps their order: sorted.
         passing_counters.extend(shard_passing)
-    passing_counters.sort()
 
     def decode(counter: int) -> VectorialFunction:
         index = (

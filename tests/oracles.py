@@ -13,7 +13,8 @@ import numpy as np
 from mpf.boolfun import TruthTable
 from mpf.errors import MpfError
 from mpf.gf2n import FieldSpec, dual_mask, fe_mul, field_tables, sigma, trace_n
-from mpf.planar import DOPolynomial, VectorialFunction
+from mpf.planar import DOPolynomial, VectorialFunction, is_modified_planar_components, is_modified_planar_perm
+from mpf.rds import graph_of, group_for, rds_verify_bruteforce, rds_verify_characters
 from mpf.search import _check_bounds, candidate_function, class_size
 from mpf.transforms import GaussianInt, Spectrum, fwht
 
@@ -331,6 +332,53 @@ def inverse_twisted(s: Spectrum, spec: FieldSpec | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The paper's multivariate version: phi(x, y) = (M x, L y + Q(x)) carries
+# star_uv onto star_mv and {0} x F onto itself, so it carries the graph of
+# a univariate F onto the graph of a multivariate G.  Built from scalar
+# field operations only.
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def transport_maps(spec: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The tables (M, Q, L) over the field.
+
+    Bit k of M(x) is Tr(alpha^k x^2), bit k of Q(x) is sigma(r_k, x) with
+    r_k^2 = alpha^k, and bit k of L(y) is Tr(alpha^k y).
+    """
+    n = spec.n
+    roots = []
+    for k in range(n):
+        r = 1 << k
+        for _ in range(n - 1):  # r^(2^(n-1)) squares to r^(2^n) = r
+            r = fe_mul(spec, r, r)
+        roots.append(r)
+
+    def table(bit_k):
+        return tuple(sum(bit_k(k, v) << k for k in range(n)) for v in spec.elements())
+
+    M = table(lambda k, x: trace_n(spec, fe_mul(spec, 1 << k, fe_mul(spec, x, x))))
+    Q = table(lambda k, x: sigma(spec, roots[k], x))
+    L = table(lambda k, y: trace_n(spec, fe_mul(spec, 1 << k, y)))
+    return M, Q, L
+
+
+def transport_point(spec: FieldSpec, a: tuple[int, int]) -> tuple[int, int]:
+    """phi(x, y) = (M x, L y + Q(x)) for an element of star_uv over spec."""
+    M, Q, L = transport_maps(spec)
+    x, y = a
+    return M[x], L[y] ^ Q[x]
+
+
+def transport_function(F: VectorialFunction) -> VectorialFunction:
+    """The multivariate G with G(M x) = L(F(x)) + Q(x), whose graph is phi(graph of F)."""
+    M, Q, L = transport_maps(F.spec)
+    table = [0] * F.size
+    for x, v in enumerate(F.table):
+        table[M[x]] = L[v] ^ Q[x]
+    return VectorialFunction("mv", F.n, tuple(table))
+
+
+# ---------------------------------------------------------------------------
 # Codecs and enumerators that only the tests use; the library has no
 # caller for them.
 # ---------------------------------------------------------------------------
@@ -357,6 +405,17 @@ def table_to_json(g: TruthTable) -> dict:
 
 def elements_to_json(elements) -> list:
     return [[f"0x{v:x}" for v in e] for e in sorted(elements)]
+
+
+def four_verdicts(F: VectorialFunction) -> tuple[bool, bool, bool, bool]:
+    """The library's perm, components, brute-force RDS and character verdicts on F."""
+    g = group_for(F)
+    return (
+        is_modified_planar_perm(F).is_planar,
+        is_modified_planar_components(F),
+        rds_verify_bruteforce(g, graph_of(F)).is_rds,
+        rds_verify_characters(g, graph_of(F)),
+    )
 
 
 def enumerate_class(mode: str, n: int, klass: str):

@@ -20,14 +20,9 @@ from mpf.planar import (
     is_modified_planar_perm,
 )
 from mpf.rds import (
-    forbidden_subgroup,
-    graph_of,
     group_elements,
-    group_for,
     group_op,
     GroupSpec,
-    rds_verify_bruteforce,
-    rds_verify_characters,
 )
 from mpf.search import SearchJob, report_to_json, run_search
 from mpf.transforms import (
@@ -41,6 +36,7 @@ from oracles import (
     character_eval,
     enumerate_class,
     component_uv,
+    four_verdicts,
     inverse_twisted,
     is_balanced,
     is_permutation,
@@ -62,21 +58,11 @@ def _report(criterion: int, elapsed: float, detail: str) -> None:
     print(f"criterion {criterion:2d}: PASS ({elapsed:6.2f}s) {detail}")
 
 
-def _four_verdicts(F: VectorialFunction):
-    g = group_for(F)
-    return (
-        is_modified_planar_perm(F).is_planar,
-        is_modified_planar_components(F),
-        rds_verify_bruteforce(g, graph_of(F), forbidden_subgroup(g)).is_rds,
-        rds_verify_characters(g, graph_of(F), forbidden_subgroup(g)),
-    )
-
-
 def test_criterion_01_grand_equivalence_mv():
     start = time.perf_counter()
     passing = 0
     for table in itertools.product(range(4), repeat=4):
-        verdicts = _four_verdicts(VectorialFunction("mv", 2, table))
+        verdicts = four_verdicts(VectorialFunction("mv", 2, table))
         assert len(set(verdicts)) == 1, table
         passing += verdicts[0]
     elapsed = time.perf_counter() - start
@@ -90,7 +76,7 @@ def test_criterion_02_grand_equivalence_uv():
     spec = make_field(2)
     passing = 0
     for table in itertools.product(range(4), repeat=4):
-        verdicts = _four_verdicts(VectorialFunction("uv", 2, table, spec))
+        verdicts = four_verdicts(VectorialFunction("uv", 2, table, spec))
         assert len(set(verdicts)) == 1, table
         passing += verdicts[0]
     elapsed = time.perf_counter() - start

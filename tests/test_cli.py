@@ -146,6 +146,21 @@ def test_verify_rds_bad_exits_1(tmp_path, capsys):
     assert obj["failing_element"] is not None
 
 
+def test_verify_rds_whole_group_as_forbidden_exits_1(tmp_path, capsys):
+    # |G| - |N| = 0: no lambda, so a false verdict with a report, not a crash.
+    everything = [[f"0x{x:x}", f"0x{y:x}"] for x in range(2) for y in range(2)]
+    payload = {"group": {"law": "star_mv", "n": 1}, "elements": [["0x0", "0x0"]], "forbidden": everything}
+    path = tmp_path / "rds.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify-rds", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    obj = json.loads(captured.out)
+    assert obj["parameters"] == {"mu": 1, "nu": 4, "k": 1, "lambda": None}
+    assert obj["is_rds"] is False
+    assert obj["character_criterion"] is None
+
+
 @pytest.mark.parametrize("bad", [["0x1", "0x9"], ["0x1"], 5, [1, 2]])
 def test_verify_rds_malformed_element_exits_3(tmp_path, capsys, bad):
     payload = {

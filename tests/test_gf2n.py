@@ -204,6 +204,22 @@ def test_sigma_addition_rule_random(n, data):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sigma_table_matches_scalar_sigma_everywhere(n):
+    spec = make_field(n)
+    assert field_tables(spec).s2.tolist() == [sigma(spec, 1, y) for y in spec.elements()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(10, 14), st.data())
+def test_sigma_table_reads_sigma_at_the_product(n, data):
+    # sigma(c, x) depends on c and x only through cx, so s2[cx] is the form.
+    spec = make_field(n)
+    c = data.draw(st.integers(0, spec.order - 1))
+    x = data.draw(st.integers(0, spec.order - 1))
+    assert field_tables(spec).s2[fe_mul(spec, c, x)] == sigma(spec, c, x)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_trace_mod4_identity(n):
     # with traces lifted to {0,1}: Tr(x) + Tr(y) = Tr(x+y) + 2 Tr(x)Tr(y) mod 4

@@ -1,11 +1,21 @@
+import itertools
 import random
 
 import pytest
 
-from mpf.errors import BruteForceBoundsError, ElementRangeError, ForbiddenSubgroupError, NotASubgroupError
+from mpf.errors import BruteForceBoundsError, ElementRangeError, NotASubgroupError
 from mpf.gf2n import make_field
-from oracles import character_eval, characters_direct, elements_to_json, z4n_elements, z4n_order
-from mpf.planar import VectorialFunction, is_modified_planar_perm
+from oracles import (
+    character_eval,
+    elements_to_json,
+    enumerate_class,
+    four_verdicts,
+    transport_function,
+    transport_point,
+    z4n_elements,
+    z4n_order,
+)
+from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm
 from mpf.rds import (
     GroupSpec,
     elements_from_json,
@@ -129,7 +139,7 @@ def test_characters_are_pairwise_distinct(g):
 
 def test_bruteforce_rds_zero_graph_uv():
     zero = VectorialFunction("uv", 2, (0, 0, 0, 0), F4)
-    report = rds_verify_bruteforce(UV, graph_of(zero), forbidden_subgroup(UV))
+    report = rds_verify_bruteforce(UV, graph_of(zero))
     assert (report.mu, report.nu, report.k, report.lam) == (4, 4, 4, 1)
     assert report.is_rds
     assert report.failing_element is None
@@ -137,7 +147,7 @@ def test_bruteforce_rds_zero_graph_uv():
 
 def test_bruteforce_rds_zero_graph_mv_fails():
     zero = VectorialFunction("mv", 2, (0, 0, 0, 0))
-    report = rds_verify_bruteforce(MV, graph_of(zero), forbidden_subgroup(MV))
+    report = rds_verify_bruteforce(MV, graph_of(zero))
     assert not report.is_rds
     assert report.failing_element is not None
 
@@ -146,6 +156,34 @@ def test_bruteforce_rds_r_equals_n():
     n_set = forbidden_subgroup(UV)
     report = rds_verify_bruteforce(UV, n_set, n_set)
     assert not report.is_rds
+
+
+def test_bruteforce_checks_only_a_given_subgroup(monkeypatch):
+    # The canonical {0} x F is a subgroup in range by construction: only R
+    # is range-checked.  A given N, even that same set, is checked in full.
+    import mpf.rds
+
+    checked = []
+    real_elements, real_subgroup = mpf.rds._check_elements, mpf.rds._check_subgroup
+    monkeypatch.setattr(mpf.rds, "_check_elements", lambda g, e: checked.append("elements") or real_elements(g, e))
+    monkeypatch.setattr(mpf.rds, "_check_subgroup", lambda g, N: checked.append("subgroup") or real_subgroup(g, N))
+    R = graph_of(VectorialFunction("uv", 2, (0, 0, 0, 0), F4))
+    default = rds_verify_bruteforce(UV, R)
+    assert checked == ["elements"]
+    checked.clear()
+    assert rds_verify_bruteforce(UV, R, forbidden_subgroup(UV)) == default
+    assert checked == ["elements", "elements", "subgroup"]
+
+
+@pytest.mark.parametrize("g", [GroupSpec("star_mv", 1), UV])
+def test_bruteforce_whole_group_as_forbidden_is_no_rds(g):
+    # |G| - |N| = 0 leaves lambda undefined, like any lambda that is not an integer.
+    elems = list(group_elements(g))
+    for R in ([group_identity(g)], elems):
+        report = rds_verify_bruteforce(g, R, elems)
+        assert (report.mu, report.nu, report.k) == (1, g.order, len(R))
+        assert report.lam is None
+        assert not report.is_rds
 
 
 def test_bruteforce_rejects_non_subgroup():
@@ -171,9 +209,9 @@ def test_bruteforce_work_is_bounded_at_2_26():
 
 def test_characters_verifier_examples():
     zero_uv = VectorialFunction("uv", 2, (0, 0, 0, 0), F4)
-    assert rds_verify_characters(UV, graph_of(zero_uv), forbidden_subgroup(UV))
+    assert rds_verify_characters(UV, graph_of(zero_uv))
     zero_mv = VectorialFunction("mv", 2, (0, 0, 0, 0))
-    assert not rds_verify_characters(MV, graph_of(zero_mv), forbidden_subgroup(MV))
+    assert not rds_verify_characters(MV, graph_of(zero_mv))
 
 
 @pytest.mark.parametrize(
@@ -188,7 +226,7 @@ def test_verifiers_reject_elements_outside_the_group(g, bad):
     with pytest.raises(ElementRangeError):
         rds_verify_bruteforce(g, [group_identity(g)], N + [bad])
     with pytest.raises(ElementRangeError):
-        rds_verify_characters(g, R, forbidden_subgroup(g))
+        rds_verify_characters(g, R)
 
 
 def test_characters_verifier_checks_the_trivial_twist():
@@ -196,14 +234,8 @@ def test_characters_verifier_checks_the_trivial_twist():
     # the c = 0 column, 16 at u = 0 and 0 elsewhere, tells it apart.
     for g in (UV, MV):
         R = [(0, 1), (0, 1)]
-        assert not rds_verify_characters(g, R, forbidden_subgroup(g))
-        assert not rds_verify_bruteforce(g, R, forbidden_subgroup(g)).is_rds
-
-
-def test_characters_verifier_requires_canonical_subgroup():
-    zero_uv = VectorialFunction("uv", 2, (0, 0, 0, 0), F4)
-    with pytest.raises(ForbiddenSubgroupError):
-        rds_verify_characters(UV, graph_of(zero_uv), [(0, 0), (1, 0)])
+        assert not rds_verify_characters(g, R)
+        assert not rds_verify_bruteforce(g, R).is_rds
 
 
 @pytest.mark.parametrize("g", [UV, MV])
@@ -213,8 +245,9 @@ def test_verifiers_agree_on_random_subsets(g):
     n_set = forbidden_subgroup(g)
     for _ in range(100):
         subset = rng.sample(elems, 4)
-        brute = rds_verify_bruteforce(g, subset, n_set)
-        assert rds_verify_characters(g, subset, n_set) == brute.is_rds
+        brute = rds_verify_bruteforce(g, subset)
+        assert rds_verify_bruteforce(g, subset, n_set) == brute
+        assert rds_verify_characters(g, subset) == brute.is_rds
 
 
 @pytest.mark.parametrize("g", [UV, MV])
@@ -257,8 +290,8 @@ def test_grand_chain_spot_checks():
         ):
             g = group_for(F)
             planar = is_modified_planar_perm(F).is_planar
-            report = rds_verify_bruteforce(g, graph_of(F), forbidden_subgroup(g))
-            chars = rds_verify_characters(g, graph_of(F), forbidden_subgroup(g))
+            report = rds_verify_bruteforce(g, graph_of(F))
+            chars = rds_verify_characters(g, graph_of(F))
             assert planar == report.is_rds == chars
 
 
@@ -274,3 +307,55 @@ def test_group_elements_are_listed_once_in_increasing_order(g):
     elems = list(group_elements(g))
     assert elems == sorted(set(elems))
     assert len(elems) == g.order
+
+
+# ---------------------------------------------------------------------------
+# The multivariate version: phi(x, y) = (M x, L y + Q(x)) from star_uv onto
+# star_mv (tests/oracles.py) moves a univariate F to a multivariate G.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_transport_is_an_isomorphism_onto_star_mv_that_fixes_the_forbidden_subgroup(n):
+    spec = make_field(n)
+    uv, mv = GroupSpec("star_uv", n, spec), GroupSpec("star_mv", n)
+    elems = list(group_elements(uv))
+    image = {a: transport_point(spec, a) for a in elems}
+    assert sorted(image.values()) == list(group_elements(mv))
+    assert {image[a] for a in forbidden_subgroup(uv)} == forbidden_subgroup(mv)
+    if n <= 3:
+        pairs = itertools.product(elems, elems)
+    else:
+        rng = random.Random(n)
+        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(3000)]
+    for a, b in pairs:
+        assert image[group_op(uv, a, b)] == group_op(mv, image[a], image[b]), (a, b)
+
+
+def _transport_cases():
+    """Every uv function at n <= 2, every DO quadratic at n = 3, a seeded sample at n = 4, 5."""
+    for n in (1, 2):
+        yield from enumerate_class("uv", n, "all")
+    yield from enumerate_class("uv", 3, "do_quadratic")
+    rng = random.Random(1611)
+    for n in (4, 5):
+        spec = make_field(n)
+        q = 1 << n
+        pairs = list(itertools.combinations(range(n), 2))
+        # x^5 is planar at n = 4; affine functions are planar at every n.
+        quads = [{(0, 2): 1}] if n == 4 else []
+        quads += [{}] * 4 + [{pair: rng.randrange(q) for pair in pairs} for _ in range(12)]
+        for quad in quads:
+            linearized = {i: rng.randrange(q) for i in range(n)}
+            yield do_to_table(DOPolynomial(spec, quad, linearized, rng.randrange(q)))
+
+
+def test_every_route_agrees_on_a_function_and_its_transport():
+    planar = 0
+    total = 0
+    for F in _transport_cases():
+        G = transport_function(F)
+        verdicts = set(four_verdicts(F) + four_verdicts(G))
+        assert len(verdicts) == 1, F.table
+        planar += verdicts.pop()
+        total += 1
+    assert 0 < planar < total

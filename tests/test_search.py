@@ -226,7 +226,7 @@ def test_filter_disagreement_stops_at_first_flipped_index(shards, flips, in_proc
     assert len(in_process_pool["payloads"]) == (shards if shards > 1 else 0)
     # The shard that meets it reports the candidates before it.
     lo = 128 if shards == 2 and first >= 128 else 0
-    examined, passing, index = search._run_shard(("mv", 2, "all", "both", 0, None, lo, 256 // shards + lo))
+    examined, passing, index = search._run_shard((SearchJob("mv", 2, "all", "both"), lo, 256 // shards + lo))
     assert (examined, index) == (first - lo, first)
     planar = [is_modified_planar_perm(candidate_function("mv", 2, "all", i)).is_planar for i in range(lo, first)]
     assert passing == [i for i, p in zip(range(lo, first), planar) if p]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from mpf.boolfun import TruthTable, from_values, weight
 from mpf.errors import NonPowerOfTwoError
 from mpf.gf2n import dual_mask, make_field, sigma
 from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm
-from mpf.rds import GroupSpec, forbidden_subgroup, group_elements, rds_verify_characters
+from mpf.rds import GroupSpec, group_elements, rds_verify_characters
 from mpf.transforms import (
     GaussianInt,
     Spectrum,
@@ -356,12 +357,24 @@ def test_bent4_butterflies_only_the_twists_that_pass_the_column_sum(mode, surviv
     # A random table of even weight (odd weight puts every A(0) at 2 mod 4)
     # passes the column sum A(0) = re + im of the spectrum at u = 0 at 20 to
     # 40 scattered twists, so survivors come from several blocks.
+    g, oracle, passing = _random_table_n8_expected(mode)
+    seen.clear()
+    assert bent4_witnesses(g, spec) == oracle
+    assert sum(seen) == passing > 1
+
+
+@functools.cache
+def _random_table_n8_expected(mode):
+    """A random n = 8 table, its literal-oracle witnesses and its twists passing the column sum.
+
+    The O(q^3) oracle is shared by the parametrizations of each mode.
+    """
+    n = 8
+    spec = make_field(n) if mode == "uv" else None
     g = TruthTable(n, random.Random(0).getrandbits(1 << n), mode)
     transform = transform_U if spec is None else lambda g, c: transform_V(spec, g, c)
     passing = sum(sum(transform(g, c).value(0)) ** 2 == 1 << n for c in range(1 << n))
-    seen.clear()
-    assert bent4_witnesses(g, spec) == _oracle_witnesses(g, spec)
-    assert sum(seen) == passing > 1
+    return g, _oracle_witnesses(g, spec), passing
 
 
 def _derivative_oracle_witnesses(g, spec):
@@ -540,11 +553,6 @@ def _star_group(mode, n):
     return GroupSpec("star_mv", n), None
 
 
-def _rds_characters(g, R):
-    """rds_verify_characters with the canonical forbidden subgroup."""
-    return rds_verify_characters(g, R, forbidden_subgroup(g))
-
-
 def _rds_norms(norms, q):
     """The (q, q, q, 1)-RDS character criterion read off a full [u][c] table."""
     return all(
@@ -561,7 +569,7 @@ def test_character_norms_match_oracle_on_every_graph_n2(mode):
         R = list(enumerate(table))
         direct = characters_direct(g, R)
         assert character_norms(2, R, spec).tolist() == direct, table
-        assert _rds_characters(g, R) == _rds_norms(direct, 4), table
+        assert rds_verify_characters(g, R) == _rds_norms(direct, 4), table
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
@@ -570,7 +578,7 @@ def test_character_norms_match_oracle_on_every_4_subset_n2(mode):
     for R in itertools.combinations(group_elements(g), 4):
         direct = characters_direct(g, R)
         assert character_norms(2, R, spec).tolist() == direct, R
-        assert _rds_characters(g, R) == _rds_norms(direct, 4), R
+        assert rds_verify_characters(g, R) == _rds_norms(direct, 4), R
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
@@ -682,10 +690,10 @@ def test_characters_flat_does_not_depend_on_block_size(mode, monkeypatch):
     tables = [[rng.randrange(16) for _ in range(16)] for _ in range(30)]
     tables.append([0] * 16)  # planar for uv, not for mv
     verdicts = [components_flat(n, f, spec) for f in tables]
-    assert [_rds_characters(g, enumerate(f)) for f in tables] == verdicts
+    assert [rds_verify_characters(g, enumerate(f)) for f in tables] == verdicts
     monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", 16)  # one twist per block
     assert [components_flat(n, f, spec) for f in tables] == verdicts
-    assert [_rds_characters(g, enumerate(f)) for f in tables] == verdicts
+    assert [rds_verify_characters(g, enumerate(f)) for f in tables] == verdicts
     assert verdicts[-1] == (mode == "uv")
 
 
@@ -779,7 +787,7 @@ def test_characters_flat_visits_every_twist_once(block_entries, monkeypatch):
     monkeypatch.setattr(mpf.transforms, "_BLOCK_ENTRIES", block_entries)
     g, spec = _star_group("uv", 5)
     zero = [(x, 0) for x in range(32)]  # modified planar in the univariate setting
-    assert _rds_characters(g, zero)
+    assert rds_verify_characters(g, zero)
     assert seen == list(range(1, 32))
     seen.clear()
     assert components_flat(5, [0] * 32, spec)
@@ -792,7 +800,7 @@ def test_characters_flat_matches_oracle_on_multisets(case):
     # Repeats, empty columns and |R| != q all fail the graph check.
     mode, n, points, _ = case
     g, spec = _star_group(mode, n)
-    assert _rds_characters(g, points) == _rds_norms(characters_direct(g, points), 1 << n)
+    assert rds_verify_characters(g, points) == _rds_norms(characters_direct(g, points), 1 << n)
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
@@ -806,7 +814,7 @@ def test_characters_flat_agrees_with_perm_on_sampled_graphs(mode, n):
         F = VectorialFunction(mode, n, [rng.randrange(q) for _ in range(q)], spec)
         planar = is_modified_planar_perm(F).is_planar
         assert components_flat(n, F.table, spec) == planar, F.table
-        assert _rds_characters(g, enumerate(F.table)) == planar, F.table
+        assert rds_verify_characters(g, enumerate(F.table)) == planar, F.table
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -820,7 +828,7 @@ def test_characters_flat_accepts_planar_affine_uv_functions(n):
         F = do_to_table(DOPolynomial(spec, linearized=lin, constant=rng.randrange(1 << n)))
         R = list(enumerate(F.table))
         rng.shuffle(R)
-        assert _rds_characters(g, R)
+        assert rds_verify_characters(g, R)
         assert components_flat(n, F.table, spec)
         assert is_modified_planar_perm(F).is_planar
         # One moved value: the routes must still agree.
@@ -830,4 +838,4 @@ def test_characters_flat_accepts_planar_affine_uv_functions(n):
         G = VectorialFunction("uv", n, table, spec)
         planar = is_modified_planar_perm(G).is_planar
         assert components_flat(n, table, spec) == planar
-        assert _rds_characters(g, enumerate(table)) == planar
+        assert rds_verify_characters(g, enumerate(table)) == planar
