@@ -45,7 +45,7 @@ class BruteForceBoundsError(MpfError):
 
 
 class SearchBoundsError(MpfError):
-    """Exhaustive search job exceeds the permitted size bounds."""
+    """Search job exceeds the permitted size bounds (n for exhaustive jobs, 4^n for sampled ones)."""
 
 
 class FilterDisagreementError(MpfError):

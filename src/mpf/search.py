@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .planar import (
     function_to_json,
     is_modified_planar_perm,
 )
+from .rds import MAX_PAIR_WORK
 from .transforms import _BLOCK_ENTRIES, components_flat
 
 CLASSES = ("all", "affine", "do_quadratic")
@@ -128,38 +130,43 @@ def _sample_index(seed: int, counter: int, size: int) -> int:
     return int.from_bytes(digest, "big") % size
 
 
-def _run_shard(payload: tuple[SearchJob, int, int]) -> tuple[int, list[int], int | None]:
-    """(examined, passing counters, index of the first disagreement or None).
+def _run_shard(
+    payload: tuple[SearchJob, int, int],
+) -> tuple[int, np.ndarray, tuple[int, VectorialFunction] | None]:
+    """(examined, passing tables, (index, function) of the first disagreement or None).
 
     The payload is the job and the counter range [lo, hi) of one shard.
-    Each candidate is decoded and perm-tested alone; components_flat
+    Each candidate is decoded once and perm-tested alone; components_flat
     decides a block of at most _BLOCK_ENTRIES (function, twist) entries.
+    The passing tables come back as one (k, 2^n) array in counter order,
+    in the narrowest unsigned dtype that holds 2^n - 1.
     """
     job, lo, hi = payload
     size = class_size(job.mode, job.n, job.klass)
     q = 1 << job.n
     block = max(1, _BLOCK_ENTRIES // (q * (q - 1)))
+    dtype = np.min_scalar_type(q - 1)
     examined = 0
-    passing: list[int] = []
+    passing = [np.empty((0, q), dtype=dtype)]
     for start in range(lo, hi, block):
         counters = range(start, min(hi, start + block))
         indices = [c if job.sample is None else _sample_index(job.seed, c, size) for c in counters]
         funcs = [candidate_function(job.mode, job.n, job.klass, index) for index in indices]
+        tables = np.array([F.table for F in funcs], dtype=dtype)
         if job.filter != "components":
             verdicts = [is_modified_planar_perm(F).is_planar for F in funcs]
         if job.filter != "perm":
-            tables = np.array([F.table for F in funcs], dtype=np.int64).T
-            flat = components_flat(job.n, tables, funcs[0].spec).tolist()
+            flat = components_flat(job.n, tables.T, funcs[0].spec).tolist()
         agree = len(funcs)
         if job.filter == "components":
             verdicts = flat
         elif job.filter == "both":
             agree = next((j for j, (a, b) in enumerate(zip(verdicts, flat)) if a != b), agree)
         examined += agree
-        passing.extend(c for c, v in zip(counters[:agree], verdicts) if v)
+        passing.append(tables[:agree][np.array(verdicts[:agree], dtype=bool)])
         if agree < len(funcs):
-            return examined, passing, indices[agree]
-    return examined, passing, None
+            return examined, np.concatenate(passing), (indices[agree], funcs[agree])
+    return examined, np.concatenate(passing), None
 
 
 def run_search(job: SearchJob, stream=None) -> SearchReport:
@@ -174,6 +181,9 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
     if job.sample is None:
         _check_bounds(job.mode, job.n, job.klass)
         total = class_size(job.mode, job.n, job.klass)
+    elif 4 ** job.n > MAX_PAIR_WORK:
+        # Each candidate costs about 4^n steps (q directions or twists of q points).
+        raise SearchBoundsError(f"sampled jobs are limited to 4^n <= {MAX_PAIR_WORK}, got n={job.n}")
     else:
         total = job.sample
     # The report does not depend on the shard count, so shards stop at the
@@ -192,42 +202,23 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
         with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_run_shard, payloads))
     examined = 0
-    passing_counters: list[int] = []
-    for shard_examined, shard_passing, disagreement in results:
+    for shard_examined, _, disagreement in results:
         if disagreement is not None:
-            F = candidate_function(job.mode, job.n, job.klass, disagreement)
-            raise FilterDisagreementError(
-                f"planarity filters disagree at index {disagreement}", F
-            )
+            index, F = disagreement
+            raise FilterDisagreementError(f"planarity filters disagree at index {index}", F)
         examined += shard_examined
-        # Shards cover ascending ranges and map keeps their order: sorted.
-        passing_counters.extend(shard_passing)
-
-    def decode(counter: int) -> VectorialFunction:
-        index = (
-            counter
-            if job.sample is None
-            else _sample_index(job.seed, counter, class_size(job.mode, job.n, job.klass))
-        )
-        return candidate_function(job.mode, job.n, job.klass, index)
-
-    kept = tuple(
-        decode(counter).table for counter in passing_counters[:REPORT_FUNCTION_CAP]
-    )
+    # Shards cover ascending ranges and map keeps their order: sorted.
+    passing = np.concatenate([tables for _, tables, _ in results])
     if stream is not None:
-        close = False
-        out = stream
-        if isinstance(stream, (str, bytes)):
-            out = open(stream, "w")
-            close = True
-        try:
-            for counter in passing_counters:
-                out.write(json.dumps(function_to_json(decode(counter))) + "\n")
-        finally:
-            if close:
-                out.close()
+        spec = make_field(job.n) if job.mode == "uv" else None
+        # A path is opened and closed here; a file the caller passes stays open.
+        with open(stream, "w") if isinstance(stream, (str, bytes)) else nullcontext(stream) as out:
+            for table in passing:
+                F = VectorialFunction(job.mode, job.n, table.tolist(), spec)
+                out.write(json.dumps(function_to_json(F)) + "\n")
+    kept = tuple(map(tuple, passing[:REPORT_FUNCTION_CAP].tolist()))
     cross_check = True if job.filter == "both" else None
-    return SearchReport(examined, len(passing_counters), kept, cross_check)
+    return SearchReport(examined, len(passing), kept, cross_check)
 
 
 def report_to_json(report: SearchReport) -> dict:

@@ -191,6 +191,49 @@ def test_bruteforce_rejects_non_subgroup():
         rds_verify_bruteforce(UV, [(0, 0)], [(0, 0), (1, 0)])
 
 
+def _is_subgroup(g, N):
+    """Oracle: N holds the identity, an inverse of each element, and every product."""
+    e = group_identity(g)
+    return (
+        e in N
+        and all(any(group_op(g, a, b) == e for b in N) for a in N)
+        and all(group_op(g, a, b) in N for a in N for b in N)
+    )
+
+
+def _subgroup_check_cases():
+    """Every subset of both groups at n = 1; at n = 2, seeded subgroups and one-element changes of them."""
+    for g in (GroupSpec("star_mv", 1), GroupSpec("star_uv", 1, make_field(1))):
+        elems = list(group_elements(g))
+        for mask in range(1 << len(elems)):
+            yield g, {a for i, a in enumerate(elems) if mask >> i & 1}
+    rng = random.Random(1213)
+    for g in (MV, UV):
+        elems = list(group_elements(g))
+        for _ in range(100):
+            N = {group_identity(g), *rng.sample(elems, rng.randint(0, 3))}
+            while (grown := N | {group_op(g, a, b) for a in N for b in N}) != N:
+                N = grown
+            if rng.random() < 0.5:
+                N ^= {rng.choice(elems)}
+            yield g, N
+
+
+def test_bruteforce_rejects_exactly_the_non_subgroups():
+    # Closure and the identity suffice in a finite group, so the check
+    # needs no inverse test: it must still agree with the full definition.
+    verdicts = []
+    for g, N in _subgroup_check_cases():
+        try:
+            rds_verify_bruteforce(g, [group_identity(g)], sorted(N))
+            rejected = False
+        except NotASubgroupError:
+            rejected = True
+        assert rejected == (not _is_subgroup(g, N)), (g, sorted(N))
+        verdicts.append(rejected)
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 20
+
+
 def test_bruteforce_work_is_bounded_at_2_26():
     # n = 13 is the largest n whose canonical subgroup and graph fit:
     # |N|^2 = |R|^2 = |G| = 2^26.

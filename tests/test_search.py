@@ -1,5 +1,7 @@
+import io
 import json
 
+import numpy as np
 import pytest
 
 from mpf import search
@@ -7,6 +9,7 @@ from mpf.cli import main
 from mpf.errors import FilterDisagreementError, SearchBoundsError
 from mpf.gf2n import make_field
 from mpf.planar import VectorialFunction, is_modified_planar_perm
+from mpf.rds import MAX_PAIR_WORK
 from mpf.search import (
     SearchJob,
     candidate_function,
@@ -71,6 +74,33 @@ def test_exhaustive_do_quadratic_n5_is_refused_before_decoding(monkeypatch, caps
     assert main(["search", "--mode", "uv", "--n", "5", "--class", "do_quadratic"]) == 3
     assert capsys.readouterr().err.startswith("error: exhaustive do_quadratic jobs are limited to n <= 4")
     assert decoded == []
+
+
+def test_sampled_jobs_are_bounded_per_candidate(monkeypatch, capsys):
+    # Each candidate costs about 4^n steps; past rds.MAX_PAIR_WORK (n >= 14)
+    # a sampled job is refused before its first candidate is decoded.
+    decoded = []
+    monkeypatch.setattr(search, "candidate_function", lambda *args: decoded.append(args))
+    argv = ["search", "--mode", "uv", "--n", "16", "--class", "affine", "--sample", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: sampled jobs are limited to 4^n <= {MAX_PAIR_WORK}, got n=16"]
+    with pytest.raises(SearchBoundsError):
+        run_search(SearchJob("uv", 14, "affine", sample=1))
+    assert decoded == []
+    assert run_search(SearchJob("uv", 13, "affine", sample=0)).examined == 0
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_each_candidate_is_decoded_once(stream, monkeypatch, tmp_path):
+    calls = []
+    real = search.candidate_function
+    monkeypatch.setattr(search, "candidate_function", lambda *args: calls.append(args) or real(*args))
+    job = SearchJob("uv", 3, "affine", seed=7, sample=400)
+    report = run_search(job, stream=str(tmp_path / "passing.jsonl") if stream else None)
+    assert report.examined == report.passing == 400  # every affine function is planar
+    assert len(calls) == 400
 
 
 def test_decoding_checks_the_default_modulus_once_per_degree(monkeypatch):
@@ -226,10 +256,12 @@ def test_filter_disagreement_stops_at_first_flipped_index(shards, flips, in_proc
     assert len(in_process_pool["payloads"]) == (shards if shards > 1 else 0)
     # The shard that meets it reports the candidates before it.
     lo = 128 if shards == 2 and first >= 128 else 0
-    examined, passing, index = search._run_shard((SearchJob("mv", 2, "all", "both"), lo, 256 // shards + lo))
+    examined, passing, (index, F) = search._run_shard((SearchJob("mv", 2, "all", "both"), lo, 256 // shards + lo))
     assert (examined, index) == (first - lo, first)
-    planar = [is_modified_planar_perm(candidate_function("mv", 2, "all", i)).is_planar for i in range(lo, first)]
-    assert passing == [i for i, p in zip(range(lo, first), planar) if p]
+    assert F == candidate_function("mv", 2, "all", first)
+    before = [candidate_function("mv", 2, "all", i) for i in range(lo, first)]
+    assert passing.dtype == np.uint8 and passing.shape[1:] == (4,)
+    assert passing.tolist() == [list(G.table) for G in before if is_modified_planar_perm(G).is_planar]
 
 
 @pytest.mark.parametrize("shards", ["1", "2"])
@@ -273,6 +305,10 @@ def test_stream_output(tmp_path):
     first = json.loads(lines[0])
     assert first["mode"] == "uv"
     assert first["table"] == ["0x0", "0x0"]
+    # A file the caller passes is written to and left open.
+    out = io.StringIO()
+    assert run_search(SearchJob("uv", 1, "all", "both"), stream=out) == report
+    assert out.getvalue() == path.read_text()
 
 
 def test_candidate_decode_round_trip():
