@@ -128,12 +128,14 @@ def _emit(args: argparse.Namespace, report: dict, lines: list[str] | None = None
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     F = function_from_json(_load_json(args.file))
+    # Brute force runs first: it refuses a graph past its work bound
+    # before the other routes spend time on it.
+    group = group_for(F)
+    brute = rds_verify_bruteforce(group, graph_of(F))
     perm = is_modified_planar_perm(F)
     # The character sums of the graph at twist c are the twisted spectrum
     # of the component at c: one computation answers both verdicts.
     components = is_modified_planar_components(F)
-    group = group_for(F)
-    brute = rds_verify_bruteforce(group, graph_of(F))
     verdicts = (perm.is_planar, components, brute.is_rds)
     witness = f"0x{perm.witness_a:x}" if perm.witness_a is not None else None
     report = {

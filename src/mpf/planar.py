@@ -39,7 +39,7 @@ class VectorialFunction:
         size = 1 << self.n
         if len(self.table) != size:
             raise ValueError(f"table must have {size} entries")
-        if any(not 0 <= v < size for v in self.table):
+        if min(self.table) < 0 or max(self.table) >= size:
             raise ValueError("table entries out of range")
         if self.mode == "uv":
             if self.spec is None or self.spec.n != self.n:
@@ -79,21 +79,43 @@ class DOPolynomial:
             raise ValueError("constant term out of range")
 
 
-def do_to_table(p: DOPolynomial) -> VectorialFunction:
-    """Evaluate a DO polynomial on every point of the field.
+def do_monomials(spec: FieldSpec, exponents) -> np.ndarray:
+    """(len(exponents), 2^n) rows x -> x^e over every field element x.
 
-    The Frobenius powers x^(2^i) of every x are built once per field and
-    cached; each term then adds one array of products.
+    x^e is the product of the cached Frobenius powers x^(2^k) over the
+    bits k of e, so e = 2^i + 2^j costs two products and e = 0 is the
+    constant 1 (at x = 0 too).
     """
-    spec = p.spec
     t = field_tables(spec)
     pows = t.frobenius_powers
-    acc = np.full(spec.order, p.constant, dtype=np.int64)
-    for (i, j), a in p.quad.items():
-        acc ^= t.mul(a, t.mul(pows[i], pows[j]))
-    for i, b in p.linearized.items():
-        acc ^= t.mul(b, pows[i])
-    return VectorialFunction("uv", spec.n, tuple(acc.tolist()), spec)
+    rows = np.ones((len(exponents), spec.order), dtype=np.int64)
+    for row, e in zip(rows, exponents):
+        for k in range(spec.n):
+            if e >> k & 1:
+                row[:] = t.mul(row, pows[k])
+    return rows
+
+
+def do_tables(spec: FieldSpec, monomials: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Tables of DO polynomials, one (2^n,) row per row of coeffs.
+
+    Row r is the xor over slots s of coeffs[r, s] * monomials[s], with
+    monomials from do_monomials: one field product over the whole
+    (rows, slots, 2^n) block.
+    """
+    products = field_tables(spec).mul(coeffs[:, :, None], monomials[None])
+    return np.bitwise_xor.reduce(products, axis=1)
+
+
+def do_to_table(p: DOPolynomial) -> VectorialFunction:
+    """Evaluate a DO polynomial on every point of the field."""
+    spec = p.spec
+    terms = [((1 << i) | (1 << j), a) for (i, j), a in p.quad.items()]
+    terms += [(1 << i, b) for i, b in p.linearized.items()]
+    terms.append((0, p.constant))
+    exponents, coeffs = zip(*terms)
+    row = do_tables(spec, do_monomials(spec, exponents), np.array([coeffs]))[0]
+    return VectorialFunction("uv", spec.n, row.tolist(), spec)
 
 
 @dataclass(frozen=True)
@@ -138,8 +160,8 @@ def is_modified_planar_perm(F: VectorialFunction) -> PlanarVerdict:
         arange = np.arange(size, dtype=np.int64)
     for a in range(1, size):
         if uv:
-            cross = mul(a, arange)
-            values = [table[x ^ a] ^ table[x] ^ int(cross[x]) for x in range(size)]
+            cross = mul(a, arange).tolist()
+            values = [table[x ^ a] ^ table[x] ^ cross[x] for x in range(size)]
         else:
             values = [table[x ^ a] ^ table[x] ^ (a & x) for x in range(size)]
         if len(set(values)) < size:

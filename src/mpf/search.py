@@ -21,9 +21,9 @@ import numpy as np
 from .errors import FilterDisagreementError, SearchBoundsError
 from .gf2n import MAX_DEGREE, make_field
 from .planar import (
-    DOPolynomial,
     VectorialFunction,
-    do_to_table,
+    do_monomials,
+    do_tables,
     function_to_json,
     is_modified_planar_perm,
 )
@@ -92,29 +92,44 @@ def class_size(mode: str, n: int, klass: str) -> int:
     return 1 << (n * _slot_count(n, klass))
 
 
-def _digits(index: int, q: int, count: int) -> list[int]:
-    out = []
-    for _ in range(count):
-        out.append(index % q)
-        index //= q
-    return out
+def slot_monomials(n: int, klass: str) -> np.ndarray | None:
+    """The (slots, 2^n) rows x -> x^e of a DO class's slot exponents.
+
+    affine slots are x^(2^i), i < n, then the constant; do_quadratic
+    slots are x^(2^i + 2^j), i < j, in lexicographic order.  None for
+    the all class, whose digits are the table itself.
+    """
+    if klass == "all":
+        return None
+    if klass == "affine":
+        exponents = [1 << i for i in range(n)] + [0]
+    elif klass == "do_quadratic":
+        exponents = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        raise ValueError(f"unknown class {klass!r}")
+    return do_monomials(make_field(n), exponents)
+
+
+def decode_block(n: int, monomials: np.ndarray | None, indices: list[int]) -> np.ndarray:
+    """The tables of the candidates at indices, one (len(indices), 2^n) int array.
+
+    An index is read as base-2^n digits over the slots, least significant
+    first; monomials is slot_monomials(n, klass).  Indices are Python ints
+    of up to n * slots bits (384 for all at n = 6), so they go through
+    their little-endian bytes, not a fixed-width integer.
+    """
+    count = 1 << n if monomials is None else len(monomials)
+    width = (n * count + 7) // 8
+    raw = np.frombuffer(b"".join(i.to_bytes(width, "little") for i in indices), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(indices), width), axis=1, bitorder="little")
+    digits = bits[:, : n * count].reshape(len(indices), count, n) @ (1 << np.arange(n))
+    return digits if monomials is None else do_tables(make_field(n), monomials, digits)
 
 
 def candidate_function(mode: str, n: int, klass: str, index: int) -> VectorialFunction:
     """Decode the index-th candidate of a class, in canonical order."""
-    q = 1 << n
-    digits = _digits(index, q, _slot_count(n, klass))
-    if klass == "all":
-        if mode == "mv":
-            return VectorialFunction("mv", n, tuple(digits))
-        return VectorialFunction("uv", n, tuple(digits), make_field(n))
-    spec = make_field(n)
-    if klass == "affine":
-        lin = {i: d for i, d in enumerate(digits[:n]) if d}
-        return do_to_table(DOPolynomial(spec, linearized=lin, constant=digits[n]))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    quad = {pair: d for pair, d in zip(pairs, digits) if d}
-    return do_to_table(DOPolynomial(spec, quad))
+    table = decode_block(n, slot_monomials(n, klass), [index])[0].tolist()
+    return VectorialFunction(mode, n, table, make_field(n) if mode == "uv" else None)
 
 
 def _check_bounds(mode: str, n: int, klass: str) -> None:
@@ -126,7 +141,17 @@ def _check_bounds(mode: str, n: int, klass: str) -> None:
 
 
 def _sample_index(seed: int, counter: int, size: int) -> int:
+    """A draw from [0, size) keyed by (seed, counter).
+
+    One SHA-256 digest covers every size up to 2^256; a larger class
+    takes further digests as its high-order bytes, so a draw reaches
+    every slot and smaller classes draw what they always drew.
+    """
     digest = hashlib.sha256(f"{seed}:{counter}".encode()).digest()
+    block = 1
+    while 256 * block < (size - 1).bit_length():
+        digest = hashlib.sha256(f"{seed}:{counter}:{block}".encode()).digest() + digest
+        block += 1
     return int.from_bytes(digest, "big") % size
 
 
@@ -136,14 +161,17 @@ def _run_shard(
     """(examined, passing tables, (index, function) of the first disagreement or None).
 
     The payload is the job and the counter range [lo, hi) of one shard.
-    Each candidate is decoded once and perm-tested alone; components_flat
-    decides a block of at most _BLOCK_ENTRIES (function, twist) entries.
+    Each block of candidates is decoded in one decode_block call and
+    decided by one components_flat call of at most _BLOCK_ENTRIES
+    (function, twist) entries; perm still tests each candidate alone.
     The passing tables come back as one (k, 2^n) array in counter order,
     in the narrowest unsigned dtype that holds 2^n - 1.
     """
     job, lo, hi = payload
     size = class_size(job.mode, job.n, job.klass)
     q = 1 << job.n
+    spec = make_field(job.n) if job.mode == "uv" else None
+    monomials = slot_monomials(job.n, job.klass)
     block = max(1, _BLOCK_ENTRIES // (q * (q - 1)))
     dtype = np.min_scalar_type(q - 1)
     examined = 0
@@ -151,20 +179,20 @@ def _run_shard(
     for start in range(lo, hi, block):
         counters = range(start, min(hi, start + block))
         indices = [c if job.sample is None else _sample_index(job.seed, c, size) for c in counters]
-        funcs = [candidate_function(job.mode, job.n, job.klass, index) for index in indices]
-        tables = np.array([F.table for F in funcs], dtype=dtype)
+        tables = decode_block(job.n, monomials, indices).astype(dtype)
         if job.filter != "components":
+            funcs = [VectorialFunction(job.mode, job.n, row, spec) for row in tables.tolist()]
             verdicts = [is_modified_planar_perm(F).is_planar for F in funcs]
         if job.filter != "perm":
-            flat = components_flat(job.n, tables.T, funcs[0].spec).tolist()
-        agree = len(funcs)
+            flat = components_flat(job.n, tables.T, spec).tolist()
+        agree = len(indices)
         if job.filter == "components":
             verdicts = flat
         elif job.filter == "both":
             agree = next((j for j, (a, b) in enumerate(zip(verdicts, flat)) if a != b), agree)
         examined += agree
         passing.append(tables[:agree][np.array(verdicts[:agree], dtype=bool)])
-        if agree < len(funcs):
+        if agree < len(indices):
             return examined, np.concatenate(passing), (indices[agree], funcs[agree])
     return examined, np.concatenate(passing), None
 

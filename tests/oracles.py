@@ -418,6 +418,16 @@ def four_verdicts(F: VectorialFunction) -> tuple[bool, bool, bool, bool]:
     )
 
 
+def class_polynomial(spec: FieldSpec, klass: str, index: int) -> DOPolynomial:
+    """The affine or do_quadratic candidate at index, read one base-2^n digit at a time."""
+    n, q = spec.n, spec.order
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    digits = [(index >> (n * s)) % q for s in range(n + 1 if klass == "affine" else len(pairs))]
+    if klass == "affine":
+        return DOPolynomial(spec, linearized=dict(enumerate(digits[:n])), constant=digits[n])
+    return DOPolynomial(spec, quad=dict(zip(pairs, digits)))
+
+
 def enumerate_class(mode: str, n: int, klass: str):
     """Yield every function of a search class exactly once, in canonical order."""
     _check_bounds(mode, n, klass)

@@ -273,6 +273,23 @@ def test_analyze_computes_the_character_sums_once(uv_zero_file, monkeypatch, cap
     assert obj["planar_components"] is obj["rds_characters"] is True
 
 
+def test_analyze_refuses_a_graph_past_the_brute_force_bound_before_any_route(tmp_path, monkeypatch, capsys):
+    # At n = 14 the perm route alone ran for minutes before the brute-force
+    # route refused the 4^n group scan.
+    import mpf.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "is_modified_planar_perm", lambda F: calls.append(F))
+    F = VectorialFunction("uv", 14, (0,) * (1 << 14), make_field(14))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(function_to_json(F)))
+    assert main(["analyze", "--file", str(path)]) == 3
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: brute-force RDS work 268435456 at n=14 exceeds the bound 67108864"]
+
+
 # Runs the CLI under a 1 GiB address-space cap, so an unchecked 2^n
 # allocation fails fast instead of taking the machine's memory.
 _CAPPED_MAIN = """

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from mpf.planar import (
     is_modified_planar_components,
     is_modified_planar_perm,
 )
-from oracles import component_mv, component_uv, do_table_pointwise, is_permutation, table_values
+from mpf.search import class_size, decode_block, slot_monomials
+from oracles import class_polynomial, component_mv, component_uv, do_table_pointwise, is_permutation, table_values
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -76,18 +79,16 @@ def test_do_to_table_matches_pointwise_evaluation():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_do_to_table_matches_oracle_on_every_affine_and_quadratic(n):
+    # do_to_table and the search block decoder are one evaluator; both
+    # are held to the scalar oracle on every member of both classes.
     spec = make_field(n)
-    q = 1 << n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    polys = [
-        DOPolynomial(spec, linearized=dict(enumerate(coeffs[:n])), constant=coeffs[n])
-        for coeffs in itertools.product(range(q), repeat=n + 1)
-    ] + [
-        DOPolynomial(spec, quad=dict(zip(pairs, coeffs)))
-        for coeffs in itertools.product(range(q), repeat=len(pairs))
-    ]
-    for p in polys:
-        assert do_to_table(p).table == do_table_pointwise(p)
+    for klass in ("affine", "do_quadratic"):
+        indices = range(class_size("uv", n, klass))
+        polys = [class_polynomial(spec, klass, i) for i in indices]
+        expect = [do_table_pointwise(p) for p in polys]
+        assert [do_to_table(p).table for p in polys] == expect
+        block = decode_block(n, slot_monomials(n, klass), list(indices))
+        assert list(map(tuple, block.tolist())) == expect
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -102,6 +103,10 @@ def test_do_to_table_matches_oracle_on_a_sample(n):
         lin = {i: rng.randrange(q) for i in range(n)}
         p = DOPolynomial(spec, quad, lin, rng.randrange(q))
         assert do_to_table(p).table == do_table_pointwise(p)
+    for klass in ("affine", "do_quadratic"):
+        indices = [rng.randrange(class_size("uv", n, klass)) for _ in range(64)]
+        block = decode_block(n, slot_monomials(n, klass), indices)
+        assert list(map(tuple, block.tolist())) == [do_table_pointwise(class_polynomial(spec, klass, i)) for i in indices]
 
 
 def test_component_mv_examples():
@@ -198,6 +203,32 @@ def test_affine_term_keeps_the_whole_verdict(n, data):
     verdict = is_modified_planar_perm(F)
     assert is_modified_planar_perm(G) == verdict
     assert is_modified_planar_components(G) == is_modified_planar_components(F) == verdict.is_planar
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(1, 6), st.data())
+def test_adding_an_affine_function_keeps_the_perm_verdict(mode, n, data):
+    # D_a(F + A)(x) = D_a F(x) + L(a) for A = L + b with L linear: every
+    # derivative moves by a constant, so the verdict, the first bad
+    # direction and its smallest colliding pair all stay put.
+    q = 1 << n
+    elem = st.integers(0, q - 1)
+    spec = make_field(n) if mode == "uv" else None
+    if mode == "uv" and data.draw(st.booleans()):
+        quad = {(i, j): data.draw(elem) for i in range(n) for j in range(i + 1, n)}
+        table = do_table_pointwise(DOPolynomial(spec, quad))  # planar more often than a random table
+    else:
+        table = data.draw(st.lists(elem, min_size=q, max_size=q))
+    if mode == "uv":
+        lin = {i: data.draw(elem) for i in range(n)}
+        affine = do_table_pointwise(DOPolynomial(spec, linearized=lin, constant=data.draw(elem)))
+    else:
+        columns = [data.draw(elem) for _ in range(n)]
+        b = data.draw(elem)
+        affine = [functools.reduce(operator.xor, [c for k, c in enumerate(columns) if x >> k & 1], b) for x in range(q)]
+    F = VectorialFunction(mode, n, table, spec)
+    G = VectorialFunction(mode, n, [u ^ v for u, v in zip(table, affine)], spec)
+    assert is_modified_planar_perm(G) == is_modified_planar_perm(F)
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])

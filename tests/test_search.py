@@ -1,8 +1,11 @@
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpf import search
 from mpf.cli import main
@@ -68,7 +71,7 @@ def test_exhaustive_do_quadratic_n5_is_refused_before_decoding(monkeypatch, caps
     from mpf.cli import main
 
     decoded = []
-    monkeypatch.setattr(mpf.search, "candidate_function", lambda *args: decoded.append(args))
+    monkeypatch.setattr(mpf.search, "decode_block", lambda *args: decoded.append(args))
     with pytest.raises(SearchBoundsError):
         run_search(SearchJob("uv", 5, "do_quadratic"))
     assert main(["search", "--mode", "uv", "--n", "5", "--class", "do_quadratic"]) == 3
@@ -80,7 +83,7 @@ def test_sampled_jobs_are_bounded_per_candidate(monkeypatch, capsys):
     # Each candidate costs about 4^n steps; past rds.MAX_PAIR_WORK (n >= 14)
     # a sampled job is refused before its first candidate is decoded.
     decoded = []
-    monkeypatch.setattr(search, "candidate_function", lambda *args: decoded.append(args))
+    monkeypatch.setattr(search, "decode_block", lambda *args: decoded.append(args))
     argv = ["search", "--mode", "uv", "--n", "16", "--class", "affine", "--sample", "1"]
     assert main(argv) == 3
     captured = capsys.readouterr()
@@ -94,13 +97,13 @@ def test_sampled_jobs_are_bounded_per_candidate(monkeypatch, capsys):
 
 @pytest.mark.parametrize("stream", [False, True])
 def test_each_candidate_is_decoded_once(stream, monkeypatch, tmp_path):
-    calls = []
-    real = search.candidate_function
-    monkeypatch.setattr(search, "candidate_function", lambda *args: calls.append(args) or real(*args))
+    rows = []
+    real = search.decode_block
+    monkeypatch.setattr(search, "decode_block", lambda n, monomials, indices: rows.extend(indices) or real(n, monomials, indices))
     job = SearchJob("uv", 3, "affine", seed=7, sample=400)
     report = run_search(job, stream=str(tmp_path / "passing.jsonl") if stream else None)
     assert report.examined == report.passing == 400  # every affine function is planar
-    assert len(calls) == 400
+    assert len(rows) == 400
 
 
 def test_decoding_checks_the_default_modulus_once_per_degree(monkeypatch):
@@ -316,6 +319,49 @@ def test_candidate_decode_round_trip():
         F = candidate_function("mv", 2, "all", index)
         rebuilt = sum(v << (2 * x) for x, v in enumerate(F.table))
         assert rebuilt == index
+
+
+# Cases of both decoding routes (digits as the table, and DO evaluation),
+# with the 384-bit indices of all at n = 6 and the empty slot list of
+# do_quadratic at n = 1.
+_DECODE_CASES = [
+    ("mv", 2, "all"), ("mv", 6, "all"), ("uv", 6, "all"), ("uv", 1, "do_quadratic"),
+    ("uv", 1, "affine"), ("uv", 4, "affine"), ("uv", 5, "do_quadratic"), ("uv", 7, "do_quadratic"),
+]
+
+
+@pytest.mark.parametrize("mode, n, klass", _DECODE_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_block_decodes_like_its_indices_one_at_a_time(mode, n, klass, data):
+    q = 1 << n
+    indices = data.draw(st.lists(st.integers(0, class_size(mode, n, klass) - 1), min_size=1, max_size=12))
+    monomials = search.slot_monomials(n, klass)
+    rows = search.decode_block(n, monomials, indices).tolist()
+    assert rows == [list(candidate_function(mode, n, klass, i).table) for i in indices]
+    if klass == "all":
+        assert rows == [[(i >> (n * x)) % q for x in range(q)] for i in indices]
+    order = data.draw(st.permutations(range(len(indices))))
+    assert search.decode_block(n, monomials, [indices[j] for j in order]).tolist() == [rows[j] for j in order]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(indices)), max_size=3)))
+    bounds = list(zip([0] + cuts, cuts + [len(indices)]))
+    parts = [search.decode_block(n, monomials, indices[a:b]) for a, b in bounds]
+    assert np.concatenate(parts).tolist() == rows
+
+
+def test_sampled_draws_reach_every_slot_of_large_classes():
+    # mv n = 6 all has 2^384 candidates; one 256-bit digest left F(x) = 0
+    # for every x >= 43 in every draw.
+    size = class_size("mv", 6, "all")
+    tables = [candidate_function("mv", 6, "all", search._sample_index(1701, c, size)).table for c in range(200)]
+    assert all(any(t[x] for t in tables) for x in range(64))
+    size = class_size("uv", 9, "do_quadratic")  # 2^324
+    assert max(search._sample_index(5, c, size) for c in range(50)).bit_length() > 256
+    # Classes up to 2^256 draw what one digest gives, as they always did.
+    for size in (class_size("uv", 5, "do_quadratic"), class_size("uv", 8, "do_quadratic"), 1 << 256):
+        for c in range(20):
+            digest = hashlib.sha256(f"3:{c}".encode()).digest()
+            assert search._sample_index(3, c, size) == int.from_bytes(digest, "big") % size
 
 
 def test_report_json_shape():
