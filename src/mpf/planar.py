@@ -7,7 +7,8 @@ ways: directly from the permutation definition (every shifted
 derivative F(x+a) + F(x) + a*x must be a bijection), or through the
 components, whose twisted spectra must all be flat.  The two verdicts
 coincide; the library keeps both routes so they can cross-check each
-other.
+other.  Both decide a block of tables in one call (perm_witnesses and
+transforms.components_flat), which is how the search filters use them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import transforms
 from .errors import json_loader
 from .gf2n import MAX_DEGREE, FieldSpec, field_from_json, field_tables, field_to_json
-from .transforms import components_flat
 
 
 @dataclass(frozen=True)
@@ -145,28 +146,62 @@ def _first_collision(values: list[int]) -> tuple[int, int]:
     return best
 
 
+def perm_witnesses(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
+    """(m,) int64: the smallest bad direction of each row of an (m, 2^n) table block, 0 if none.
+
+    Direction a is bad for a row F when x -> F(x+a) + F(x) + a*x is not a
+    bijection (a*x is the field product when spec is given, the
+    coordinatewise product otherwise).  Blocks hold at most _BLOCK_ENTRIES
+    derivative values (rows x directions x 2^n): the cross term is built
+    once per block of directions, one boolean scatter at row offsets marks
+    the values each (row, direction) hits, and a row leaves at its first
+    bad block.  The first block of directions is one wide and each next one
+    twice as wide, so a row that fails at a small direction costs little.
+    """
+    q = 1 << n
+    tables = np.asarray(tables)
+    witnesses = np.zeros(len(tables), dtype=np.int64)
+    x = np.arange(q)
+    directions = x[:, None]
+    mul = field_tables(spec).mul if spec is not None else None
+    pairs = max(1, transforms._BLOCK_ENTRIES // q)  # (row, direction) pairs per block
+    step = max(1, pairs // (q - 1))
+    for start in range(0, len(tables), step):
+        live = np.arange(start, min(start + step, len(tables)))
+        lo, width = 1, 1
+        while lo < q and len(live):
+            a = directions[lo : lo + width]
+            cross = mul(a, x) if mul is not None else a & x
+            t = tables[live]
+            values = t[:, a ^ x] ^ t[:, None, :] ^ cross
+            seen = np.zeros(values.size, dtype=bool)
+            seen[values.reshape(-1, q) + np.arange(0, values.size, q)[:, None]] = True
+            good = seen.reshape(values.shape).all(axis=-1)
+            keep = good.all(axis=1)
+            if not keep.all():
+                witnesses[live[~keep]] = lo + good[~keep].argmin(axis=1)
+                live = live[keep]
+            lo += width
+            width = min(2 * width, max(1, pairs // max(1, len(live))))
+    return witnesses
+
+
 def is_modified_planar_perm(F: VectorialFunction) -> PlanarVerdict:
     """Permutation-definition verdict: F(x+a) + F(x) + a*x bijective for all a != 0.
 
     The cross term a*x is the coordinatewise product for mv and the
-    field product for uv.  On failure the witness is the smallest bad
-    direction a, with the lexicographically smallest colliding pair.
+    field product for uv.  perm_witnesses finds the smallest bad direction
+    a; the lexicographically smallest colliding pair is read off that
+    direction alone.
     """
-    size = F.size
+    a = int(perm_witnesses(F.n, np.array([F.table]), F.spec)[0])
+    if not a:
+        return PlanarVerdict(True)
     table = F.table
-    uv = F.mode == "uv"
-    if uv:
-        mul = field_tables(F.spec).mul
-        arange = np.arange(size, dtype=np.int64)
-    for a in range(1, size):
-        if uv:
-            cross = mul(a, arange).tolist()
-            values = [table[x ^ a] ^ table[x] ^ cross[x] for x in range(size)]
-        else:
-            values = [table[x ^ a] ^ table[x] ^ (a & x) for x in range(size)]
-        if len(set(values)) < size:
-            return PlanarVerdict(False, a, _first_collision(values))
-    return PlanarVerdict(True)
+    x = np.arange(F.size)
+    cross = field_tables(F.spec).mul(a, x) if F.spec is not None else a & x
+    values = [table[i ^ a] ^ table[i] ^ c for i, c in enumerate(cross.tolist())]
+    return PlanarVerdict(False, a, _first_collision(values))
 
 
 def is_modified_planar_components(F: VectorialFunction) -> bool:
@@ -175,7 +210,7 @@ def is_modified_planar_components(F: VectorialFunction) -> bool:
     transforms.components_flat screens and butterflies the components of
     F's table in batched blocks of twists.
     """
-    return components_flat(F.n, F.table, F.spec)
+    return transforms.components_flat(F.n, F.table, F.spec)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .planar import (
     do_monomials,
     do_tables,
     function_to_json,
-    is_modified_planar_perm,
+    perm_witnesses,
 )
 from .rds import MAX_PAIR_WORK
 from .transforms import _BLOCK_ENTRIES, components_flat
@@ -162,10 +162,11 @@ def _run_shard(
 
     The payload is the job and the counter range [lo, hi) of one shard.
     Each block of candidates is decoded in one decode_block call and
-    decided by one components_flat call of at most _BLOCK_ENTRIES
-    (function, twist) entries; perm still tests each candidate alone.
-    The passing tables come back as one (k, 2^n) array in counter order,
-    in the narrowest unsigned dtype that holds 2^n - 1.
+    decided by one perm_witnesses call and one components_flat call, each
+    on at most _BLOCK_ENTRIES (function, direction or twist, point)
+    entries.  A VectorialFunction is built only for a disagreement.  The
+    passing tables come back as one (k, 2^n) array in counter order, in
+    the narrowest unsigned dtype that holds 2^n - 1.
     """
     job, lo, hi = payload
     size = class_size(job.mode, job.n, job.klass)
@@ -181,19 +182,19 @@ def _run_shard(
         indices = [c if job.sample is None else _sample_index(job.seed, c, size) for c in counters]
         tables = decode_block(job.n, monomials, indices).astype(dtype)
         if job.filter != "components":
-            funcs = [VectorialFunction(job.mode, job.n, row, spec) for row in tables.tolist()]
-            verdicts = [is_modified_planar_perm(F).is_planar for F in funcs]
+            verdicts = perm_witnesses(job.n, tables, spec) == 0
         if job.filter != "perm":
-            flat = components_flat(job.n, tables.T, spec).tolist()
+            flat = components_flat(job.n, tables.T, spec)
         agree = len(indices)
         if job.filter == "components":
             verdicts = flat
         elif job.filter == "both":
-            agree = next((j for j, (a, b) in enumerate(zip(verdicts, flat)) if a != b), agree)
+            agree = int(next(iter(np.flatnonzero(verdicts != flat)), agree))
         examined += agree
-        passing.append(tables[:agree][np.array(verdicts[:agree], dtype=bool)])
+        passing.append(tables[:agree][verdicts[:agree]])
         if agree < len(indices):
-            return examined, np.concatenate(passing), (indices[agree], funcs[agree])
+            F = VectorialFunction(job.mode, job.n, tables[agree].tolist(), spec)
+            return examined, np.concatenate(passing), (indices[agree], F)
     return examined, np.concatenate(passing), None
 
 

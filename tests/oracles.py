@@ -13,7 +13,13 @@ import numpy as np
 from mpf.boolfun import TruthTable
 from mpf.errors import MpfError
 from mpf.gf2n import FieldSpec, dual_mask, fe_mul, field_tables, sigma, trace_n
-from mpf.planar import DOPolynomial, VectorialFunction, is_modified_planar_components, is_modified_planar_perm
+from mpf.planar import (
+    DOPolynomial,
+    PlanarVerdict,
+    VectorialFunction,
+    is_modified_planar_components,
+    is_modified_planar_perm,
+)
 from mpf.rds import graph_of, group_for, rds_verify_bruteforce, rds_verify_characters
 from mpf.search import _check_bounds, candidate_function, class_size
 from mpf.transforms import GaussianInt, Spectrum, fwht
@@ -164,6 +170,25 @@ def twisted_values_uv(spec: FieldSpec, g: TruthTable, c: int) -> list[tuple[int,
 def is_permutation(values) -> bool:
     values = list(values)
     return len(set(values)) == len(values)
+
+
+def perm_verdict_direct(F: VectorialFunction) -> PlanarVerdict:
+    """The permutation definition read literally, one direction at a time.
+
+    Directions a = 1, 2, ... are tried in order, and D_a F(x) = F(x+a) +
+    F(x) + a*x takes its cross term from scalar products (fe_mul for uv,
+    a & x for mv).  The first D_a that is not a bijection is the witness;
+    its smallest colliding pair is the first point whose value comes up
+    again, with the next point that takes that value.
+    """
+    table = F.table
+    for a in range(1, F.size):
+        cross = [fe_mul(F.spec, a, x) if F.mode == "uv" else a & x for x in range(F.size)]
+        values = [table[x ^ a] ^ table[x] ^ cross[x] for x in range(F.size)]
+        if not is_permutation(values):
+            x1 = next(x for x, v in enumerate(values) if values.count(v) > 1)
+            return PlanarVerdict(False, a, (x1, values.index(values[x1], x1 + 1)))
+    return PlanarVerdict(True)
 
 
 def spectrum_pairs(s) -> list[tuple[int, int]]:

@@ -1,11 +1,15 @@
 import functools
 import itertools
 import operator
+import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpf.transforms
 from mpf.gf2n import fe_mul, make_field, trace_n
 from mpf.planar import (
     DOPolynomial,
@@ -15,9 +19,19 @@ from mpf.planar import (
     function_to_json,
     is_modified_planar_components,
     is_modified_planar_perm,
+    perm_witnesses,
 )
 from mpf.search import class_size, decode_block, slot_monomials
-from oracles import class_polynomial, component_mv, component_uv, do_table_pointwise, is_permutation, table_values
+from oracles import (
+    class_polynomial,
+    component_mv,
+    component_uv,
+    do_table_pointwise,
+    is_permutation,
+    perm_verdict_direct,
+    table_values,
+    transport_function,
+)
 
 F4 = make_field(2)
 F8 = make_field(3)
@@ -259,6 +273,110 @@ def test_perm_verdict_matches_raw_permutation_check():
             for a in range(1, 4)
         )
         assert is_modified_planar_perm(F).is_planar == expect
+
+
+def _perm_answers(mode, n, rows):
+    """is_modified_planar_perm on each row, and perm_witnesses at several block sizes."""
+    spec = make_field(n) if mode == "uv" else None
+    verdicts = [is_modified_planar_perm(VectorialFunction(mode, n, row, spec)) for row in rows]
+    witnesses = []
+    # 64 entries hold one direction of one row from n = 6 on, so the
+    # direction blocks, the row chunks and the survivors all run small.
+    for block_entries in (mpf.transforms._BLOCK_ENTRIES, 64, 512):
+        with mock.patch.object(mpf.transforms, "_BLOCK_ENTRIES", block_entries):
+            witnesses.append(perm_witnesses(n, np.array(rows, dtype=np.uint8), spec).tolist())
+    return verdicts, witnesses
+
+
+@pytest.mark.parametrize(
+    "mode, n, klass", [("mv", 2, "all"), ("uv", 1, "all"), ("uv", 2, "all"), ("uv", 3, "affine"), ("uv", 3, "do_quadratic")]
+)
+def test_perm_matches_the_direct_oracle_on_whole_classes(mode, n, klass):
+    rows = decode_block(n, slot_monomials(n, klass), list(range(class_size(mode, n, klass)))).tolist()
+    spec = make_field(n) if mode == "uv" else None
+    expect = [perm_verdict_direct(VectorialFunction(mode, n, row, spec)) for row in rows]
+    verdicts, witnesses = _perm_answers(mode, n, rows)
+    assert verdicts == expect
+    assert witnesses == [[v.witness_a or 0 for v in expect]] * 3
+
+
+def _quadratic_rows(mode, n, coeffs):
+    """The uv DO quadratic of each coefficient list, or its mv transport."""
+    spec = make_field(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = [do_table_pointwise(DOPolynomial(spec, dict(zip(pairs, c)))) for c in coeffs]
+    if mode == "mv":
+        rows = [transport_function(VectorialFunction("uv", n, row, spec)).table for row in rows]
+    return [list(row) for row in rows]
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_perm_matches_the_direct_oracle_on_seeded_tables(mode, n):
+    # Random tables mostly fail at a = 1; DO quadratics (moved to mv by
+    # the transport) fail where L_a has a kernel, and the zero quadratic
+    # and its transport are planar.
+    rng = random.Random(1500 + 10 * n + (mode == "uv"))
+    q = 1 << n
+    slots = n * (n - 1) // 2
+    rows = [[rng.randrange(q) for _ in range(q)] for _ in range(10)]
+    rows += _quadratic_rows(mode, n, [[0] * slots] + [[rng.randrange(q) for _ in range(slots)] for _ in range(10)])
+    spec = make_field(n) if mode == "uv" else None
+    expect = [perm_verdict_direct(VectorialFunction(mode, n, row, spec)) for row in rows]
+    verdicts, witnesses = _perm_answers(mode, n, rows)
+    assert verdicts == expect
+    assert witnesses == [[v.witness_a or 0 for v in expect]] * 3
+    assert expect[10].is_planar and len({v.witness_a for v in expect}) > 2
+
+
+def _draw_rows(mode, n, data):
+    """Random tables and DO quadratics (their transports for mv), in any mix."""
+    q = 1 << n
+    elem = st.integers(0, q - 1)
+    rows = []
+    for quadratic in data.draw(st.lists(st.booleans(), min_size=1, max_size=10)):
+        if quadratic:
+            coeffs = data.draw(st.lists(elem, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+            rows += _quadratic_rows(mode, n, [coeffs])
+        else:
+            rows.append(data.draw(st.lists(elem, min_size=q, max_size=q)))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(1, 6), st.data())
+def test_a_perm_block_answers_like_its_rows_one_at_a_time(mode, n, data):
+    spec = make_field(n) if mode == "uv" else None
+    rows = _draw_rows(mode, n, data)
+    order = data.draw(st.permutations(range(len(rows))))
+    single = [is_modified_planar_perm(VectorialFunction(mode, n, row, spec)).witness_a or 0 for row in rows]
+    block_entries = data.draw(st.sampled_from([16, 64, 256, 1 << 15]))
+    with mock.patch.object(mpf.transforms, "_BLOCK_ENTRIES", block_entries):
+        block = perm_witnesses(n, np.array([rows[i] for i in order]), spec)
+    assert block.dtype == np.int64
+    assert block.tolist() == [single[i] for i in order]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(1, 6), st.data())
+def test_an_affine_term_keeps_each_rows_first_bad_direction(mode, n, data):
+    # D_a(F + A) = D_a F + L(a) for A = L + b with L linear, so every row
+    # of a block keeps its first bad direction, whatever each row adds.
+    q = 1 << n
+    elem = st.integers(0, q - 1)
+    field = make_field(n)
+    rows = _draw_rows(mode, n, data)
+    shifted = []
+    for row in rows:
+        columns = [data.draw(elem) for _ in range(n)]
+        b = data.draw(elem)
+        if mode == "uv":
+            affine = do_table_pointwise(DOPolynomial(field, linearized=dict(enumerate(columns)), constant=b))
+        else:
+            affine = [functools.reduce(operator.xor, [c for k, c in enumerate(columns) if x >> k & 1], b) for x in range(q)]
+        shifted.append([u ^ v for u, v in zip(row, affine)])
+    spec = field if mode == "uv" else None
+    assert perm_witnesses(n, np.array(shifted), spec).tolist() == perm_witnesses(n, np.array(rows), spec).tolist()
 
 
 def test_corollary_balanced_derivative_bridge():

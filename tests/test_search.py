@@ -300,6 +300,47 @@ def test_sampled_jobs_shard_identically():
     assert run_search(job1) == run_search(job3)
 
 
+def test_sampled_jobs_count_repeated_draws():
+    # 500 draws from the 64 uv n = 2 affine functions must repeat; each
+    # repeat is examined and, every affine function being planar, passes.
+    reports = [run_search(SearchJob("uv", 2, "affine", "both", seed=3, sample=500, shards=s)) for s in (1, 3)]
+    assert reports[0].examined == reports[0].passing == len(reports[0].passing_functions) == 500
+    assert len(set(reports[0].passing_functions)) <= 64
+    assert json.dumps(report_to_json(reports[1])) == json.dumps(report_to_json(reports[0]))
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        SearchJob("mv", 2, "all", "both"),
+        SearchJob("uv", 3, "do_quadratic", "perm"),
+        SearchJob("uv", 3, "affine", "both", seed=5, sample=300),
+        SearchJob("uv", 5, "do_quadratic", "both", seed=2, sample=40),
+    ],
+    ids=str,
+)
+def test_search_reports_do_not_depend_on_the_block_size(job, monkeypatch):
+    expect = run_search(job)
+    # 256 entries: one candidate a search block from n = 4 on, and one
+    # direction a perm block at n = 5.
+    monkeypatch.setattr("mpf.search._BLOCK_ENTRIES", 256)
+    monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", 256)
+    assert run_search(job) == expect
+
+
+def test_shards_build_a_function_only_for_a_disagreement(monkeypatch):
+    built = []
+    real = search.VectorialFunction
+    monkeypatch.setattr(search, "VectorialFunction", lambda *args: built.append(args) or real(*args))
+    job = SearchJob("mv", 2, "all", "both")
+    assert search._run_shard((job, 0, 256))[2] is None
+    assert built == []
+    _flip_components(monkeypatch, [9])
+    built.clear()  # the flip decodes its candidate through candidate_function
+    assert search._run_shard((job, 0, 256))[2][0] == 9
+    assert len(built) == 1
+
+
 def test_stream_output(tmp_path):
     path = tmp_path / "passing.jsonl"
     report = run_search(SearchJob("uv", 1, "all", "both"), stream=str(path))
