@@ -140,19 +140,27 @@ def _check_bounds(mode: str, n: int, klass: str) -> None:
         )
 
 
-def _sample_index(seed: int, counter: int, size: int) -> int:
-    """A draw from [0, size) keyed by (seed, counter).
+def _sampler(seed: int, size: int):
+    """draw(counter): a draw from [0, size) keyed by (seed, counter).
 
-    One SHA-256 digest covers every size up to 2^256; a larger class
-    takes further digests as its high-order bytes, so a draw reaches
-    every slot and smaller classes draw what they always drew.
+    The digest is SHA-256 of "seed:counter", taken from one hasher of the
+    "seed:" prefix.  One digest covers every size up to 2^256; a larger
+    class takes further digests as its high-order bytes, so a draw
+    reaches every slot and smaller classes draw what they always drew.
     """
-    digest = hashlib.sha256(f"{seed}:{counter}".encode()).digest()
-    block = 1
-    while 256 * block < (size - 1).bit_length():
-        digest = hashlib.sha256(f"{seed}:{counter}:{block}".encode()).digest() + digest
-        block += 1
-    return int.from_bytes(digest, "big") % size
+    prefix = hashlib.sha256(f"{seed}:".encode())
+
+    def draw(counter: int) -> int:
+        h = prefix.copy()
+        h.update(b"%d" % counter)
+        digest = h.digest()
+        block = 1
+        while 256 * block < (size - 1).bit_length():
+            digest = hashlib.sha256(f"{seed}:{counter}:{block}".encode()).digest() + digest
+            block += 1
+        return int.from_bytes(digest, "big") % size
+
+    return draw
 
 
 def _run_shard(
@@ -175,11 +183,12 @@ def _run_shard(
     monomials = slot_monomials(job.n, job.klass)
     block = max(1, _BLOCK_ENTRIES // (q * (q - 1)))
     dtype = np.min_scalar_type(q - 1)
+    draw = None if job.sample is None else _sampler(job.seed, size)
     examined = 0
     passing = [np.empty((0, q), dtype=dtype)]
     for start in range(lo, hi, block):
         counters = range(start, min(hi, start + block))
-        indices = [c if job.sample is None else _sample_index(job.seed, c, size) for c in counters]
+        indices = list(counters) if draw is None else [draw(c) for c in counters]
         tables = decode_block(job.n, monomials, indices).astype(dtype)
         if job.filter != "components":
             verdicts = perm_witnesses(job.n, tables, spec) == 0
@@ -220,23 +229,28 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
     # sampled job's count is --sample, which need not fit in memory).
     shards = max(1, min(job.shards, total, 4 * (os.cpu_count() or 1)))
     payloads = [(job, s * total // shards, (s + 1) * total // shards) for s in range(shards)]
-    if shards == 1:
-        results = [_run_shard(payloads[0])]
-    else:
+    # The caller is one of w processes, w - 1 of them pool workers: it runs
+    # shards 0, w, 2w, ... while the workers take the rest.  Shards fix the
+    # report; processes beyond the cores would only contend.
+    w = min(shards, os.cpu_count() or 1)
+    pool = None
+    if w > 1:
         # Imported only here: the process pool machinery adds about 1 MiB of
         # resident memory that in-process jobs and the other verbs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        # Shards fix the report; workers beyond the cores would only contend.
-        with ProcessPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(_run_shard, payloads))
+        pool = ProcessPoolExecutor(max_workers=w - 1)
+    with pool or nullcontext():
+        theirs = pool.map(_run_shard, [p for s, p in enumerate(payloads) if s % w]) if pool else None
+        mine = iter([_run_shard(p) for p in payloads[::w]])
+        results = [next(theirs) if s % w else next(mine) for s in range(shards)]
     examined = 0
     for shard_examined, _, disagreement in results:
         if disagreement is not None:
             index, F = disagreement
             raise FilterDisagreementError(f"planarity filters disagree at index {index}", F)
         examined += shard_examined
-    # Shards cover ascending ranges and map keeps their order: sorted.
+    # Shards cover ascending ranges and results keep shard order: sorted.
     passing = np.concatenate([tables for _, tables, _ in results])
     if stream is not None:
         spec = make_field(job.n) if job.mode == "uv" else None

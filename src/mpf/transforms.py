@@ -12,8 +12,11 @@ position u carries the character x -> (-1)^Tr(ux).
 
 That identity serves all three kernels: transform_U / transform_V read one
 spectrum off it, and bent4_witnesses and components_flat screen each twist
-by its column sum A(0) and butterfly only the twists that can still be
-flat.  components_flat tests each component L_c.F of F's table at its own
+by flatness at u = 0 (_column_screen: the column sum A(0), with A(d)
+beside it for odd n) and butterfly only the twists that pass.  For odd n
+the screen is exact on a quadratic b, as every twisted component of an
+affine or DO F is, so those reach the butterfly only when flat.
+components_flat tests each component L_c.F of F's table at its own
 twist c, L_c = c (mv) or dual[c^2] (uv); that spectrum is the star-group
 character sum of the graph of F at (u, c), so the RDS character route
 shares it.  Each kernel knows a bound on its partial sums (2^n for +-1
@@ -196,22 +199,34 @@ def is_flat(s: Spectrum) -> bool:
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _column_screen(signs: np.ndarray, n: int) -> np.ndarray:
-    """Which columns of (-1)^b (2^n, m) can still be flat, by their sums alone.
+def _column_screen(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """Which columns of (-1)^b (2^n, m), with their d, pass flatness at u = 0.
 
-    The sum s0 of column c is A(0), and flatness at c needs
-    A(u)^2 + A(u^d)^2 = 2^(n+1) for every u.  For even n that forces
-    |A(u)| = 2^(n/2), so s0^2 = 2^n.  For odd n, u = 0 gives
-    A(0)^2 + A(d)^2 = 4^k with k = (n+1)/2.  The only ways to write 4^k as
-    a sum of two squares are (+-2^k)^2 + 0^2 and 0^2 + (+-2^k)^2: odd squares
-    are 1 mod 4, so for k >= 1 both terms are even and halving them gives
-    4^(k-1), down to 1 = (+-1)^2 + 0^2.  So s0^2 is 0 or 2^(n+1): it has
-    no bit set but bit n+1.
+    Flatness at column c needs A(u)^2 + A(u^d)^2 = 2^(n+1) for every u.
+    For even n that forces |A(u)| = 2^(n/2), and the screen tests
+    s0^2 = 2^n for the column sum s0 = A(0).  For odd n it tests u = 0
+    itself: A(0)^2 + A(d)^2 = 2^(n+1), with A(d) = s0 - 2 (sum of s(x)
+    over the x with d.x = 1).  Either way it is a necessary condition, so
+    a flat column always passes.
+
+    For odd n it is also exact when b is quadratic (degree <= 2), as every
+    twisted component of an affine or DO F is.  Such a b is plateaued:
+    A(u)^2 is 0 or 2^(n+r) and its support is a coset of a subspace H of
+    codimension r, with n - r even.  So the sum of two squares reaches
+    2^(n+1) only when r = 1 and exactly one of u, u^d lies in that coset,
+    that is when d is not in H, which does not depend on u.  A quadratic
+    column that fails anywhere fails at u = 0, and only flat ones reach
+    the butterfly.
     """
     q = 1 << n
     s0 = np.einsum("ij->j", signs, dtype=np.int64)  # 2-3x faster than sum(axis=0)
-    s0 *= s0
-    return (s0 & ~(q << 1)) == 0 if n & 1 else s0 == q
+    if not n & 1:
+        return s0 * s0 == q
+    odd = np.bitwise_count(np.arange(q, dtype=np.int32)[:, None] & d.astype(np.int32)).view(np.int8)
+    odd &= 1
+    odd *= signs  # s(x) where d.x = 1, else 0
+    ad = s0 - 2 * np.einsum("ij->j", odd, dtype=np.int64)
+    return s0 * s0 + ad * ad == q << 1
 
 
 def _flat_columns(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -238,7 +253,7 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     Nonempty means g is bent4; membership of 0 means bent, and of the
     all-ones point (mv) or the unit element (uv) means negabent.
 
-    Each block of twists is first screened by its column sums
+    Each block of twists is first screened by flatness at u = 0
     (_column_screen).  A block whose columns all pass is butterflied
     where it is (_flat_columns); the other blocks set their surviving
     twists aside, and a second pass rebuilds the signs of those in full
@@ -258,7 +273,7 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     for lo in range(0, q, step):
         c = np.arange(lo, min(q, lo + step))
         signs, d = _twisted_signs(bits, spec, c)
-        keep = _column_screen(signs, g.n)
+        keep = _column_screen(signs, d, g.n)
         if keep.all():  # nothing to drop, so rebuilding would be pure cost
             found.update(c[_flat_columns(signs, d, g.n)].tolist())
         else:
@@ -309,7 +324,7 @@ def _flat_group(n: int, f: np.ndarray, spec: FieldSpec | None) -> np.ndarray:
         k = len(live)
         bits = (np.bitwise_count(lc & f) & 1).reshape(q, -1)
         signs, d = _twisted_signs(bits, spec, c if k == 1 else np.tile(c, k))
-        ok = _column_screen(signs, n).reshape(k, -1).all(axis=1)
+        ok = _column_screen(signs, d, n).reshape(k, -1).all(axis=1)
         live = live[ok]
         if not len(live):
             break

@@ -339,6 +339,26 @@ def do_table_pointwise(p: DOPolynomial) -> tuple[int, ...]:
     return tuple(table)
 
 
+def affine_representatives(n: int) -> list[list[int]]:
+    """Every table on 2^n points with F(0) = 0 and F(2^i) = 0 for each i < n.
+
+    Every table is F + A for exactly one of these F and one affine map A
+    (A(0) = F(0), A(2^i) = F(2^i) + F(0)), and adding A moves each
+    derivative F(x+a) + F(x) + a*x by the constant A(a) + A(0): the
+    permutation verdict, its witness and its collision stay put.  So at
+    n = 3 these 4096 tables stand for all 2^24.
+    """
+    q = 1 << n
+    free = [x for x in range(q) if x & (x - 1)]  # not 0 and not a unit vector
+    tables = []
+    for index in range(q ** len(free)):
+        table = [0] * q
+        for k, x in enumerate(free):
+            table[x] = index >> (n * k) & (q - 1)
+        tables.append(table)
+    return tables
+
+
 def inverse_twisted(s: Spectrum, spec: FieldSpec | None = None) -> np.ndarray:
     """Recover the twisted point values from a spectrum, exactly.
 

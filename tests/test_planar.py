@@ -23,6 +23,7 @@ from mpf.planar import (
 )
 from mpf.search import class_size, decode_block, slot_monomials
 from oracles import (
+    affine_representatives,
     class_polynomial,
     component_mv,
     component_uv,
@@ -298,6 +299,28 @@ def test_perm_matches_the_direct_oracle_on_whole_classes(mode, n, klass):
     verdicts, witnesses = _perm_answers(mode, n, rows)
     assert verdicts == expect
     assert witnesses == [[v.witness_a or 0 for v in expect]] * 3
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_perm_verdict_matches_the_oracle_on_every_table_up_to_affine_terms(mode, n):
+    # is_modified_planar_perm tests a = 1 in Python before the kernel, so
+    # witness_a and collision come from either path.  n = 1 is every table
+    # (n = 2 is in the whole-class test above); at n = 3 the 4096 tables
+    # with F(0) = F(2^i) = 0 stand for all 2^24, since adding an affine map
+    # moves each derivative by a constant, and seeded tables without that
+    # normalisation ride along.
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    if n == 1:
+        tables = [list(t) for t in itertools.product(range(q), repeat=q)]
+    else:
+        rng = random.Random(1603)
+        tables = affine_representatives(n) + [[rng.randrange(q) for _ in range(q)] for _ in range(500)]
+    verdicts = [is_modified_planar_perm(VectorialFunction(mode, n, t, spec)) for t in tables]
+    assert verdicts == [perm_verdict_direct(VectorialFunction(mode, n, t, spec)) for t in tables]
+    witnesses = {v.witness_a for v in verdicts}
+    assert witnesses == {None} if n == 1 else {None, 1, 2, 3} <= witnesses
 
 
 def _quadratic_rows(mode, n, coeffs):

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -177,12 +179,26 @@ def test_do_quadratic_plus_affine_census_n2():
     assert planar == census * 4 ** 3
 
 
-@pytest.mark.parametrize("shards", [1, 2, 8])
+# An exhaustive job, a DO census and a sampled job with a few passing draws.
+_SHARDED_JOBS = [
+    SearchJob("mv", 2, "all", "both"),
+    SearchJob("uv", 3, "do_quadratic", "both"),
+    SearchJob("uv", 3, "do_quadratic", "both", seed=5, sample=400),
+]
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3, 5, 8])
 def test_shard_independence(shards):
-    single = run_search(SearchJob("mv", 2, "all", "both", shards=1))
-    sharded = run_search(SearchJob("mv", 2, "all", "both", shards=shards))
-    assert sharded == single
-    assert json.dumps(report_to_json(sharded)) == json.dumps(report_to_json(single))
+    # A real pool.  With w = min(shards, CPUs) processes the caller runs
+    # shards 0, w, 2w, ... and w - 1 workers the rest, so 3 and 5 shards
+    # split unevenly between them on two or more CPUs.
+    for job in _SHARDED_JOBS:
+        single = run_search(job)
+        sharded = run_search(dataclasses.replace(job, shards=shards))
+        assert single.passing > 0
+        assert sharded == single
+        assert json.dumps(report_to_json(sharded)) == json.dumps(report_to_json(single))
+        assert not multiprocessing.active_children()
 
 
 @pytest.fixture
@@ -210,21 +226,33 @@ def in_process_pool(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("shards, cpus, workers", [(64, 2, 2), (64, None, 1), (3, 8, 3)])
-def test_pool_workers_capped_at_cpu_count(shards, cpus, workers, in_process_pool, monkeypatch):
+def _pool_payloads(job, shards, processes):
+    """The payloads the pool gets: every shard but the caller's 0, w, 2w, ... (w = processes)."""
+    total = class_size(job.mode, job.n, job.klass) if job.sample is None else job.sample
+    return [(job, s * total // shards, (s + 1) * total // shards) for s in range(shards) if s % processes]
+
+
+@pytest.mark.parametrize("shards, cpus, processes", [(64, 2, 2), (64, None, 1), (3, 8, 3)])
+def test_pool_workers_capped_at_cpu_count(shards, cpus, processes, in_process_pool, monkeypatch):
+    # processes counts the caller, which runs its share of the shards itself.
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    sharded = run_search(SearchJob("mv", 2, "all", "both", shards=shards))
-    assert in_process_pool["workers"] == [workers]
+    job = SearchJob("mv", 2, "all", "both", shards=shards)
+    sharded = run_search(job)
+    assert in_process_pool["workers"] == ([processes - 1] if processes > 1 else [])
+    assert 1 + sum(in_process_pool["workers"]) <= (cpus or 1)
+    assert in_process_pool["payloads"] == _pool_payloads(job, min(shards, 4 * (cpus or 1)), processes)
     assert sharded == run_search(SearchJob("mv", 2, "all", "both"))
 
 
 def test_sampled_shards_capped_at_four_per_cpu(in_process_pool, monkeypatch):
     # A sampled job's candidate count is --sample, so that cap alone would
-    # build one payload per draw.
+    # build one payload per draw.  Of the 8 shards two CPUs allow, the
+    # caller runs 0, 2, 4 and 6 and one worker the odd ones.
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     job = SearchJob("mv", 2, "all", "both", shards=10**6, sample=20000)
     sharded = run_search(job)
-    assert 1 < len(in_process_pool["payloads"]) <= 8
+    assert in_process_pool["workers"] == [1]
+    assert in_process_pool["payloads"] == _pool_payloads(job, 8, 2)
     assert sharded == run_search(SearchJob("mv", 2, "all", "both", sample=20000))
 
 
@@ -251,12 +279,14 @@ _FLIPS = [[0], [5], [9, 5], [130], [250, 130], [200, 9]]
 @pytest.mark.parametrize("flips", _FLIPS, ids=str)
 @pytest.mark.parametrize("shards", [1, 2])
 def test_filter_disagreement_stops_at_first_flipped_index(shards, flips, in_process_pool, monkeypatch):
+    # On two CPUs a 2-shard job runs shard 0 in the caller and shard 1 in the pool.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     _flip_components(monkeypatch, flips)
     first = min(flips)
     with pytest.raises(FilterDisagreementError, match=rf"at index {first}$") as exc:
         run_search(SearchJob("mv", 2, "all", "both", shards=shards))
     assert exc.value.function == candidate_function("mv", 2, "all", first)
-    assert len(in_process_pool["payloads"]) == (shards if shards > 1 else 0)
+    assert [(lo, hi) for _, lo, hi in in_process_pool["payloads"]] == ([(128, 256)] if shards > 1 else [])
     # The shard that meets it reports the candidates before it.
     lo = 128 if shards == 2 and first >= 128 else 0
     examined, passing, (index, F) = search._run_shard((SearchJob("mv", 2, "all", "both"), lo, 256 // shards + lo))
@@ -267,8 +297,18 @@ def test_filter_disagreement_stops_at_first_flipped_index(shards, flips, in_proc
     assert passing.tolist() == [list(G.table) for G in before if is_modified_planar_perm(G).is_planar]
 
 
+def test_no_process_outlives_a_sharded_job_that_raises(monkeypatch):
+    # A real pool: the caller's shard 0 meets the disagreement while a
+    # worker runs shard 1, and the job raises only once the pool is shut.
+    _flip_components(monkeypatch, [5])
+    with pytest.raises(FilterDisagreementError, match=r"at index 5$"):
+        run_search(SearchJob("mv", 2, "all", "both", shards=2))
+    assert not multiprocessing.active_children()
+
+
 @pytest.mark.parametrize("shards", ["1", "2"])
 def test_cli_search_exits_4_on_filter_disagreement(shards, in_process_pool, monkeypatch, capsys):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     _flip_components(monkeypatch, [9, 5])
     argv = ["search", "--mode", "mv", "--n", "2", "--class", "all", "--filter", "both", "--shards", shards]
     assert main(argv) == 4
@@ -394,15 +434,22 @@ def test_sampled_draws_reach_every_slot_of_large_classes():
     # mv n = 6 all has 2^384 candidates; one 256-bit digest left F(x) = 0
     # for every x >= 43 in every draw.
     size = class_size("mv", 6, "all")
-    tables = [candidate_function("mv", 6, "all", search._sample_index(1701, c, size)).table for c in range(200)]
+    draw = search._sampler(1701, size)
+    tables = [candidate_function("mv", 6, "all", draw(c)).table for c in range(200)]
     assert all(any(t[x] for t in tables) for x in range(64))
     size = class_size("uv", 9, "do_quadratic")  # 2^324
-    assert max(search._sample_index(5, c, size) for c in range(50)).bit_length() > 256
-    # Classes up to 2^256 draw what one digest gives, as they always did.
+    draw = search._sampler(5, size)
+    assert max(draw(c) for c in range(50)).bit_length() > 256
+    # The high-order digest is SHA-256 of "seed:counter:1".
+    for c in range(20):
+        digests = [hashlib.sha256(text.encode()).digest() for text in (f"5:{c}:1", f"5:{c}")]
+        assert draw(c) == int.from_bytes(b"".join(digests), "big") % size
+    # Classes up to 2^256 draw what one digest of "seed:counter" gives, as they always did.
     for size in (class_size("uv", 5, "do_quadratic"), class_size("uv", 8, "do_quadratic"), 1 << 256):
-        for c in range(20):
+        draw = search._sampler(3, size)
+        for c in (*range(20), 10**12):
             digest = hashlib.sha256(f"3:{c}".encode()).digest()
-            assert search._sample_index(3, c, size) == int.from_bytes(digest, "big") % size
+            assert draw(c) == int.from_bytes(digest, "big") % size
 
 
 def test_report_json_shape():

@@ -12,9 +12,13 @@ from mpf.errors import NonPowerOfTwoError
 from mpf.gf2n import dual_mask, make_field, sigma
 from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm
 from mpf.rds import GroupSpec, group_elements, rds_verify_characters
+from mpf.search import class_size, decode_block, slot_monomials
 from mpf.transforms import (
     GaussianInt,
     Spectrum,
+    _column_screen,
+    _flat_columns,
+    _twisted_signs,
     bent4_witnesses,
     components_flat,
     fwht,
@@ -23,6 +27,7 @@ from mpf.transforms import (
     transform_V,
 )
 from oracles import (
+    affine_representatives,
     character_eval,
     character_norms,
     characters_direct,
@@ -33,6 +38,7 @@ from oracles import (
     is_balanced,
     linear_form_table,
     parity,
+    perm_verdict_direct,
     shifted_derivative_mv,
     shifted_derivative_uv,
     spectrum_pairs,
@@ -322,20 +328,25 @@ def test_bent4_column_sum_test_passes_a_bent_weight_that_is_not_bent(mode, monke
 @pytest.mark.parametrize("mode", ["mv", "uv"])
 @pytest.mark.parametrize("n", [5, 7])
 def test_bent4_column_sum_test_at_odd_n(mode, n, monkeypatch):
-    # For odd n a column passes with s0 = 0 or s0 = +-2^((n+1)/2).  At c = 0
-    # the twist is trivial and d = 0, so flatness would need 2 A(u)^2 = 2^(n+1),
-    # which no integer meets: a balanced table, or one of weight
-    # (2^n - 2^((n+1)/2)) / 2, passes there and is never flat.
+    # For odd n the screen is flatness at u = 0 alone: A(0)^2 + A(d)^2 =
+    # 2^(n+1).  It is exact on quadratic tables, but a random table (degree
+    # above 2) passes it at twists where another u fails, and the butterfly
+    # must reject those.  Seed 1 gives such twists in every case here.
     q = 1 << n
     spec = make_field(n) if mode == "uv" else None
+    g = TruthTable(n, random.Random(1).getrandbits(q), mode)
     seen = _butterfly_columns(monkeypatch)
+    witnesses = bent4_witnesses(g, spec)
+    assert witnesses == _oracle_witnesses(g, spec)
+    assert sum(seen) > len(witnesses)
+    # The trivial twist has d = 0, so flatness there would need
+    # 2 A(u)^2 = 2^(n+1), which no integer meets: even the weights that
+    # passed the old column-sum test (A(0) = 0 or +-2^((n+1)/2)) never
+    # reach the butterfly at c = 0.
     for w in (q // 2, (q - (1 << (n + 1) // 2)) // 2):
-        g = _table_of_weight(n, w, mode, seed=n * w)
-        seen.clear()
-        witnesses = bent4_witnesses(g, spec)
-        assert witnesses == _oracle_witnesses(g, spec), w
-        assert 0 not in witnesses
-        assert sum(seen) > len(witnesses), w
+        signs, d = _twisted_signs(_table_of_weight(n, w, mode, seed=n * w).bit_array()[:, None], spec, [0])
+        assert d.tolist() == [0]
+        assert not _column_screen(signs, d, n).any()
 
 
 @pytest.mark.parametrize(("mode", "survivors", "blocks"), [
@@ -375,6 +386,84 @@ def _random_table_n8_expected(mode):
     transform = transform_U if spec is None else lambda g, c: transform_V(spec, g, c)
     passing = sum(sum(transform(g, c).value(0)) ** 2 == 1 << n for c in range(1 << n))
     return g, _oracle_witnesses(g, spec), passing
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_components_flat_matches_the_oracle_on_every_table_up_to_affine_terms(mode, n):
+    # bent4_witnesses meets its oracle on every Boolean table at n <= 3
+    # above.  Here components_flat meets the literal perm route on every
+    # table at n = 1, and at n = 3 on the 4096 tables with F(0) = F(2^i) = 0,
+    # one for each class of tables that differ by an affine map.  One block
+    # size only: the stacked test below varies it, and is slow enough.
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    tables = [list(t) for t in itertools.product(range(q), repeat=q)] if n == 1 else affine_representatives(n)
+    expect = [perm_verdict_direct(VectorialFunction(mode, n, t, spec)).is_planar for t in tables]
+    assert components_flat(n, np.array(tables).T, spec).tolist() == expect
+    assert [components_flat(n, t, spec) for t in tables] == expect
+    assert all(expect) if n == 1 else 0 < sum(expect) < len(tables)
+
+
+def _component_columns(spec, tables):
+    """(signs, d) of the literal component c of each uv table at its twist c, c = 1..q-1, as one block."""
+    signs, d = [], []
+    for table in tables:
+        F = VectorialFunction("uv", spec.n, table, spec)
+        for c in range(1, F.size):
+            s, e = _twisted_signs(component_uv(spec, F, c).bit_array()[:, None], spec, [c])
+            signs.append(s)
+            d.append(e)
+    return np.hstack(signs), np.concatenate(d)
+
+
+@pytest.mark.parametrize(("n", "sample", "planar"), [(3, None, 8), (5, 300, 0)])
+def test_column_screen_is_exact_on_do_quadratic_components(n, sample, planar, monkeypatch):
+    # Every twisted component of a DO F is quadratic, and for odd n the
+    # screen (flatness at u = 0) is then flatness itself: column by column
+    # on every uv DO table at n = 3 and on a seeded sample at n = 5.  So
+    # components_flat butterflies the columns of the planar tables only.
+    spec = make_field(n)
+    size = class_size("uv", n, "do_quadratic")
+    indices = range(size) if sample is None else random.Random(16).sample(range(size), sample)
+    tables = decode_block(n, slot_monomials(n, "do_quadratic"), list(indices)).tolist()
+    signs, d = _component_columns(spec, tables)
+    flat = _flat_columns(signs, d, n)
+    assert _column_screen(signs, d, n).tolist() == flat.tolist()
+    assert flat.any() and not flat.all()
+    expect = flat.reshape(len(tables), -1).all(axis=1)
+    assert expect.sum() == planar
+    seen = _butterfly_columns(monkeypatch)
+    assert components_flat(n, np.array(tables).T, spec).tolist() == expect.tolist()
+    assert sum(seen) == planar * ((1 << n) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.sampled_from([1, 3, 5, 7]), st.data())
+def test_column_screen_never_rejects_a_flat_column(mode, n, data):
+    # Random tables at random twists, and random quadratics (degree <= 2)
+    # whose twisted b = g + Q_c stays quadratic: the screen passes every
+    # flat column, and on the quadratic ones it passes only those.
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    blocks, quadratic = [], []
+    for is_quadratic in data.draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+        if is_quadratic:
+            chosen = data.draw(st.lists(st.sampled_from(pairs)) if pairs else st.just([]))
+            linear = data.draw(st.integers(0, q - 1))
+            bits = [(sum(x >> i & x >> j & 1 for i, j in chosen) + parity(linear & x)) & 1 for x in range(q)]
+        else:
+            bits = data.draw(st.lists(st.integers(0, 1), min_size=q, max_size=q))
+        twists = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=8))
+        blocks.append(_twisted_signs(np.array(bits, dtype=np.uint8)[:, None], spec, twists))
+        quadratic += [is_quadratic] * len(twists)
+    signs = np.hstack([s for s, _ in blocks])
+    d = np.concatenate([e for _, e in blocks])
+    screen = _column_screen(signs, d, n)
+    flat = _flat_columns(signs, d, n)
+    assert not (flat & ~screen).any()
+    assert (screen == flat)[quadratic].all()
 
 
 def _derivative_oracle_witnesses(g, spec):
