@@ -8,7 +8,7 @@ the components, relative-difference-set checks on the graph), so each
 route can serve as an oracle for the others.
 """
 
-from .boolfun import TruthTable, from_values, table_from_json, weight
+from .boolfun import TruthTable, from_values, table_from_json
 from .errors import (
     ElementRangeError,
     FilterDisagreementError,

@@ -59,11 +59,6 @@ def from_values(values, mode: str) -> TruthTable:
     return TruthTable(n, bits, mode)
 
 
-def weight(g: TruthTable) -> int:
-    """Hamming weight: number of points where g is 1."""
-    return g.bits.bit_count()
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Verbs: analyze, spectrum, verify-rds, search, selftest.  Exit codes:
 0 success, 1 false verdict on a verify verb, 2 usage error, 3 I/O or
-input-data error, 4 internal invariant violation (the independent
-verdict routes disagreed, which would mean a bug in this package).
+input-data error, 4 internal error (the independent verdict routes
+disagreed, or an unexpected exception escaped the library: either means
+a bug in this package).
 Identical invocations produce byte-identical output unless --timestamp
 is given.
 """
@@ -297,6 +298,12 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError, MpfError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
+    except Exception as exc:  # a library bug; exit 1 would read as a false verdict
+        import traceback  # only here, so a normal start does not pay for the import
+
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .errors import (
     NotASubgroupError,
     json_loader,
 )
-from .gf2n import MAX_DEGREE, FieldSpec, fe_mul, field_from_json, field_to_json
+from .gf2n import MAX_DEGREE, FieldSpec, fe_mul, field_from_json
 from .planar import VectorialFunction
 from .transforms import components_flat
 
@@ -217,13 +217,6 @@ def group_for(F: VectorialFunction) -> GroupSpec:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def group_to_json(g: GroupSpec) -> dict:
-    obj = {"law": g.law, "n": g.n}
-    if g.spec is not None:
-        obj["field"] = field_to_json(g.spec)
-    return obj
-
 
 @json_loader
 def group_from_json(obj: dict) -> GroupSpec:

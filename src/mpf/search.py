@@ -27,7 +27,6 @@ from .planar import (
     function_to_json,
     perm_witnesses,
 )
-from .rds import MAX_PAIR_WORK
 from .transforms import _BLOCK_ENTRIES, components_flat
 
 CLASSES = ("all", "affine", "do_quadratic")
@@ -37,6 +36,11 @@ FILTERS = ("perm", "components", "both")
 # candidate space to be indexable.  do_quadratic at n = 4 is 2^24
 # candidates; n = 5 would be 2^50.
 _EXHAUSTIVE_BOUNDS = {"all": 2, "affine": 4, "do_quadratic": 4}
+
+# Bound on one sampled candidate's work, about 4^n steps (q directions
+# or twists of q points each): a time bound, not a memory bound.  It
+# admits every n <= 13.
+MAX_CANDIDATE_WORK = 1 << 26
 
 REPORT_FUNCTION_CAP = 10_000
 
@@ -219,9 +223,8 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
     if job.sample is None:
         _check_bounds(job.mode, job.n, job.klass)
         total = class_size(job.mode, job.n, job.klass)
-    elif 4 ** job.n > MAX_PAIR_WORK:
-        # Each candidate costs about 4^n steps (q directions or twists of q points).
-        raise SearchBoundsError(f"sampled jobs are limited to 4^n <= {MAX_PAIR_WORK}, got n={job.n}")
+    elif 4 ** job.n > MAX_CANDIDATE_WORK:
+        raise SearchBoundsError(f"sampled jobs are limited to 4^n <= {MAX_CANDIDATE_WORK}, got n={job.n}")
     else:
         total = job.sample
     # The report does not depend on the shard count, so shards stop at the

@@ -12,10 +12,15 @@ position u carries the character x -> (-1)^Tr(ux).
 
 That identity serves all three kernels: transform_U / transform_V read one
 spectrum off it, and bent4_witnesses and components_flat screen each twist
-by flatness at u = 0 (_column_screen: the column sum A(0), with A(d)
+by flatness at u = 0 (_flat_at_zero on the column sum A(0), with A(d)
 beside it for odd n) and butterfly only the twists that pass.  For odd n
 the screen is exact on a quadratic b, as every twisted component of an
-affine or DO F is, so those reach the butterfly only when flat.
+affine or DO F is, so those reach the butterfly only when flat.  The
+sums come from the sign blocks (_column_screen), except for one uv table
+at every twist: sigma(c, x) = s2(cx) depends on cx alone, so in the log
+domain the q - 1 nonzero twists' sums are one exact integer correlation
+(_uv_column_sums), the s_2 link behind Parker-Pott's "negabent iff
+g + s_2 is bent".  An mv twist has no such shift, so mv stays per block.
 components_flat tests each component L_c.F of F's table at its own
 twist c, L_c = c (mv) or dual[c^2] (uv); that spectrum is the star-group
 character sum of the graph of F at (u, c), so the RDS character route
@@ -218,15 +223,51 @@ def _column_screen(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     column that fails anywhere fails at u = 0, and only flat ones reach
     the butterfly.
     """
-    q = 1 << n
     s0 = np.einsum("ij->j", signs, dtype=np.int64)  # 2-3x faster than sum(axis=0)
+    ad = None
+    if n & 1:
+        odd = np.bitwise_count(np.arange(1 << n, dtype=np.int32)[:, None] & d.astype(np.int32)).view(np.int8)
+        odd &= 1
+        odd *= signs  # s(x) where d.x = 1, else 0
+        ad = s0 - 2 * np.einsum("ij->j", odd, dtype=np.int64)
+    return _flat_at_zero(n, s0, ad)
+
+
+def _flat_at_zero(n: int, s0: np.ndarray, ad: np.ndarray | None) -> np.ndarray:
+    """The screen's test from A(0) = s0 and, for odd n, A(d) = ad (_column_screen)."""
     if not n & 1:
-        return s0 * s0 == q
-    odd = np.bitwise_count(np.arange(q, dtype=np.int32)[:, None] & d.astype(np.int32)).view(np.int8)
-    odd &= 1
-    odd *= signs  # s(x) where d.x = 1, else 0
-    ad = s0 - 2 * np.einsum("ij->j", odd, dtype=np.int64)
-    return s0 * s0 + ad * ad == q << 1
+        return s0 * s0 == 1 << n
+    return s0 * s0 + ad * ad == 2 << n
+
+
+def _uv_column_sums(bits: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """(A(0), A(d)) of every twist c = 0..q-1 of a uv table, as int64 (q,) arrays.
+
+    bits is g's 0/1 table in index order; A(d) is None for even n.
+    sigma(c, x) = s2(cx), so for c = alpha^j the column sum is
+    A(0) = (-1)^g(0) + sum_k G[k] W[j+k], with G[k] = (-1)^g(alpha^k) and
+    W[m] = (-1)^sigma_exp[m] for m < 2q-3: all q-1 sums are one exact
+    correlation of W with G.  As d.x = Tr(cx) for d = dual[c], A(d) is
+    the same correlation with W[m] (-1)^Tr(alpha^m), the trace being bit 0
+    of dual[alpha^m].  At c = 0 both are the plain sum of (-1)^g.
+    """
+    t = field_tables(spec)
+    q = len(bits)
+    g = 1 - 2 * bits.astype(np.int64)
+    units = t.exp[: q - 1]  # alpha^k, k = 0..q-2
+    g_units = g.take(units)
+    lags = 2 * q - 3  # j + k runs over 0..2q-4
+    w = 1 - 2 * t.sigma_exp[:lags].astype(np.int64)
+
+    def sums(kernel: np.ndarray) -> np.ndarray:
+        s = np.empty(q, dtype=np.int64)
+        s[0] = g.sum()
+        s[units] = g[0] + np.correlate(kernel, g_units, "valid")
+        return s
+
+    if not spec.n & 1:
+        return sums(w), None
+    return sums(w), sums(w * (1 - 2 * (t.dual.take(t.exp[:lags]) & 1)))
 
 
 def _flat_columns(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -253,11 +294,13 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     Nonempty means g is bent4; membership of 0 means bent, and of the
     all-ones point (mv) or the unit element (uv) means negabent.
 
-    Each block of twists is first screened by flatness at u = 0
-    (_column_screen).  A block whose columns all pass is butterflied
-    where it is (_flat_columns); the other blocks set their surviving
-    twists aside, and a second pass rebuilds the signs of those in full
-    blocks and butterflies them.
+    Every twist is first screened by flatness at u = 0.  For uv the
+    sums of all twists come from one log-domain correlation
+    (_uv_column_sums), so signs are built only for the twists that pass.
+    For mv each block of twists is built and screened (_column_screen):
+    a block whose columns all pass is butterflied where it is, and the
+    other blocks set their surviving twists aside.  The survivors are
+    then built in full blocks and butterflied (_flat_columns).
     """
     if g.mode == "mv":
         spec = None
@@ -269,15 +312,18 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     bits = g.bit_array()[:, None]
     step = max(1, _BLOCK_ENTRIES // q)
     found: set[int] = set()
-    survivors: list[int] = []
-    for lo in range(0, q, step):
-        c = np.arange(lo, min(q, lo + step))
-        signs, d = _twisted_signs(bits, spec, c)
-        keep = _column_screen(signs, d, g.n)
-        if keep.all():  # nothing to drop, so rebuilding would be pure cost
-            found.update(c[_flat_columns(signs, d, g.n)].tolist())
-        else:
-            survivors.extend(c[keep].tolist())
+    if spec is None:
+        survivors: list[int] = []
+        for lo in range(0, q, step):
+            c = np.arange(lo, min(q, lo + step))
+            signs, d = _twisted_signs(bits, spec, c)
+            keep = _column_screen(signs, d, g.n)
+            if keep.all():  # nothing to drop, so rebuilding would be pure cost
+                found.update(c[_flat_columns(signs, d, g.n)].tolist())
+            else:
+                survivors.extend(c[keep].tolist())
+    else:
+        survivors = np.flatnonzero(_flat_at_zero(g.n, *_uv_column_sums(bits[:, 0], spec))).tolist()
     for lo in range(0, len(survivors), step):
         c = np.array(survivors[lo : lo + step])
         signs, d = _twisted_signs(bits, spec, c)

@@ -12,7 +12,7 @@ import numpy as np
 
 from mpf.boolfun import TruthTable
 from mpf.errors import MpfError
-from mpf.gf2n import FieldSpec, dual_mask, fe_mul, field_tables, sigma, trace_n
+from mpf.gf2n import FieldSpec, dual_mask, fe_mul, field_tables, field_to_json, sigma, trace_n
 from mpf.planar import (
     DOPolynomial,
     PlanarVerdict,
@@ -20,7 +20,7 @@ from mpf.planar import (
     is_modified_planar_components,
     is_modified_planar_perm,
 )
-from mpf.rds import graph_of, group_for, rds_verify_bruteforce, rds_verify_characters
+from mpf.rds import GroupSpec, graph_of, group_for, rds_verify_bruteforce, rds_verify_characters
 from mpf.search import _check_bounds, candidate_function, class_size
 from mpf.transforms import GaussianInt, Spectrum, fwht
 
@@ -450,6 +450,18 @@ def table_to_json(g: TruthTable) -> dict:
 
 def elements_to_json(elements) -> list:
     return [[f"0x{v:x}" for v in e] for e in sorted(elements)]
+
+
+def group_to_json(g: GroupSpec) -> dict:
+    obj = {"law": g.law, "n": g.n}
+    if g.spec is not None:
+        obj["field"] = field_to_json(g.spec)
+    return obj
+
+
+def weight(g: TruthTable) -> int:
+    """Hamming weight: number of points where g is 1."""
+    return g.bits.bit_count()
 
 
 def four_verdicts(F: VectorialFunction) -> tuple[bool, bool, bool, bool]:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpf.boolfun import TruthTable, from_values, table_from_json, weight
+from mpf.boolfun import TruthTable, from_values, table_from_json
 from mpf.gf2n import fe_mul, make_field, trace_n
 from oracles import (
     ZeroShiftError,
@@ -14,6 +14,7 @@ from oracles import (
     shifted_derivative_uv,
     table_to_json,
     table_values,
+    weight,
     xor_translate,
 )
 

@@ -252,6 +252,33 @@ def test_analyze_route_disagreement_exits_4(uv_zero_file, monkeypatch, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [IndexError("index 4 is out of bounds"), ZeroDivisionError("division by zero")])
+def test_an_unexpected_library_exception_exits_4(uv_zero_file, monkeypatch, capsys, exc):
+    # A library bug is neither a false verdict (1) nor bad input (3).
+    import mpf.cli as cli
+
+    def broken(F):
+        raise exc
+
+    monkeypatch.setattr(cli, "is_modified_planar_perm", broken)
+    assert main(["analyze", "--file", uv_zero_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {type(exc).__name__}: {exc}\n")
+    assert "Traceback" in captured.err
+
+
+def test_keyboard_interrupt_is_not_caught(uv_zero_file, monkeypatch):
+    import mpf.cli as cli
+
+    def interrupted(F):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "is_modified_planar_perm", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["analyze", "--file", uv_zero_file])
+
+
 def test_analyze_computes_the_character_sums_once(uv_zero_file, monkeypatch, capsys):
     # The components verdict and the RDS character verdict are the same
     # character sums of the graph, so analyze computes them once.

@@ -10,6 +10,7 @@ from oracles import (
     elements_to_json,
     enumerate_class,
     four_verdicts,
+    group_to_json,
     transport_function,
     transport_point,
     z4n_elements,
@@ -27,7 +28,6 @@ from mpf.rds import (
     group_inverse,
     group_op,
     group_from_json,
-    group_to_json,
     rds_verify_bruteforce,
     rds_verify_characters,
 )

@@ -14,7 +14,6 @@ from mpf.cli import main
 from mpf.errors import FilterDisagreementError, SearchBoundsError
 from mpf.gf2n import make_field
 from mpf.planar import VectorialFunction, is_modified_planar_perm
-from mpf.rds import MAX_PAIR_WORK
 from mpf.search import (
     SearchJob,
     candidate_function,
@@ -82,7 +81,7 @@ def test_exhaustive_do_quadratic_n5_is_refused_before_decoding(monkeypatch, caps
 
 
 def test_sampled_jobs_are_bounded_per_candidate(monkeypatch, capsys):
-    # Each candidate costs about 4^n steps; past rds.MAX_PAIR_WORK (n >= 14)
+    # Each candidate costs about 4^n steps; past MAX_CANDIDATE_WORK (n >= 14)
     # a sampled job is refused before its first candidate is decoded.
     decoded = []
     monkeypatch.setattr(search, "decode_block", lambda *args: decoded.append(args))
@@ -90,7 +89,7 @@ def test_sampled_jobs_are_bounded_per_candidate(monkeypatch, capsys):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: sampled jobs are limited to 4^n <= {MAX_PAIR_WORK}, got n=16"]
+    assert captured.err.splitlines() == [f"error: sampled jobs are limited to 4^n <= {1 << 26}, got n=16"]
     with pytest.raises(SearchBoundsError):
         run_search(SearchJob("uv", 14, "affine", sample=1))
     assert decoded == []

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpf.boolfun import TruthTable, from_values, weight
+from mpf.boolfun import TruthTable, from_values
 from mpf.errors import NonPowerOfTwoError
-from mpf.gf2n import dual_mask, make_field, sigma
+from mpf.gf2n import dual_mask, fe_mul, make_field, sigma
 from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm
 from mpf.rds import GroupSpec, group_elements, rds_verify_characters
 from mpf.search import class_size, decode_block, slot_monomials
@@ -19,6 +19,7 @@ from mpf.transforms import (
     _column_screen,
     _flat_columns,
     _twisted_signs,
+    _uv_column_sums,
     bent4_witnesses,
     components_flat,
     fwht,
@@ -48,6 +49,7 @@ from oracles import (
     u_spectrum_weight_form,
     v_spectrum_direct,
     walsh_hadamard_direct,
+    weight,
 )
 
 F4 = make_field(2)
@@ -466,6 +468,39 @@ def test_column_screen_never_rejects_a_flat_column(mode, n, data):
     assert (screen == flat)[quadratic].all()
 
 
+def _block_screen_sums(bits, spec):
+    """A(0) and A(d) of every twist, summed over the sign block the way _column_screen sees it."""
+    q = len(bits)
+    signs, d = _twisted_signs(bits[:, None], spec, np.arange(q))
+    parities = np.array([[parity(int(e) & x) for e in d] for x in range(q)])
+    return signs.sum(axis=0, dtype=np.int64), (signs * (1 - 2 * parities)).sum(axis=0)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_uv_column_sums_equal_the_block_screen_sums(n):
+    # The correlation gives every twist's A(0) (and A(d) at odd n) at
+    # once; twist by twist it must equal the sums over the signs that the
+    # block screen builds: on every table at n <= 3, on seeded ones above.
+    q = 1 << n
+    spec = make_field(n)
+    rng = random.Random(17 * n)
+    if n <= 3:
+        tables = range(1 << q)
+    else:
+        tables = [0, (1 << q) - 1] + [rng.getrandbits(q) for _ in range(12)]
+    for bits in tables:
+        table = TruthTable(n, bits, "uv").bit_array()
+        s0, ad = _uv_column_sums(table, spec)
+        want_s0, want_ad = _block_screen_sums(table, spec)
+        assert s0.dtype == np.int64
+        assert s0.tolist() == want_s0.tolist(), bits
+        if n & 1:
+            assert ad.dtype == np.int64
+            assert ad.tolist() == want_ad.tolist(), bits
+        else:
+            assert ad is None
+
+
 def _derivative_oracle_witnesses(g, spec):
     """Twists c at which every shifted derivative over z != 0 is balanced."""
     q = g.size
@@ -572,6 +607,25 @@ def test_bent4_witnesses_invariant_under_affine_terms(mode, n, data):
     assert bent4_witnesses(shifted, spec) == bent4_witnesses(g, spec)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_bent4_witnesses_scale_with_the_argument(n, data):
+    # V_{g(l.)}(u, c) = V_g(u/l, c/l), so x -> g(l x) is flat exactly at
+    # the twists l c for c a witness of g.  Multiplying by l shifts the
+    # log domain, so this checks how the correlation screen is indexed.
+    q = 1 << n
+    spec = make_field(n)
+    if data.draw(st.booleans()):
+        bits = data.draw(st.integers(0, (1 << q) - 1))
+    else:  # a quadratic is flat at many twists, a random table at few
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        bits = _pack(sum(x >> i & x >> j & 1 for i, j in pairs if i < j) & 1 for x in range(q))
+    lam = data.draw(st.integers(1, q - 1))
+    scaled = _pack(bits >> fe_mul(spec, lam, x) & 1 for x in range(q))
+    witnesses = bent4_witnesses(TruthTable(n, bits, "uv"), spec)
+    assert bent4_witnesses(TruthTable(n, scaled, "uv"), spec) == {fe_mul(spec, lam, c) for c in witnesses}
+
+
 def test_no_bent_functions_on_three_variables():
     for bits in range(256):
         assert 0 not in bent4_witnesses(TruthTable(3, bits, "mv"))
@@ -580,7 +634,7 @@ def test_no_bent_functions_on_three_variables():
 def test_affine_uv_flat_for_every_nonzero_twist():
     # g = Tr(ax) + b has a flat twisted spectrum at every c != 0
     spec = make_field(3)
-    from mpf.gf2n import fe_mul, trace_n
+    from mpf.gf2n import trace_n
 
     for a in spec.elements():
         for b in (0, 1):
