@@ -57,7 +57,6 @@ from .rds import (
 from .search import (
     SearchJob,
     SearchReport,
-    candidate_function,
     class_size,
     run_search,
 )

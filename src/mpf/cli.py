@@ -18,7 +18,7 @@ import sys
 import time
 
 from .boolfun import TruthTable, table_from_json
-from .errors import FilterDisagreementError, InputFormatError, MpfError
+from .errors import FilterDisagreementError, InputFormatError, MpfError, json_loader
 from .gf2n import fe_mul, field_from_json, field_to_json, make_field, poly_is_irreducible, sigma, trace_n
 from .planar import (
     VectorialFunction,
@@ -193,11 +193,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_rds(args: argparse.Namespace) -> int:
-    obj = _load_json(args.file)
+@json_loader
+def _rds_input(obj: dict):
+    """(group, elements, forbidden elements or None) of a verify-rds file."""
     group = group_from_json(obj["group"])
     R = elements_from_json(obj["elements"])
-    N = elements_from_json(obj["forbidden"]) if obj.get("forbidden") else None
+    return group, R, elements_from_json(obj["forbidden"]) if obj.get("forbidden") else None
+
+
+def _cmd_verify_rds(args: argparse.Namespace) -> int:
+    group, R, N = _rds_input(_load_json(args.file))
     brute = rds_verify_bruteforce(group, R, N)
     characters = None
     if N is None or frozenset(N) == forbidden_subgroup(group):
@@ -295,7 +300,7 @@ def main(argv=None) -> int:
     except FilterDisagreementError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, MpfError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, MpfError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
     except Exception as exc:  # a library bug; exit 1 would read as a false verdict

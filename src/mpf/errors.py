@@ -12,12 +12,14 @@ class InputFormatError(MpfError):
 
 
 def json_loader(load):
-    """Report a wrong-typed JSON value as InputFormatError (int() of 1e400 overflows)."""
+    """Report a missing key or a wrong-typed JSON value as InputFormatError (int() of 1e400 overflows)."""
 
     @functools.wraps(load)
     def checked(obj):
         try:
             return load(obj)
+        except KeyError as exc:
+            raise InputFormatError(f"missing key {exc}") from None
         except (TypeError, AttributeError, OverflowError) as exc:
             raise InputFormatError(str(exc)) from None
 

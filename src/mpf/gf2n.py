@@ -179,29 +179,22 @@ class _FieldTables:
         # Every index and value fits int32 (q <= 2^MAX_TABLE_DEGREE).
         cycle = q - 1
         zero = 2 * cycle
+        # The generator is the smallest element whose powers walk all q - 1
+        # units, and that walk is the cycle (n = 1: the one unit 1).
+        powers = [1]
+        for gen in range(2, q):
+            powers, v = [1], gen
+            while v != 1:
+                powers.append(v)
+                v = fe_mul(spec, v, gen)
+            if len(powers) == cycle:
+                break
         exp = np.zeros(2 * zero + 1, dtype=np.int32)
+        exp[:cycle] = exp[cycle:zero] = powers
         log = np.full(q, zero, dtype=np.int32)
-        gen = self._find_generator()
-        v = 1
-        for i in range(cycle):
-            exp[i] = exp[i + cycle] = v
-            log[v] = i
-            v = fe_mul(spec, v, gen)
+        log[exp[:cycle]] = np.arange(cycle)
         self.exp = exp
         self.log = log
-
-    def _find_generator(self) -> int:
-        spec = self.spec
-        target = spec.order - 1
-        for g in range(2, spec.order):
-            v = g
-            order = 1
-            while v != 1:
-                v = fe_mul(spec, v, g)
-                order += 1
-            if order == target:
-                return g
-        return 1  # n == 1: the multiplicative group is trivial
 
     def mul(self, a, b) -> np.ndarray:
         """Elementwise field product of integer arrays (broadcasting).

@@ -130,12 +130,6 @@ def decode_block(n: int, monomials: np.ndarray | None, indices: list[int]) -> np
     return digits if monomials is None else do_tables(make_field(n), monomials, digits)
 
 
-def candidate_function(mode: str, n: int, klass: str, index: int) -> VectorialFunction:
-    """Decode the index-th candidate of a class, in canonical order."""
-    table = decode_block(n, slot_monomials(n, klass), [index])[0].tolist()
-    return VectorialFunction(mode, n, table, make_field(n) if mode == "uv" else None)
-
-
 def _check_bounds(mode: str, n: int, klass: str) -> None:
     bound = _EXHAUSTIVE_BOUNDS[klass]
     if n > bound:

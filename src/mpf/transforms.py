@@ -15,12 +15,15 @@ spectrum off it, and bent4_witnesses and components_flat screen each twist
 by flatness at u = 0 (_flat_at_zero on the column sum A(0), with A(d)
 beside it for odd n) and butterfly only the twists that pass.  For odd n
 the screen is exact on a quadratic b, as every twisted component of an
-affine or DO F is, so those reach the butterfly only when flat.  The
-sums come from the sign blocks (_column_screen), except for one uv table
-at every twist: sigma(c, x) = s2(cx) depends on cx alone, so in the log
-domain the q - 1 nonzero twists' sums are one exact integer correlation
-(_uv_column_sums), the s_2 link behind Parker-Pott's "negabent iff
-g + s_2 is bent".  An mv twist has no such shift, so mv stays per block.
+affine or DO F is, so those reach the butterfly only when flat.
+components_flat screens each block of signs by its sums (_block_sums).
+bent4_witnesses takes the sums of every twist first (_column_sums), then
+builds and butterflies only the survivors.  For uv those sums need no
+signs: sigma(c, x) = s2(cx) depends on cx alone, so in the log domain
+the q - 1 nonzero twists' sums are one exact integer correlation, the
+s_2 link behind Parker-Pott's "negabent iff g + s_2 is bent".  An mv
+twist has no such shift, so its sums come from blocks of signs, by the
+same _block_sums.
 components_flat tests each component L_c.F of F's table at its own
 twist c, L_c = c (mv) or dual[c^2] (uv); that spectrum is the star-group
 character sum of the graph of F at (u, c), so the RDS character route
@@ -210,9 +213,8 @@ def _column_screen(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     Flatness at column c needs A(u)^2 + A(u^d)^2 = 2^(n+1) for every u.
     For even n that forces |A(u)| = 2^(n/2), and the screen tests
     s0^2 = 2^n for the column sum s0 = A(0).  For odd n it tests u = 0
-    itself: A(0)^2 + A(d)^2 = 2^(n+1), with A(d) = s0 - 2 (sum of s(x)
-    over the x with d.x = 1).  Either way it is a necessary condition, so
-    a flat column always passes.
+    itself: A(0)^2 + A(d)^2 = 2^(n+1).  Either way it is a necessary
+    condition, so a flat column always passes.
 
     For odd n it is also exact when b is quadratic (degree <= 2), as every
     twisted component of an affine or DO F is.  Such a b is plateaued:
@@ -223,14 +225,7 @@ def _column_screen(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     column that fails anywhere fails at u = 0, and only flat ones reach
     the butterfly.
     """
-    s0 = np.einsum("ij->j", signs, dtype=np.int64)  # 2-3x faster than sum(axis=0)
-    ad = None
-    if n & 1:
-        odd = np.bitwise_count(np.arange(1 << n, dtype=np.int32)[:, None] & d.astype(np.int32)).view(np.int8)
-        odd &= 1
-        odd *= signs  # s(x) where d.x = 1, else 0
-        ad = s0 - 2 * np.einsum("ij->j", odd, dtype=np.int64)
-    return _flat_at_zero(n, s0, ad)
+    return _flat_at_zero(n, *_block_sums(signs, d, n))
 
 
 def _flat_at_zero(n: int, s0: np.ndarray, ad: np.ndarray | None) -> np.ndarray:
@@ -240,20 +235,43 @@ def _flat_at_zero(n: int, s0: np.ndarray, ad: np.ndarray | None) -> np.ndarray:
     return s0 * s0 + ad * ad == 2 << n
 
 
-def _uv_column_sums(bits: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray | None]:
-    """(A(0), A(d)) of every twist c = 0..q-1 of a uv table, as int64 (q,) arrays.
+def _block_sums(signs: np.ndarray, d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(A(0), A(d)) of the columns of (-1)^b (2^n, m), with their d, as int64 (m,) arrays.
 
-    bits is g's 0/1 table in index order; A(d) is None for even n.
-    sigma(c, x) = s2(cx), so for c = alpha^j the column sum is
-    A(0) = (-1)^g(0) + sum_k G[k] W[j+k], with G[k] = (-1)^g(alpha^k) and
-    W[m] = (-1)^sigma_exp[m] for m < 2q-3: all q-1 sums are one exact
-    correlation of W with G.  As d.x = Tr(cx) for d = dual[c], A(d) is
-    the same correlation with W[m] (-1)^Tr(alpha^m), the trace being bit 0
-    of dual[alpha^m].  At c = 0 both are the plain sum of (-1)^g.
+    A(0) is the column sum s0, and A(d) = s0 - 2 (sum of s(x) over the x
+    with d.x = 1); A(d) is None for even n, whose screen does not read it.
     """
-    t = field_tables(spec)
+    s0 = np.einsum("ij->j", signs, dtype=np.int64)  # 2-3x faster than sum(axis=0)
+    if not n & 1:
+        return s0, None
+    odd = np.bitwise_count(np.arange(1 << n, dtype=np.int32)[:, None] & d.astype(np.int32)).view(np.int8)
+    odd &= 1
+    odd *= signs  # s(x) where d.x = 1, else 0
+    return s0, s0 - 2 * np.einsum("ij->j", odd, dtype=np.int64)
+
+
+def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(A(0), A(d)) of every twist c = 0..q-1 of g, as int64 (q,) arrays.
+
+    bits is g's 0/1 table as a uint8 (2^n, 1) column; spec None for mv;
+    A(d) is None for even n.  mv sums each block of twists from its signs
+    (_block_sums).  For uv, sigma(c, x) = s2(cx), so for c = alpha^j the
+    column sum is A(0) = (-1)^g(0) + sum_k G[k] W[j+k], with
+    G[k] = (-1)^g(alpha^k) and W[m] = (-1)^sigma_exp[m] for m < 2q-3: all
+    q-1 sums are one exact correlation of W with G.  As d.x = Tr(cx) for
+    d = dual[c], A(d) is the same correlation with W[m] (-1)^Tr(alpha^m),
+    the trace being bit 0 of dual[alpha^m].  At c = 0 both are the plain
+    sum of (-1)^g.
+    """
     q = len(bits)
-    g = 1 - 2 * bits.astype(np.int64)
+    n = q.bit_length() - 1
+    if spec is None:
+        step = max(1, _BLOCK_ENTRIES // q)
+        s0, ad = zip(*(_block_sums(*_twisted_signs(bits, None, np.arange(lo, min(q, lo + step))), n)
+                       for lo in range(0, q, step)))
+        return np.concatenate(s0), np.concatenate(ad) if n & 1 else None
+    t = field_tables(spec)
+    g = 1 - 2 * bits[:, 0].astype(np.int64)
     units = t.exp[: q - 1]  # alpha^k, k = 0..q-2
     g_units = g.take(units)
     lags = 2 * q - 3  # j + k runs over 0..2q-4
@@ -265,9 +283,7 @@ def _uv_column_sums(bits: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, np.n
         s[units] = g[0] + np.correlate(kernel, g_units, "valid")
         return s
 
-    if not spec.n & 1:
-        return sums(w), None
-    return sums(w), sums(w * (1 - 2 * (t.dual.take(t.exp[:lags]) & 1)))
+    return sums(w), sums(w * (1 - 2 * (t.dual.take(t.exp[:lags]) & 1))) if n & 1 else None
 
 
 def _flat_columns(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -294,13 +310,10 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     Nonempty means g is bent4; membership of 0 means bent, and of the
     all-ones point (mv) or the unit element (uv) means negabent.
 
-    Every twist is first screened by flatness at u = 0.  For uv the
-    sums of all twists come from one log-domain correlation
-    (_uv_column_sums), so signs are built only for the twists that pass.
-    For mv each block of twists is built and screened (_column_screen):
-    a block whose columns all pass is butterflied where it is, and the
-    other blocks set their surviving twists aside.  The survivors are
-    then built in full blocks and butterflied (_flat_columns).
+    Every twist is first screened by flatness at u = 0, from the sums
+    A(0) (and A(d)) of all twists at once (_column_sums).  Signs are
+    then built only for the twists that pass, in full blocks, and each
+    block is butterflied (_flat_columns).
     """
     if g.mode == "mv":
         spec = None
@@ -308,24 +321,12 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
         raise ValueError("univariate witnesses need the field spec")
     elif spec.n != g.n:
         raise ValueError("field degree does not match the table")
-    q = g.size
     bits = g.bit_array()[:, None]
-    step = max(1, _BLOCK_ENTRIES // q)
+    survivors = np.flatnonzero(_flat_at_zero(g.n, *_column_sums(bits, spec)))
+    step = max(1, _BLOCK_ENTRIES // g.size)
     found: set[int] = set()
-    if spec is None:
-        survivors: list[int] = []
-        for lo in range(0, q, step):
-            c = np.arange(lo, min(q, lo + step))
-            signs, d = _twisted_signs(bits, spec, c)
-            keep = _column_screen(signs, d, g.n)
-            if keep.all():  # nothing to drop, so rebuilding would be pure cost
-                found.update(c[_flat_columns(signs, d, g.n)].tolist())
-            else:
-                survivors.extend(c[keep].tolist())
-    else:
-        survivors = np.flatnonzero(_flat_at_zero(g.n, *_uv_column_sums(bits[:, 0], spec))).tolist()
     for lo in range(0, len(survivors), step):
-        c = np.array(survivors[lo : lo + step])
+        c = survivors[lo : lo + step]
         signs, d = _twisted_signs(bits, spec, c)
         found.update(c[_flat_columns(signs, d, g.n)].tolist())
     return found
@@ -345,13 +346,12 @@ def components_flat(n: int, f, spec: FieldSpec | None = None):
     """
     q = 1 << n
     f = np.asarray(f, dtype=np.int64)
-    if f.ndim == 1:
-        return bool(len(_flat_group(n, f.reshape(q, 1, 1), spec)))
+    stack = f.reshape(q, -1)
     group = max(1, _BLOCK_ENTRIES // q // (q - 1))
-    flat = np.zeros(f.shape[1], dtype=bool)
-    for first in range(0, f.shape[1], group):
-        flat[first + _flat_group(n, f[:, first : first + group, None], spec)] = True
-    return flat
+    flat = np.zeros(stack.shape[1], dtype=bool)
+    for first in range(0, stack.shape[1], group):
+        flat[first + _flat_group(n, stack[:, first : first + group, None], spec)] = True
+    return bool(flat[0]) if f.ndim == 1 else flat
 
 
 def _flat_group(n: int, f: np.ndarray, spec: FieldSpec | None) -> np.ndarray:

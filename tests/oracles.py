@@ -12,7 +12,7 @@ import numpy as np
 
 from mpf.boolfun import TruthTable
 from mpf.errors import MpfError
-from mpf.gf2n import FieldSpec, dual_mask, fe_mul, field_tables, field_to_json, sigma, trace_n
+from mpf.gf2n import FieldSpec, dual_mask, fe_mul, field_tables, field_to_json, make_field, sigma, trace_n
 from mpf.planar import (
     DOPolynomial,
     PlanarVerdict,
@@ -21,7 +21,7 @@ from mpf.planar import (
     is_modified_planar_perm,
 )
 from mpf.rds import GroupSpec, graph_of, group_for, rds_verify_bruteforce, rds_verify_characters
-from mpf.search import _check_bounds, candidate_function, class_size
+from mpf.search import _check_bounds, class_size, decode_block, slot_monomials
 from mpf.transforms import GaussianInt, Spectrum, fwht
 
 QUARTER_RE = (1, 0, -1, 0)
@@ -483,6 +483,12 @@ def class_polynomial(spec: FieldSpec, klass: str, index: int) -> DOPolynomial:
     if klass == "affine":
         return DOPolynomial(spec, linearized=dict(enumerate(digits[:n])), constant=digits[n])
     return DOPolynomial(spec, quad=dict(zip(pairs, digits)))
+
+
+def candidate_function(mode: str, n: int, klass: str, index: int) -> VectorialFunction:
+    """Decode the index-th candidate of a class, in canonical order, by a one-index block."""
+    table = decode_block(n, slot_monomials(n, klass), [index])[0].tolist()
+    return VectorialFunction(mode, n, table, make_field(n) if mode == "uv" else None)
 
 
 def enumerate_class(mode: str, n: int, klass: str):

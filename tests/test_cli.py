@@ -179,18 +179,27 @@ _F4 = {"n": 2, "modulus": "0x7"}
 _ZEROS = ["0x0"] * 4
 
 
-@pytest.mark.parametrize("verb, payload", [
-    ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": 5}),
-    ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": [None, "0x0", "0x0", "0x0"]}),
-    ("analyze", {"mode": "uv", "n": 2, "field": {"n": 2, "modulus": 7}, "table": _ZEROS}),
-    ("analyze", [1, 2]),
-    ("verify-rds", {"group": 5, "elements": []}),
-    ("spectrum", {"mode": "mv", "n": 2, "bits": 5}),
-    ("analyze", '{"mode": "mv", "n": 1e400, "field": null, "table": []}'),
+@pytest.mark.parametrize("verb, payload, says", [
+    ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": 5}, ""),
+    ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": [None, "0x0", "0x0", "0x0"]}, ""),
+    ("analyze", {"mode": "uv", "n": 2, "field": {"n": 2, "modulus": 7}, "table": _ZEROS}, ""),
+    ("analyze", [1, 2], ""),
+    ("verify-rds", {"group": 5, "elements": []}, ""),
+    ("spectrum", {"mode": "mv", "n": 2, "bits": 5}, ""),
+    ("analyze", '{"mode": "mv", "n": 1e400, "field": null, "table": []}', ""),
+    ("analyze", {"mode": "uv", "n": 2, "field": _F4}, "missing key 'table'"),
+    ("analyze", {"mode": "uv", "n": 2, "field": {"n": 2}, "table": _ZEROS}, "missing key 'modulus'"),
+    ("verify-rds", {"group": {"law": "star_mv", "n": 2}}, "missing key 'elements'"),
+    ("verify-rds", {"elements": []}, "missing key 'group'"),
+    ("verify-rds", {"group": {"n": 2}, "elements": []}, "missing key 'law'"),
+    ("spectrum", {"mode": "mv", "n": 2}, "missing key 'bits'"),
 ], ids=["table-number", "table-null", "modulus-number", "top-level-list", "group-number", "bits-number",
-        "degree-infinite"])
-def test_wrong_typed_json_exits_3(tmp_path, capsys, verb, payload):
+        "degree-infinite", "table-missing", "modulus-missing", "elements-missing", "group-missing",
+        "law-missing", "bits-missing"])
+def test_wrong_typed_json_exits_3(tmp_path, capsys, verb, payload, says):
     # Exit 1 would read as a false verdict; a malformed file is bad input.
+    # A missing key is named, and is told apart from a library KeyError,
+    # which exits 4 (below).
     path = tmp_path / "in.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main([verb, "--file", str(path)]) == 3
@@ -198,6 +207,7 @@ def test_wrong_typed_json_exits_3(tmp_path, capsys, verb, payload):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert says in lines[0]
 
 
 @pytest.mark.parametrize("n", [0, 40])
@@ -252,7 +262,9 @@ def test_analyze_route_disagreement_exits_4(uv_zero_file, monkeypatch, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("exc", [IndexError("index 4 is out of bounds"), ZeroDivisionError("division by zero")])
+@pytest.mark.parametrize("exc", [
+    IndexError("index 4 is out of bounds"), ZeroDivisionError("division by zero"), KeyError("table"),
+])
 def test_an_unexpected_library_exception_exits_4(uv_zero_file, monkeypatch, capsys, exc):
     # A library bug is neither a false verdict (1) nor bad input (3).
     import mpf.cli as cli

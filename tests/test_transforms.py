@@ -17,9 +17,9 @@ from mpf.transforms import (
     GaussianInt,
     Spectrum,
     _column_screen,
+    _column_sums,
     _flat_columns,
     _twisted_signs,
-    _uv_column_sums,
     bent4_witnesses,
     components_flat,
     fwht,
@@ -477,28 +477,46 @@ def _block_screen_sums(bits, spec):
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_uv_column_sums_equal_the_block_screen_sums(n):
-    # The correlation gives every twist's A(0) (and A(d) at odd n) at
-    # once; twist by twist it must equal the sums over the signs that the
-    # block screen builds: on every table at n <= 3, on seeded ones above.
+def test_column_sums_equal_the_block_screen_sums(n):
+    # _column_sums gives every twist's A(0) (and A(d) at odd n) at once,
+    # for uv by one correlation; twist by twist it must equal the sums
+    # over the signs that the block screen builds, in both modes: on
+    # every table at n <= 3, on seeded ones above.
     q = 1 << n
-    spec = make_field(n)
     rng = random.Random(17 * n)
     if n <= 3:
         tables = range(1 << q)
     else:
         tables = [0, (1 << q) - 1] + [rng.getrandbits(q) for _ in range(12)]
-    for bits in tables:
-        table = TruthTable(n, bits, "uv").bit_array()
-        s0, ad = _uv_column_sums(table, spec)
-        want_s0, want_ad = _block_screen_sums(table, spec)
-        assert s0.dtype == np.int64
-        assert s0.tolist() == want_s0.tolist(), bits
+    for mode, spec in (("mv", None), ("uv", make_field(n))):
+        for bits in tables:
+            table = TruthTable(n, bits, mode).bit_array()
+            s0, ad = _column_sums(table[:, None], spec)
+            want_s0, want_ad = _block_screen_sums(table, spec)
+            assert s0.dtype == np.int64
+            assert s0.tolist() == want_s0.tolist(), (mode, bits)
+            if n & 1:
+                assert ad.dtype == np.int64
+                assert ad.tolist() == want_ad.tolist(), (mode, bits)
+            else:
+                assert ad is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(1, 6), st.data())
+def test_column_sums_are_the_spectrum_at_zero(mode, n, data):
+    # At u = 0 the spectrum is (A(0) + A(d) + i (A(0) - A(d))) / 2, so
+    # A(0) = Re + Im and A(d) = Re - Im, at every twist.
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    g = TruthTable(n, data.draw(st.integers(0, (1 << q) - 1)), mode)
+    s0, ad = _column_sums(g.bit_array()[:, None], spec)
+    assert (ad is None) == (not n & 1)
+    for c in range(q):
+        re, im = (transform_U(g, c) if spec is None else transform_V(spec, g, c)).value(0)
+        assert s0[c] == re + im
         if n & 1:
-            assert ad.dtype == np.int64
-            assert ad.tolist() == want_ad.tolist(), bits
-        else:
-            assert ad is None
+            assert ad[c] == re - im
 
 
 def _derivative_oracle_witnesses(g, spec):
