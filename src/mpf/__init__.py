@@ -12,6 +12,7 @@ from .boolfun import TruthTable, from_values, table_from_json
 from .errors import (
     ElementRangeError,
     FilterDisagreementError,
+    InputError,
     InputFormatError,
     InvalidModulusError,
     MpfError,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import json_loader
+from .errors import InputError, json_loader
 from .gf2n import MAX_DEGREE
 
 MODES = ("mv", "uv")
@@ -29,11 +29,11 @@ class TruthTable:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 1 <= self.n <= MAX_DEGREE:
-            raise ValueError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
+            raise InputError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
         if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
-            raise ValueError("bits does not fit in 2^n positions")
+            raise InputError("bits does not fit in 2^n positions")
 
     @property
     def size(self) -> int:
@@ -51,7 +51,7 @@ def from_values(values, mode: str) -> TruthTable:
     vals = list(values)
     n = (len(vals) - 1).bit_length()
     if len(vals) != 1 << n:
-        raise ValueError("number of values must be a power of two")
+        raise InputError("number of values must be a power of two")
     bits = 0
     for t, v in enumerate(vals):
         if v & 1:

@@ -5,8 +5,7 @@ Verbs: analyze, spectrum, verify-rds, search, selftest.  Exit codes:
 input-data error, 4 internal error (the independent verdict routes
 disagreed, or an unexpected exception escaped the library: either means
 a bug in this package).
-Identical invocations produce byte-identical output unless --timestamp
-is given.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ import argparse
 import functools
 import json
 import sys
-import time
 
 from .boolfun import TruthTable, table_from_json
-from .errors import FilterDisagreementError, InputFormatError, MpfError, json_loader
+from .errors import FilterDisagreementError, InputError, InputFormatError, MpfError, json_list, json_loader
 from .gf2n import fe_mul, field_from_json, field_to_json, make_field, poly_is_irreducible, sigma, trace_n
 from .planar import (
     VectorialFunction,
@@ -36,7 +34,7 @@ from .rds import (
     rds_verify_bruteforce,
     rds_verify_characters,
 )
-from .search import SearchJob, run_search
+from .search import CLASSES, FILTERS, SearchJob, run_search
 from .search import report_to_json as search_report_to_json
 from .transforms import bent4_witnesses, is_flat, transform_U, transform_V
 
@@ -60,34 +58,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help="vectorial function JSON")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--timestamp", action="store_true", help="stamp the report with wall time")
 
     p = sub.add_parser("spectrum", help="dump the exact twisted spectrum of a Boolean function")
     p.add_argument("--file", required=True, help="truth table JSON")
     p.add_argument("--c", default="0x0", help="twist element, hex (default 0x0)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--timestamp", action="store_true")
 
     p = sub.add_parser("verify-rds", help="verify a relative difference set")
     p.add_argument("--file", required=True, help="group spec + element list JSON")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--timestamp", action="store_true")
 
     p = sub.add_parser("search", help="enumerate a function class and filter by planarity")
     p.add_argument("--mode", choices=("mv", "uv"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--class", dest="klass", required=True,
-                   choices=("all", "affine", "do_quadratic"))
-    p.add_argument("--filter", choices=("perm", "components", "both"), default="both")
+    p.add_argument("--class", dest="klass", required=True, choices=CLASSES)
+    p.add_argument("--filter", choices=FILTERS, default="both")
     p.add_argument("--shards", type=int, default=1, help="worker shards (default 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=None,
                    help="draw this many candidates instead of exhausting the class")
     p.add_argument("--out", default=None)
     p.add_argument("--stream", default=None, help="write every passing function here, one JSON per line")
-    p.add_argument("--timestamp", action="store_true")
 
     sub.add_parser("selftest", help="run the built-in identity battery")
     return parser
@@ -121,8 +114,6 @@ def _emit(args: argparse.Namespace, report: dict, lines: list[str] | None = None
     if lines is not None and args.format != "json":
         text = "\n".join(lines)
     else:
-        if args.timestamp:
-            report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         text = json.dumps(report, indent=2)
     _write(text, args.out)
 
@@ -170,7 +161,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     obj = _load_json(args.file)
     g = table_from_json(obj)
-    c = int(args.c, 16)
+    try:
+        c = int(args.c, 16)
+    except ValueError:
+        raise InputError(f"--c must be a hex field element, got {args.c!r}") from None
     if g.mode == "uv":
         spec = field_from_json(obj["field"]) if obj.get("field") else make_field(g.n)
         s = transform_V(spec, g, c)
@@ -197,8 +191,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _rds_input(obj: dict):
     """(group, elements, forbidden elements or None) of a verify-rds file."""
     group = group_from_json(obj["group"])
-    R = elements_from_json(obj["elements"])
-    return group, R, elements_from_json(obj["forbidden"]) if obj.get("forbidden") else None
+    R = elements_from_json(json_list(obj, "elements"))
+    return group, R, elements_from_json(json_list(obj, "forbidden")) if obj.get("forbidden") else None
 
 
 def _cmd_verify_rds(args: argparse.Namespace) -> int:
@@ -300,7 +294,7 @@ def main(argv=None) -> int:
     except FilterDisagreementError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
-    except (OSError, json.JSONDecodeError, ValueError, MpfError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, MpfError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
     except Exception as exc:  # a library bug; exit 1 would read as a false verdict

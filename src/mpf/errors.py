@@ -7,12 +7,23 @@ class MpfError(Exception):
     """Base class for all mpf-specific errors."""
 
 
-class InputFormatError(MpfError):
+class InputError(MpfError, ValueError):
+    """A bad argument or input value: out of range, or of an unknown kind."""
+
+
+class InputFormatError(InputError):
     """An input JSON value has the wrong type, say a number where a list belongs."""
 
 
+def json_list(obj: dict, key: str) -> list:
+    """obj[key], which must be a JSON list (a string or an object would be read by its characters or keys)."""
+    if not isinstance(obj[key], list):
+        raise InputFormatError(f"{key} must be a JSON list")
+    return obj[key]
+
+
 def json_loader(load):
-    """Report a missing key or a wrong-typed JSON value as InputFormatError (int() of 1e400 overflows)."""
+    """Report a missing key, or a wrong-typed or malformed value (int() of 1e400 or "0xg"), as InputFormatError."""
 
     @functools.wraps(load)
     def checked(obj):
@@ -20,7 +31,7 @@ def json_loader(load):
             return load(obj)
         except KeyError as exc:
             raise InputFormatError(f"missing key {exc}") from None
-        except (TypeError, AttributeError, OverflowError) as exc:
+        except (TypeError, AttributeError, OverflowError, ValueError) as exc:
             raise InputFormatError(str(exc)) from None
 
     return checked

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import InvalidModulusError, json_loader
+from .errors import InputError, InvalidModulusError, json_loader
 
 MAX_DEGREE = 24
 
@@ -37,7 +37,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DEGREE:
-            raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {self.n}")
+            raise InputError(f"degree must be in [1, {MAX_DEGREE}], got {self.n}")
         if _poly_degree(self.modulus) != self.n:
             raise InvalidModulusError(
                 f"modulus 0x{self.modulus:x} has degree {_poly_degree(self.modulus)}, "
@@ -96,7 +96,7 @@ def make_field(n: int, modulus: int | None = None) -> FieldSpec:
     The default spec is built, and so checked, once per n.
     """
     if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {n}")
+        raise InputError(f"degree must be in [1, {MAX_DEGREE}], got {n}")
     return _default_field(n) if modulus is None else FieldSpec(n, modulus)
 
 
@@ -167,7 +167,7 @@ class _FieldTables:
 
     def __init__(self, spec: FieldSpec):
         if spec.n > MAX_TABLE_DEGREE:
-            raise ValueError(
+            raise InputError(
                 f"lookup tables limited to n <= {MAX_TABLE_DEGREE}, got n={spec.n}"
             )
         self.spec = spec
@@ -203,17 +203,6 @@ class _FieldTables:
         table faster than fancy indexing or np.take, at every size.
         """
         return self.exp.take(self.log.take(a) + self.log.take(b))
-
-    @cached_property
-    def frobenius_powers(self) -> list[np.ndarray]:
-        """The n arrays x -> x^(2^i), i = 0..n-1, over every field element x."""
-        q = self.spec.order
-        ident = np.arange(q, dtype=np.int64)
-        sq = self.mul(ident, ident)
-        pows = [ident]
-        for _ in range(self.spec.n - 1):
-            pows.append(sq[pows[-1]])
-        return pows
 
     @cached_property
     def s2(self) -> np.ndarray:

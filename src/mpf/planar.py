@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transforms
-from .errors import json_loader
+from .errors import InputError, json_list, json_loader
 from .gf2n import MAX_DEGREE, FieldSpec, field_from_json, field_tables, field_to_json
 
 
@@ -33,20 +33,20 @@ class VectorialFunction:
 
     def __post_init__(self):
         if self.mode not in ("mv", "uv"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InputError(f"unknown mode {self.mode!r}")
         if not 1 <= self.n <= MAX_DEGREE:
-            raise ValueError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
+            raise InputError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
         object.__setattr__(self, "table", tuple(self.table))
         size = 1 << self.n
         if len(self.table) != size:
-            raise ValueError(f"table must have {size} entries")
+            raise InputError(f"table must have {size} entries")
         if min(self.table) < 0 or max(self.table) >= size:
-            raise ValueError("table entries out of range")
+            raise InputError("table entries out of range")
         if self.mode == "uv":
             if self.spec is None or self.spec.n != self.n:
-                raise ValueError("univariate functions need a matching field spec")
+                raise InputError("univariate functions need a matching field spec")
         elif self.spec is not None:
-            raise ValueError("multivariate functions carry no field spec")
+            raise InputError("multivariate functions carry no field spec")
 
     @property
     def size(self) -> int:
@@ -72,28 +72,26 @@ class DOPolynomial:
         n = self.spec.n
         for (i, j) in self.quad:
             if not 0 <= i < j <= n - 1:
-                raise ValueError(f"quadratic exponent pair {(i, j)} out of range")
+                raise InputError(f"quadratic exponent pair {(i, j)} out of range")
         for i in self.linearized:
             if not 0 <= i <= n - 1:
-                raise ValueError(f"linearized exponent index {i} out of range")
+                raise InputError(f"linearized exponent index {i} out of range")
         if not 0 <= self.constant < self.spec.order:
-            raise ValueError("constant term out of range")
+            raise InputError("constant term out of range")
 
 
 def do_monomials(spec: FieldSpec, exponents) -> np.ndarray:
-    """(len(exponents), 2^n) rows x -> x^e over every field element x.
+    """(len(exponents), 2^n) int64 rows x -> x^e over every field element x.
 
-    x^e is the product of the cached Frobenius powers x^(2^k) over the
-    bits k of e, so e = 2^i + 2^j costs two products and e = 0 is the
-    constant 1 (at x = 0 too).
+    A unit x has x^e = exp[e * log x mod (q - 1)], one gather for every
+    row, with e * log x taken in int64; the x = 0 column is 1 for e = 0
+    (0^0 = 1) and 0 otherwise.
     """
     t = field_tables(spec)
-    pows = t.frobenius_powers
-    rows = np.ones((len(exponents), spec.order), dtype=np.int64)
-    for row, e in zip(rows, exponents):
-        for k in range(spec.n):
-            if e >> k & 1:
-                row[:] = t.mul(row, pows[k])
+    e = np.array(exponents, dtype=np.int64).reshape(-1, 1)
+    rows = np.empty((len(e), spec.order), dtype=np.int64)
+    rows[:, :1] = e == 0
+    rows[:, 1:] = t.exp.take(e * t.log[1:] % (spec.order - 1))
     return rows
 
 
@@ -236,5 +234,5 @@ def function_to_json(F: VectorialFunction) -> dict:
 @json_loader
 def function_from_json(obj: dict) -> VectorialFunction:
     spec = field_from_json(obj["field"]) if obj.get("field") else None
-    table = tuple(int(v, 16) for v in obj["table"])
+    table = tuple(int(v, 16) for v in json_list(obj, "table"))
     return VectorialFunction(obj["mode"], int(obj["n"]), table, spec)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     BruteForceBoundsError,
     ElementRangeError,
+    InputError,
     NotASubgroupError,
     json_loader,
 )
@@ -49,14 +50,14 @@ class GroupSpec:
 
     def __post_init__(self):
         if self.law not in LAWS:
-            raise ValueError(f"unknown law {self.law!r}")
+            raise InputError(f"unknown law {self.law!r}")
         if not 1 <= self.n <= MAX_DEGREE:
-            raise ValueError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
+            raise InputError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
         if self.law == "star_uv":
             if self.spec is None or self.spec.n != self.n:
-                raise ValueError("star_uv needs a matching field spec")
+                raise InputError("star_uv needs a matching field spec")
         elif self.spec is not None:
-            raise ValueError(f"{self.law} carries no field spec")
+            raise InputError(f"{self.law} carries no field spec")
 
     @property
     def order(self) -> int:

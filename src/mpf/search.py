@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterDisagreementError, SearchBoundsError
+from .errors import FilterDisagreementError, InputError, SearchBoundsError
 from .gf2n import MAX_DEGREE, make_field
 from .planar import (
     VectorialFunction,
@@ -29,13 +29,19 @@ from .planar import (
 )
 from .transforms import _BLOCK_ENTRIES, components_flat
 
-CLASSES = ("all", "affine", "do_quadratic")
-FILTERS = ("perm", "components", "both")
-
-# Largest n per class for exhaustive jobs; sampled jobs only need the
-# candidate space to be indexable.  do_quadratic at n = 4 is 2^24
+# Each class is (largest n for exhaustive jobs, its slot exponents at n).
+# affine slots are x^(2^i), i < n, then the constant; do_quadratic slots
+# are x^(2^i + 2^j), i < j, in lexicographic order; the all class has no
+# exponents, as its digits are the table itself.  Sampled jobs only need
+# the candidate space to be indexable.  do_quadratic at n = 4 is 2^24
 # candidates; n = 5 would be 2^50.
-_EXHAUSTIVE_BOUNDS = {"all": 2, "affine": 4, "do_quadratic": 4}
+_CLASSES = {
+    "all": (2, lambda n: None),
+    "affine": (4, lambda n: [1 << i for i in range(n)] + [0]),
+    "do_quadratic": (4, lambda n: [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]),
+}
+CLASSES = tuple(_CLASSES)
+FILTERS = ("perm", "components", "both")
 
 # Bound on one sampled candidate's work, about 4^n steps (q directions
 # or twists of q points each): a time bound, not a memory bound.  It
@@ -57,19 +63,16 @@ class SearchJob:
 
     def __post_init__(self):
         if self.mode not in ("mv", "uv"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InputError(f"unknown mode {self.mode!r}")
         if not 1 <= self.n <= MAX_DEGREE:
-            raise ValueError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
-        if self.klass not in CLASSES:
-            raise ValueError(f"unknown class {self.klass!r}")
+            raise InputError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
+        _slot_exponents(self.mode, self.n, self.klass)
         if self.filter not in FILTERS:
-            raise ValueError(f"unknown filter {self.filter!r}")
-        if self.mode == "mv" and self.klass != "all":
-            raise ValueError("polynomial classes are univariate; use mode uv")
+            raise InputError(f"unknown filter {self.filter!r}")
         if self.shards < 1:
-            raise ValueError("shards must be >= 1")
+            raise InputError("shards must be >= 1")
         if self.sample is not None and self.sample < 0:
-            raise ValueError("sample must be >= 0")
+            raise InputError("sample must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -80,38 +83,25 @@ class SearchReport:
     cross_check: bool | None
 
 
-def _slot_count(n: int, klass: str) -> int:
-    if klass == "all":
-        return 1 << n
-    if klass == "affine":
-        return n + 1
-    if klass == "do_quadratic":
-        return n * (n - 1) // 2
-    raise ValueError(f"unknown class {klass!r}")
+def _slot_exponents(mode: str, n: int, klass: str) -> list[int] | None:
+    """The slot exponents of klass at n (None for all); polynomial classes are uv only."""
+    if klass not in _CLASSES:
+        raise InputError(f"unknown class {klass!r}")
+    exponents = _CLASSES[klass][1](n)
+    if mode == "mv" and exponents is not None:
+        raise InputError("polynomial classes are univariate; use mode uv")
+    return exponents
 
 
 def class_size(mode: str, n: int, klass: str) -> int:
-    if mode == "mv" and klass != "all":
-        raise ValueError("polynomial classes are univariate; use mode uv")
-    return 1 << (n * _slot_count(n, klass))
+    exponents = _slot_exponents(mode, n, klass)
+    return 1 << (n * (1 << n if exponents is None else len(exponents)))
 
 
 def slot_monomials(n: int, klass: str) -> np.ndarray | None:
-    """The (slots, 2^n) rows x -> x^e of a DO class's slot exponents.
-
-    affine slots are x^(2^i), i < n, then the constant; do_quadratic
-    slots are x^(2^i + 2^j), i < j, in lexicographic order.  None for
-    the all class, whose digits are the table itself.
-    """
-    if klass == "all":
-        return None
-    if klass == "affine":
-        exponents = [1 << i for i in range(n)] + [0]
-    elif klass == "do_quadratic":
-        exponents = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        raise ValueError(f"unknown class {klass!r}")
-    return do_monomials(make_field(n), exponents)
+    """The (slots, 2^n) rows x -> x^e of a class's slot exponents, None for the all class."""
+    exponents = _slot_exponents("uv", n, klass)
+    return None if exponents is None else do_monomials(make_field(n), exponents)
 
 
 def decode_block(n: int, monomials: np.ndarray | None, indices: list[int]) -> np.ndarray:
@@ -130,8 +120,8 @@ def decode_block(n: int, monomials: np.ndarray | None, indices: list[int]) -> np
     return digits if monomials is None else do_tables(make_field(n), monomials, digits)
 
 
-def _check_bounds(mode: str, n: int, klass: str) -> None:
-    bound = _EXHAUSTIVE_BOUNDS[klass]
+def _check_bounds(n: int, klass: str) -> None:
+    bound = _CLASSES[klass][0]
     if n > bound:
         raise SearchBoundsError(
             f"exhaustive {klass} jobs are limited to n <= {bound}, got n={n}"
@@ -215,7 +205,7 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
     object per line (not capped).
     """
     if job.sample is None:
-        _check_bounds(job.mode, job.n, job.klass)
+        _check_bounds(job.n, job.klass)
         total = class_size(job.mode, job.n, job.klass)
     elif 4 ** job.n > MAX_CANDIDATE_WORK:
         raise SearchBoundsError(f"sampled jobs are limited to 4^n <= {MAX_CANDIDATE_WORK}, got n={job.n}")

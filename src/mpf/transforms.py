@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfun import TruthTable
-from .errors import NonPowerOfTwoError
+from .errors import InputError, NonPowerOfTwoError
 from .gf2n import FieldSpec, field_tables
 
 
@@ -73,7 +73,7 @@ class Spectrum:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.int64)
         if v.shape != (1 << self.n, 2):
-            raise ValueError(f"values must have shape ({1 << self.n}, 2)")
+            raise InputError(f"values must have shape ({1 << self.n}, 2)")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -158,7 +158,7 @@ def _twisted_signs(bits: np.ndarray, spec: FieldSpec | None, twists) -> tuple[np
 def _spectrum(g: TruthTable, spec: FieldSpec | None, c: int) -> Spectrum:
     """The spectrum at c, (A(u) + A(u^d) + i (A(u) - A(u^d))) / 2, reindexed for uv."""
     if not 0 <= c < g.size:
-        raise ValueError("twist c out of range")
+        raise InputError("twist c out of range")
     signs, d = _twisted_signs(g.bit_array()[:, None], spec, [c])
     a = _butterfly(signs, g.size)[:, 0].astype(np.int64)
     b = a[np.arange(g.size) ^ d[0]]
@@ -174,7 +174,7 @@ def transform_U(g: TruthTable, c: int) -> Spectrum:
     Read off one real butterfly, with d = c (module docstring).
     """
     if g.mode != "mv":
-        raise ValueError("transform_U needs a multivariate table")
+        raise InputError("transform_U needs a multivariate table")
     return _spectrum(g, None, c)
 
 
@@ -187,9 +187,9 @@ def transform_V(spec: FieldSpec, g: TruthTable, c: int) -> Spectrum:
     butterfly, with d = dual[c] (module docstring).
     """
     if g.mode != "uv":
-        raise ValueError("transform_V needs a univariate table")
+        raise InputError("transform_V needs a univariate table")
     if spec.n != g.n:
-        raise ValueError("field degree does not match the table")
+        raise InputError("field degree does not match the table")
     return _spectrum(g, spec, c)
 
 
@@ -207,8 +207,8 @@ def is_flat(s: Spectrum) -> bool:
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _column_screen(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
-    """Which columns of (-1)^b (2^n, m), with their d, pass flatness at u = 0.
+def _flat_at_zero(n: int, s0: np.ndarray, ad: np.ndarray | None) -> np.ndarray:
+    """Which columns of (-1)^b, from A(0) = s0 and, for odd n, A(d) = ad (_block_sums), pass flatness at u = 0.
 
     Flatness at column c needs A(u)^2 + A(u^d)^2 = 2^(n+1) for every u.
     For even n that forces |A(u)| = 2^(n/2), and the screen tests
@@ -225,11 +225,6 @@ def _column_screen(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
     column that fails anywhere fails at u = 0, and only flat ones reach
     the butterfly.
     """
-    return _flat_at_zero(n, *_block_sums(signs, d, n))
-
-
-def _flat_at_zero(n: int, s0: np.ndarray, ad: np.ndarray | None) -> np.ndarray:
-    """The screen's test from A(0) = s0 and, for odd n, A(d) = ad (_column_screen)."""
     if not n & 1:
         return s0 * s0 == 1 << n
     return s0 * s0 + ad * ad == 2 << n
@@ -318,9 +313,9 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     if g.mode == "mv":
         spec = None
     elif spec is None:
-        raise ValueError("univariate witnesses need the field spec")
+        raise InputError("univariate witnesses need the field spec")
     elif spec.n != g.n:
-        raise ValueError("field degree does not match the table")
+        raise InputError("field degree does not match the table")
     bits = g.bit_array()[:, None]
     survivors = np.flatnonzero(_flat_at_zero(g.n, *_column_sums(bits, spec)))
     step = max(1, _BLOCK_ENTRIES // g.size)
@@ -370,7 +365,7 @@ def _flat_group(n: int, f: np.ndarray, spec: FieldSpec | None) -> np.ndarray:
         k = len(live)
         bits = (np.bitwise_count(lc & f) & 1).reshape(q, -1)
         signs, d = _twisted_signs(bits, spec, c if k == 1 else np.tile(c, k))
-        ok = _column_screen(signs, d, n).reshape(k, -1).all(axis=1)
+        ok = _flat_at_zero(n, *_block_sums(signs, d, n)).reshape(k, -1).all(axis=1)
         live = live[ok]
         if not len(live):
             break

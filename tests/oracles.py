@@ -493,7 +493,7 @@ def candidate_function(mode: str, n: int, klass: str, index: int) -> VectorialFu
 
 def enumerate_class(mode: str, n: int, klass: str):
     """Yield every function of a search class exactly once, in canonical order."""
-    _check_bounds(mode, n, klass)
+    _check_bounds(n, klass)
     for index in range(class_size(mode, n, klass)):
         yield candidate_function(mode, n, klass, index)
 

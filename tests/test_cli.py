@@ -114,6 +114,11 @@ def test_spectrum_json(uv_zero_table_file, capsys):
     assert obj["values"][0] == [0, -2]
 
 
+def test_spectrum_bad_twist_exits_3(uv_zero_table_file, capsys):
+    assert main(["spectrum", "--file", uv_zero_table_file, "--c", "zz"]) == 3
+    assert capsys.readouterr().err == "error: --c must be a hex field element, got 'zz'\n"
+
+
 def test_spectrum_unwritable_out_exits_3(uv_zero_table_file):
     code = main(["spectrum", "--file", uv_zero_table_file, "--out", "/nonexistent/dir/s.csv"])
     assert code == 3
@@ -193,9 +198,13 @@ _ZEROS = ["0x0"] * 4
     ("verify-rds", {"elements": []}, "missing key 'group'"),
     ("verify-rds", {"group": {"n": 2}, "elements": []}, "missing key 'law'"),
     ("spectrum", {"mode": "mv", "n": 2}, "missing key 'bits'"),
+    ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": {"0x0": 1, "0x1": 1, "0x2": 1, "0x3": 1}},
+     "table must be a JSON list"),
+    ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": ["0xg", "0x0", "0x0", "0x0"]}, "'0xg'"),
+    ("verify-rds", {"group": {"law": "star_mv", "n": 1}, "elements": "0x0"}, "elements must be a JSON list"),
 ], ids=["table-number", "table-null", "modulus-number", "top-level-list", "group-number", "bits-number",
         "degree-infinite", "table-missing", "modulus-missing", "elements-missing", "group-missing",
-        "law-missing", "bits-missing"])
+        "law-missing", "bits-missing", "table-object", "table-bad-hex", "elements-string"])
 def test_wrong_typed_json_exits_3(tmp_path, capsys, verb, payload, says):
     # Exit 1 would read as a false verdict; a malformed file is bad input.
     # A missing key is named, and is told apart from a library KeyError,
@@ -264,6 +273,7 @@ def test_analyze_route_disagreement_exits_4(uv_zero_file, monkeypatch, capsys):
 
 @pytest.mark.parametrize("exc", [
     IndexError("index 4 is out of bounds"), ZeroDivisionError("division by zero"), KeyError("table"),
+    ValueError("operands could not be broadcast"),
 ])
 def test_an_unexpected_library_exception_exits_4(uv_zero_file, monkeypatch, capsys, exc):
     # A library bug is neither a false verdict (1) nor bad input (3).

@@ -14,6 +14,7 @@ from mpf.gf2n import fe_mul, make_field, trace_n
 from mpf.planar import (
     DOPolynomial,
     VectorialFunction,
+    do_monomials,
     do_to_table,
     function_from_json,
     function_to_json,
@@ -70,6 +71,32 @@ def test_do_to_table_cube_on_f4():
 def test_do_to_table_frobenius_on_f4():
     p = DOPolynomial(F4, linearized={1: 1})  # x^2
     assert do_to_table(p).table == (0, 1, 3, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_do_monomials_are_scalar_powers(n):
+    # Every affine slot exponent (2^i and the constant's 0) and every
+    # do_quadratic one (2^i + 2^j, i < j) at every x, 0 included (0^0 = 1),
+    # against products of the scalar Frobenius powers x^(2^k).  At n = 1
+    # the unit group has order q - 1 = 1.
+    spec = make_field(n)
+    exponents = [1 << i for i in range(n)] + [0] + [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    rows = do_monomials(spec, exponents)
+    assert rows.dtype == np.int64 and rows.shape == (len(exponents), 1 << n)
+    for x in range(1 << n):
+        frobenius = [x]
+        for _ in range(n - 1):
+            frobenius.append(fe_mul(spec, frobenius[-1], frobenius[-1]))
+        want = []
+        for e in exponents:
+            power = 1
+            for k in range(n):
+                if e >> k & 1:
+                    power = fe_mul(spec, power, frobenius[k])
+            want.append(power)
+        assert rows[:, x].tolist() == want, x
+    assert rows[n].tolist() == [1] * (1 << n)  # x^0 = 1, at x = 0 too
+    assert not rows[np.arange(len(exponents)) != n, 0].any()  # 0^e = 0 for e > 0
 
 
 def test_do_polynomial_validates_exponents():

@@ -16,8 +16,9 @@ from mpf.search import class_size, decode_block, slot_monomials
 from mpf.transforms import (
     GaussianInt,
     Spectrum,
-    _column_screen,
+    _block_sums,
     _column_sums,
+    _flat_at_zero,
     _flat_columns,
     _twisted_signs,
     bent4_witnesses,
@@ -348,7 +349,7 @@ def test_bent4_column_sum_test_at_odd_n(mode, n, monkeypatch):
     for w in (q // 2, (q - (1 << (n + 1) // 2)) // 2):
         signs, d = _twisted_signs(_table_of_weight(n, w, mode, seed=n * w).bit_array()[:, None], spec, [0])
         assert d.tolist() == [0]
-        assert not _column_screen(signs, d, n).any()
+        assert not _flat_at_zero(n, *_block_sums(signs, d, n)).any()
 
 
 @pytest.mark.parametrize(("mode", "survivors", "blocks"), [
@@ -431,7 +432,7 @@ def test_column_screen_is_exact_on_do_quadratic_components(n, sample, planar, mo
     tables = decode_block(n, slot_monomials(n, "do_quadratic"), list(indices)).tolist()
     signs, d = _component_columns(spec, tables)
     flat = _flat_columns(signs, d, n)
-    assert _column_screen(signs, d, n).tolist() == flat.tolist()
+    assert _flat_at_zero(n, *_block_sums(signs, d, n)).tolist() == flat.tolist()
     assert flat.any() and not flat.all()
     expect = flat.reshape(len(tables), -1).all(axis=1)
     assert expect.sum() == planar
@@ -462,14 +463,14 @@ def test_column_screen_never_rejects_a_flat_column(mode, n, data):
         quadratic += [is_quadratic] * len(twists)
     signs = np.hstack([s for s, _ in blocks])
     d = np.concatenate([e for _, e in blocks])
-    screen = _column_screen(signs, d, n)
+    screen = _flat_at_zero(n, *_block_sums(signs, d, n))
     flat = _flat_columns(signs, d, n)
     assert not (flat & ~screen).any()
     assert (screen == flat)[quadratic].all()
 
 
 def _block_screen_sums(bits, spec):
-    """A(0) and A(d) of every twist, summed over the sign block the way _column_screen sees it."""
+    """A(0) and A(d) of every twist, summed over the sign block the way _block_sums sees it."""
     q = len(bits)
     signs, d = _twisted_signs(bits[:, None], spec, np.arange(q))
     parities = np.array([[parity(int(e) & x) for e in d] for x in range(q)])
