@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, json_loader
-from .gf2n import MAX_DEGREE
-
-MODES = ("mv", "uv")
+from .gf2n import check_setting
 
 
 @dataclass(frozen=True)
@@ -28,10 +26,7 @@ class TruthTable:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 1 <= self.n <= MAX_DEGREE:
-            raise InputError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
+        check_setting(self.mode, self.n)
         if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise InputError("bits does not fit in 2^n positions")
 

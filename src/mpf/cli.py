@@ -17,7 +17,7 @@ import sys
 
 from .boolfun import TruthTable, table_from_json
 from .errors import FilterDisagreementError, InputError, InputFormatError, MpfError, json_list, json_loader
-from .gf2n import fe_mul, field_from_json, field_to_json, make_field, poly_is_irreducible, sigma, trace_n
+from .gf2n import MODES, fe_mul, field_from_json, field_to_json, make_field, poly_is_irreducible, sigma, trace_n
 from .planar import (
     VectorialFunction,
     function_from_json,
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("search", help="enumerate a function class and filter by planarity")
-    p.add_argument("--mode", choices=("mv", "uv"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="klass", required=True, choices=CLASSES)
     p.add_argument("--filter", choices=FILTERS, default="both")
@@ -93,7 +93,10 @@ def parse_command(argv) -> argparse.Namespace:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad syntax or encoding, deep nesting, a huge int
+            raise InputFormatError(f"{path}: not readable as JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InputFormatError(f"{path}: the top level must be a JSON object")
     return obj
@@ -165,11 +168,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         c = int(args.c, 16)
     except ValueError:
         raise InputError(f"--c must be a hex field element, got {args.c!r}") from None
-    if g.mode == "uv":
-        spec = field_from_json(obj["field"]) if obj.get("field") else make_field(g.n)
-        s = transform_V(spec, g, c)
-    else:
-        s = transform_U(g, c)
+    spec = field_from_json(obj["field"]) if obj.get("field") is not None else None
+    s = transform_V(spec or make_field(g.n), g, c) if g.mode == "uv" else transform_U(g, c)
     if args.format == "csv":
         norms = s.norms_sq()
         rows = ["# mpf.spectrum.v1", "u,re,im,norm_sq"]
@@ -192,7 +192,7 @@ def _rds_input(obj: dict):
     """(group, elements, forbidden elements or None) of a verify-rds file."""
     group = group_from_json(obj["group"])
     R = elements_from_json(json_list(obj, "elements"))
-    return group, R, elements_from_json(json_list(obj, "forbidden")) if obj.get("forbidden") else None
+    return group, R, elements_from_json(json_list(obj, "forbidden")) if obj.get("forbidden") is not None else None
 
 
 def _cmd_verify_rds(args: argparse.Namespace) -> int:
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except FilterDisagreementError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, MpfError) as exc:
+    except (OSError, MpfError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
     except Exception as exc:  # a library bug; exit 1 would read as a false verdict

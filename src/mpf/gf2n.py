@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InputError, InvalidModulusError, json_loader
 
+MODES = ("mv", "uv")  # the cross term x*y: coordinatewise product (mv), field product (uv)
 MAX_DEGREE = 24
 
 # Largest degree for which the cached numpy tables are built (2^n entries
@@ -36,8 +37,7 @@ class FieldSpec:
     modulus: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DEGREE:
-            raise InputError(f"degree must be in [1, {MAX_DEGREE}], got {self.n}")
+        check_setting("uv", self.n)
         if _poly_degree(self.modulus) != self.n:
             raise InvalidModulusError(
                 f"modulus 0x{self.modulus:x} has degree {_poly_degree(self.modulus)}, "
@@ -52,6 +52,20 @@ class FieldSpec:
 
     def elements(self) -> range:
         return range(1 << self.n)
+
+
+def check_setting(mode: str, n: int) -> None:
+    """Reject a mode outside MODES, or an n outside [1, MAX_DEGREE] before anything of size 2^n is built."""
+    if mode not in MODES:
+        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+    if not 1 <= n <= MAX_DEGREE:
+        raise InputError(f"n must be in [1, {MAX_DEGREE}], got {n}")
+
+
+def check_field(mode: str, n: int, spec: FieldSpec | None) -> None:
+    """A uv object carries a field of degree n; an mv object carries none."""
+    if getattr(spec, "n", None) != (n if mode == "uv" else None):
+        raise InputError(f"uv needs a field of degree n and mv none, got {mode} at n={n} with {spec}")
 
 
 def _poly_degree(p: int) -> int:
@@ -95,8 +109,7 @@ def make_field(n: int, modulus: int | None = None) -> FieldSpec:
     degree exactly n or is reducible (the FieldSpec constructor checks).
     The default spec is built, and so checked, once per n.
     """
-    if not 1 <= n <= MAX_DEGREE:
-        raise InputError(f"degree must be in [1, {MAX_DEGREE}], got {n}")
+    check_setting("uv", n)
     return _default_field(n) if modulus is None else FieldSpec(n, modulus)
 
 

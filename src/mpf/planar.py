@@ -19,7 +19,7 @@ import numpy as np
 
 from . import transforms
 from .errors import InputError, json_list, json_loader
-from .gf2n import MAX_DEGREE, FieldSpec, field_from_json, field_tables, field_to_json
+from .gf2n import FieldSpec, check_field, check_setting, field_from_json, field_tables, field_to_json
 
 
 @dataclass(frozen=True)
@@ -32,21 +32,14 @@ class VectorialFunction:
     spec: FieldSpec | None = None
 
     def __post_init__(self):
-        if self.mode not in ("mv", "uv"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if not 1 <= self.n <= MAX_DEGREE:
-            raise InputError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
+        check_setting(self.mode, self.n)
+        check_field(self.mode, self.n, self.spec)
         object.__setattr__(self, "table", tuple(self.table))
         size = 1 << self.n
         if len(self.table) != size:
             raise InputError(f"table must have {size} entries")
         if min(self.table) < 0 or max(self.table) >= size:
             raise InputError("table entries out of range")
-        if self.mode == "uv":
-            if self.spec is None or self.spec.n != self.n:
-                raise InputError("univariate functions need a matching field spec")
-        elif self.spec is not None:
-            raise InputError("multivariate functions carry no field spec")
 
     @property
     def size(self) -> int:
@@ -233,6 +226,6 @@ def function_to_json(F: VectorialFunction) -> dict:
 
 @json_loader
 def function_from_json(obj: dict) -> VectorialFunction:
-    spec = field_from_json(obj["field"]) if obj.get("field") else None
+    spec = field_from_json(obj["field"]) if obj.get("field") is not None else None
     table = tuple(int(v, 16) for v in json_list(obj, "table"))
     return VectorialFunction(obj["mode"], int(obj["n"]), table, spec)

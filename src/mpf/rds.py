@@ -28,11 +28,11 @@ from .errors import (
     NotASubgroupError,
     json_loader,
 )
-from .gf2n import MAX_DEGREE, FieldSpec, fe_mul, field_from_json
+from .gf2n import MODES, FieldSpec, check_field, check_setting, fe_mul, field_from_json
 from .planar import VectorialFunction
 from .transforms import components_flat
 
-LAWS = ("star_mv", "star_uv")
+LAWS = tuple("star_" + mode for mode in MODES)
 
 Element = tuple[int, int]
 
@@ -50,14 +50,10 @@ class GroupSpec:
 
     def __post_init__(self):
         if self.law not in LAWS:
-            raise InputError(f"unknown law {self.law!r}")
-        if not 1 <= self.n <= MAX_DEGREE:
-            raise InputError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
-        if self.law == "star_uv":
-            if self.spec is None or self.spec.n != self.n:
-                raise InputError("star_uv needs a matching field spec")
-        elif self.spec is not None:
-            raise InputError(f"{self.law} carries no field spec")
+            raise InputError(f"law must be one of {LAWS}, got {self.law!r}")
+        mode = self.law.removeprefix("star_")
+        check_setting(mode, self.n)
+        check_field(mode, self.n, self.spec)
 
     @property
     def order(self) -> int:
@@ -210,9 +206,7 @@ def graph_of(F: VectorialFunction) -> set[Element]:
 
 def group_for(F: VectorialFunction) -> GroupSpec:
     """The star group a function's graph lives in."""
-    if F.mode == "uv":
-        return GroupSpec("star_uv", F.n, F.spec)
-    return GroupSpec("star_mv", F.n)
+    return GroupSpec("star_" + F.mode, F.n, F.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def group_for(F: VectorialFunction) -> GroupSpec:
 
 @json_loader
 def group_from_json(obj: dict) -> GroupSpec:
-    spec = field_from_json(obj["field"]) if obj.get("field") else None
+    spec = field_from_json(obj["field"]) if obj.get("field") is not None else None
     return GroupSpec(obj["law"], int(obj["n"]), spec)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterDisagreementError, InputError, SearchBoundsError
-from .gf2n import MAX_DEGREE, make_field
+from .gf2n import check_setting, make_field
 from .planar import (
     VectorialFunction,
     do_monomials,
@@ -62,10 +62,7 @@ class SearchJob:
     sample: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("mv", "uv"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if not 1 <= self.n <= MAX_DEGREE:
-            raise InputError(f"n must be in [1, {MAX_DEGREE}], got {self.n}")
+        check_setting(self.mode, self.n)
         _slot_exponents(self.mode, self.n, self.klass)
         if self.filter not in FILTERS:
             raise InputError(f"unknown filter {self.filter!r}")

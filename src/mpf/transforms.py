@@ -45,7 +45,7 @@ import numpy as np
 
 from .boolfun import TruthTable
 from .errors import InputError, NonPowerOfTwoError
-from .gf2n import FieldSpec, field_tables
+from .gf2n import FieldSpec, check_field, field_tables
 
 
 class GaussianInt(NamedTuple):
@@ -188,8 +188,7 @@ def transform_V(spec: FieldSpec, g: TruthTable, c: int) -> Spectrum:
     """
     if g.mode != "uv":
         raise InputError("transform_V needs a univariate table")
-    if spec.n != g.n:
-        raise InputError("field degree does not match the table")
+    check_field(g.mode, g.n, spec)
     return _spectrum(g, spec, c)
 
 
@@ -311,11 +310,8 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     block is butterflied (_flat_columns).
     """
     if g.mode == "mv":
-        spec = None
-    elif spec is None:
-        raise InputError("univariate witnesses need the field spec")
-    elif spec.n != g.n:
-        raise InputError("field degree does not match the table")
+        spec = None  # a field passed with an mv table is ignored
+    check_field(g.mode, g.n, spec)
     bits = g.bit_array()[:, None]
     survivors = np.flatnonzero(_flat_at_zero(g.n, *_column_sums(bits, spec)))
     step = max(1, _BLOCK_ENTRIES // g.size)

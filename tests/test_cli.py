@@ -182,6 +182,11 @@ def test_verify_rds_malformed_element_exits_3(tmp_path, capsys, bad):
 
 _F4 = {"n": 2, "modulus": "0x7"}
 _ZEROS = ["0x0"] * 4
+# json.load raises RecursionError on deep nesting, and ValueError on an
+# int past the interpreter's digit limit.
+_NESTED = "[" * 100_000
+_LONG_INT = '{"mode": "mv", "n": ' + "1" * 5000 + ', "field": null, "table": []}'
+_GRAPH_MV1 = [["0x0", "0x0"], ["0x1", "0x0"]]  # a graph at n = 1, an RDS in star_mv
 
 
 @pytest.mark.parametrize("verb, payload, says", [
@@ -202,9 +207,22 @@ _ZEROS = ["0x0"] * 4
      "table must be a JSON list"),
     ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": ["0xg", "0x0", "0x0", "0x0"]}, "'0xg'"),
     ("verify-rds", {"group": {"law": "star_mv", "n": 1}, "elements": "0x0"}, "elements must be a JSON list"),
+    ("analyze", _NESTED, "recursion"),
+    ("spectrum", _NESTED, "recursion"),
+    ("verify-rds", _NESTED, "recursion"),
+    ("analyze", _LONG_INT, ""),
+    ("spectrum", _LONG_INT, ""),
+    ("verify-rds", _LONG_INT, ""),
+    # An absent or null optional key means absent; any other value is decoded.
+    ("verify-rds", {"group": {"law": "star_mv", "n": 1}, "elements": _GRAPH_MV1, "forbidden": []},
+     "identity missing"),
+    ("analyze", {"mode": "mv", "n": 1, "field": 0, "table": ["0x0", "0x0"]}, ""),
+    ("spectrum", {"mode": "uv", "n": 2, "bits": "0x0", "field": []}, ""),
 ], ids=["table-number", "table-null", "modulus-number", "top-level-list", "group-number", "bits-number",
         "degree-infinite", "table-missing", "modulus-missing", "elements-missing", "group-missing",
-        "law-missing", "bits-missing", "table-object", "table-bad-hex", "elements-string"])
+        "law-missing", "bits-missing", "table-object", "table-bad-hex", "elements-string",
+        "analyze-nested", "spectrum-nested", "verify-rds-nested", "analyze-long-int", "spectrum-long-int",
+        "verify-rds-long-int", "forbidden-empty", "mv-field-zero", "uv-field-empty-list"])
 def test_wrong_typed_json_exits_3(tmp_path, capsys, verb, payload, says):
     # Exit 1 would read as a false verdict; a malformed file is bad input.
     # A missing key is named, and is told apart from a library KeyError,
@@ -217,6 +235,23 @@ def test_wrong_typed_json_exits_3(tmp_path, capsys, verb, payload, says):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert says in lines[0]
+
+
+@pytest.mark.parametrize("verb, absent, null", [
+    ("spectrum", {"mode": "uv", "n": 2, "bits": "0x6"}, {"field": None}),
+    ("analyze", {"mode": "mv", "n": 2, "table": ["0x0", "0x1", "0x2", "0x3"]}, {"field": None}),
+    ("verify-rds", {"group": {"law": "star_mv", "n": 1}, "elements": _GRAPH_MV1}, {"forbidden": None}),
+    ("verify-rds", {"group": {"law": "star_mv", "n": 1}, "elements": _GRAPH_MV1},
+     {"group": {"law": "star_mv", "n": 1, "field": None}}),
+], ids=["spectrum-field", "analyze-field", "verify-rds-forbidden", "verify-rds-group-field"])
+def test_null_optional_key_reads_as_absent(tmp_path, capsys, verb, absent, null):
+    path = tmp_path / "in.json"
+    runs = []
+    for payload in (absent, {**absent, **null}):
+        path.write_text(json.dumps(payload))
+        runs.append((main([verb, "--file", str(path)]), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][1].err == ""
 
 
 @pytest.mark.parametrize("n", [0, 40])
