@@ -13,7 +13,6 @@ from .errors import (
     ElementRangeError,
     FilterDisagreementError,
     InputError,
-    InputFormatError,
     InvalidModulusError,
     MpfError,
     NonPowerOfTwoError,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, json_loader
+from .errors import InputError, decode
 from .gf2n import check_setting
 
 
@@ -58,6 +58,6 @@ def from_values(values, mode: str) -> TruthTable:
 # Serialization
 # ---------------------------------------------------------------------------
 
-@json_loader
 def table_from_json(obj: dict) -> TruthTable:
-    return TruthTable(int(obj["n"]), int(obj["bits"], 16), obj["mode"])
+    mode, n, bits, _ = decode("truth_table", obj)  # the field is the caller's: a TruthTable has none
+    return TruthTable(n, bits, mode)

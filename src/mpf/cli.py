@@ -16,8 +16,9 @@ import json
 import sys
 
 from .boolfun import TruthTable, table_from_json
-from .errors import FilterDisagreementError, InputError, InputFormatError, MpfError, json_list, json_loader
-from .gf2n import MODES, fe_mul, field_from_json, field_to_json, make_field, poly_is_irreducible, sigma, trace_n
+from .errors import FilterDisagreementError, InputError, MpfError, decode
+from .gf2n import (MODES, check_field, fe_mul, field_from_json, field_to_json, make_field, poly_is_irreducible,
+                   sigma, trace_n)
 from .planar import (
     VectorialFunction,
     function_from_json,
@@ -25,7 +26,6 @@ from .planar import (
     is_modified_planar_perm,
 )
 from .rds import (
-    elements_from_json,
     forbidden_subgroup,
     graph_of,
     group_for,
@@ -91,15 +91,12 @@ def parse_command(argv) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad syntax or encoding, deep nesting, a huge int
-            raise InputFormatError(f"{path}: not readable as JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise InputFormatError(f"{path}: the top level must be a JSON object")
-    return obj
+            raise InputError(f"{path}: not readable as JSON: {exc}") from None
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -168,8 +165,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         c = int(args.c, 16)
     except ValueError:
         raise InputError(f"--c must be a hex field element, got {args.c!r}") from None
-    spec = field_from_json(obj["field"]) if obj.get("field") is not None else None
-    s = transform_V(spec or make_field(g.n), g, c) if g.mode == "uv" else transform_U(g, c)
+    spec = field_from_json(decode("truth_table", obj)[3]) or (make_field(g.n) if g.mode == "uv" else None)
+    check_field(g.mode, g.n, spec)
+    s = transform_V(spec, g, c) if g.mode == "uv" else transform_U(g, c)
     if args.format == "csv":
         norms = s.norms_sq()
         rows = ["# mpf.spectrum.v1", "u,re,im,norm_sq"]
@@ -187,16 +185,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@json_loader
-def _rds_input(obj: dict):
-    """(group, elements, forbidden elements or None) of a verify-rds file."""
-    group = group_from_json(obj["group"])
-    R = elements_from_json(json_list(obj, "elements"))
-    return group, R, elements_from_json(json_list(obj, "forbidden")) if obj.get("forbidden") is not None else None
-
-
 def _cmd_verify_rds(args: argparse.Namespace) -> int:
-    group, R, N = _rds_input(_load_json(args.file))
+    group, R, N = decode("rds_input", _load_json(args.file))
+    group = group_from_json(group)
     brute = rds_verify_bruteforce(group, R, N)
     characters = None
     if N is None or frozenset(N) == forbidden_subgroup(group):

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import InputError, InvalidModulusError, json_loader
+from .errors import InputError, InvalidModulusError, decode
 
 MODES = ("mv", "uv")  # the cross term x*y: coordinatewise product (mv), field product (uv)
 MAX_DEGREE = 24
@@ -38,13 +38,10 @@ class FieldSpec:
 
     def __post_init__(self):
         check_setting("uv", self.n)
-        if _poly_degree(self.modulus) != self.n:
-            raise InvalidModulusError(
-                f"modulus 0x{self.modulus:x} has degree {_poly_degree(self.modulus)}, "
-                f"expected {self.n}"
-            )
+        if self.modulus < 0 or _poly_degree(self.modulus) != self.n:
+            raise InvalidModulusError(f"modulus {hex(self.modulus):.40} is not a polynomial of degree {self.n}")
         if not poly_is_irreducible(self.modulus):
-            raise InvalidModulusError(f"modulus 0x{self.modulus:x} is reducible over GF(2)")
+            raise InvalidModulusError(f"modulus {hex(self.modulus)} is reducible over GF(2)")
 
     @property
     def order(self) -> int:
@@ -57,9 +54,9 @@ class FieldSpec:
 def check_setting(mode: str, n: int) -> None:
     """Reject a mode outside MODES, or an n outside [1, MAX_DEGREE] before anything of size 2^n is built."""
     if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InputError(f"mode must be one of {MODES}, got {mode!r:.40}")
     if not 1 <= n <= MAX_DEGREE:
-        raise InputError(f"n must be in [1, {MAX_DEGREE}], got {n}")
+        raise InputError(f"n must be in [1, {MAX_DEGREE}], got {n!s:.40}")
 
 
 def check_field(mode: str, n: int, spec: FieldSpec | None) -> None:
@@ -265,6 +262,6 @@ def field_to_json(spec: FieldSpec) -> dict:
     return {"n": spec.n, "modulus": f"0x{spec.modulus:x}"}
 
 
-@json_loader
-def field_from_json(obj: dict) -> FieldSpec:
-    return make_field(int(obj["n"]), int(obj["modulus"], 16))
+def field_from_json(obj: dict | None) -> FieldSpec | None:
+    """The field of a field object; None, an absent optional field, reads as None."""
+    return None if obj is None else make_field(*decode("field", obj))

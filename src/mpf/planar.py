@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transforms
-from .errors import InputError, json_list, json_loader
+from .errors import InputError, decode
 from .gf2n import FieldSpec, check_field, check_setting, field_from_json, field_tables, field_to_json
 
 
@@ -224,8 +224,6 @@ def function_to_json(F: VectorialFunction) -> dict:
     return obj
 
 
-@json_loader
 def function_from_json(obj: dict) -> VectorialFunction:
-    spec = field_from_json(obj["field"]) if obj.get("field") is not None else None
-    table = tuple(int(v, 16) for v in json_list(obj, "table"))
-    return VectorialFunction(obj["mode"], int(obj["n"]), table, spec)
+    mode, n, field, table = decode("function", obj)
+    return VectorialFunction(mode, n, table, field_from_json(field))

@@ -26,7 +26,8 @@ from .errors import (
     ElementRangeError,
     InputError,
     NotASubgroupError,
-    json_loader,
+    SCHEMAS,
+    decode,
 )
 from .gf2n import MODES, FieldSpec, check_field, check_setting, fe_mul, field_from_json
 from .planar import VectorialFunction
@@ -50,7 +51,7 @@ class GroupSpec:
 
     def __post_init__(self):
         if self.law not in LAWS:
-            raise InputError(f"law must be one of {LAWS}, got {self.law!r}")
+            raise InputError(f"law must be one of {LAWS}, got {self.law!r:.40}")
         mode = self.law.removeprefix("star_")
         check_setting(mode, self.n)
         check_field(mode, self.n, self.spec)
@@ -103,7 +104,7 @@ def _check_elements(g: GroupSpec, elements: Iterable) -> None:
     q = 1 << g.n
     for e in elements:
         if len(e) != 2 or not all(0 <= v < q for v in e):
-            raise ElementRangeError(f"{e} is not an element of the {g.law} group at n={g.n}")
+            raise ElementRangeError(f"[{', '.join(map(hex, e)):.40}] is not an element of {g.law} at n={g.n}")
 
 
 def _check_pair_work(g: GroupSpec, *sizes: int) -> None:
@@ -118,7 +119,7 @@ def _check_pair_work(g: GroupSpec, *sizes: int) -> None:
 def _check_subgroup(g: GroupSpec, N: frozenset) -> None:
     """A finite set that holds the identity and is closed under the law is a subgroup."""
     if group_identity(g) not in N:
-        raise NotASubgroupError("identity missing from N")
+        raise NotASubgroupError("identity missing from the forbidden subgroup N")
     for a in N:
         for b in N:
             if group_op(g, a, b) not in N:
@@ -213,17 +214,13 @@ def group_for(F: VectorialFunction) -> GroupSpec:
 # Serialization
 # ---------------------------------------------------------------------------
 
-@json_loader
 def group_from_json(obj: dict) -> GroupSpec:
-    spec = field_from_json(obj["field"]) if obj.get("field") is not None else None
-    return GroupSpec(obj["law"], int(obj["n"]), spec)
+    law, n, field = decode("group", obj)
+    return GroupSpec(law, n, field_from_json(field))
 
 
-def elements_from_json(items: Iterable) -> list[Element]:
-    try:
-        return [tuple(int(v, 16) for v in e) for e in items]
-    except TypeError:
-        raise ElementRangeError("every element must be a list of hex strings") from None
+def elements_from_json(items: list) -> list[Element]:
+    return list(decode("elements", items, SCHEMAS["rds_input"]["elements"]))
 
 
 def report_to_json(report: RdsReport) -> dict:

@@ -166,7 +166,9 @@ def test_verify_rds_whole_group_as_forbidden_exits_1(tmp_path, capsys):
     assert obj["character_criterion"] is None
 
 
-@pytest.mark.parametrize("bad", [["0x1", "0x9"], ["0x1"], 5, [1, 2]])
+# The last is past the 4300 digits that int's decimal str() allows; the
+# message once printed it in decimal and exited 4.
+@pytest.mark.parametrize("bad", [["0x1", "0x9"], ["0x1"], 5, [1, 2], ["0x" + "f" * 5000, "0x0"]])
 def test_verify_rds_malformed_element_exits_3(tmp_path, capsys, bad):
     payload = {
         "group": {"law": "star_uv", "n": 2, "field": {"n": 2, "modulus": "0x7"}},
@@ -187,6 +189,19 @@ _ZEROS = ["0x0"] * 4
 _NESTED = "[" * 100_000
 _LONG_INT = '{"mode": "mv", "n": ' + "1" * 5000 + ', "field": null, "table": []}'
 _GRAPH_MV1 = [["0x0", "0x0"], ["0x1", "0x0"]]  # a graph at n = 1, an RDS in star_mv
+# int() read 2.0, 2.7 and "2" as n = 2, and true as n = 1, and the verb ran.
+_NOT_INTEGERS = {"float": 2.0, "fraction": 2.7, "string": "2", "true": True}
+_VERBS = ("analyze", "spectrum", "verify-rds")
+
+
+def _payload_at(verb, n):
+    """A valid file for `verb` at n = int(n), with n itself written as given."""
+    q = 1 << int(n)
+    if verb == "analyze":
+        return {"mode": "mv", "n": n, "table": [f"0x{x:x}" for x in range(q)]}
+    if verb == "spectrum":
+        return {"mode": "mv", "n": n, "bits": "0x0"}
+    return {"group": {"law": "star_mv", "n": n}, "elements": [[f"0x{x:x}", "0x0"] for x in range(q)]}
 
 
 @pytest.mark.parametrize("verb, payload, says", [
@@ -216,13 +231,23 @@ _GRAPH_MV1 = [["0x0", "0x0"], ["0x1", "0x0"]]  # a graph at n = 1, an RDS in sta
     # An absent or null optional key means absent; any other value is decoded.
     ("verify-rds", {"group": {"law": "star_mv", "n": 1}, "elements": _GRAPH_MV1, "forbidden": []},
      "identity missing"),
-    ("analyze", {"mode": "mv", "n": 1, "field": 0, "table": ["0x0", "0x0"]}, ""),
-    ("spectrum", {"mode": "uv", "n": 2, "bits": "0x0", "field": []}, ""),
+    ("analyze", {"mode": "mv", "n": 1, "field": 0, "table": ["0x0", "0x0"]},
+     "function.field must be a JSON object"),
+    ("spectrum", {"mode": "uv", "n": 2, "bits": "0x0", "field": []}, "truth_table.field must be a JSON object"),
+    # Read by its keys, {"0x0": 1, "0x1": 2} was the element (0, 1), and the
+    # set passed as an RDS: the graph of the constant 1 at n = 1.
+    ("verify-rds", {"group": {"law": "star_mv", "n": 1}, "elements": [{"0x0": 1, "0x1": 2}, ["0x1", "0x1"]]},
+     "rds_input.elements[0] must be a JSON list, got {"),
+    # analyze refuses a field on an mv function; spectrum decoded one and ignored it.
+    ("spectrum", {"mode": "mv", "n": 2, "bits": "0x6", "field": _F4}, "uv needs a field of degree n and mv none"),
+    *[(verb, _payload_at(verb, n), f".n must be a JSON integer, got {n!r}")
+      for verb in _VERBS for n in _NOT_INTEGERS.values()],
 ], ids=["table-number", "table-null", "modulus-number", "top-level-list", "group-number", "bits-number",
         "degree-infinite", "table-missing", "modulus-missing", "elements-missing", "group-missing",
         "law-missing", "bits-missing", "table-object", "table-bad-hex", "elements-string",
         "analyze-nested", "spectrum-nested", "verify-rds-nested", "analyze-long-int", "spectrum-long-int",
-        "verify-rds-long-int", "forbidden-empty", "mv-field-zero", "uv-field-empty-list"])
+        "verify-rds-long-int", "forbidden-empty", "mv-field-zero", "uv-field-empty-list", "element-object",
+        "mv-table-field", *[f"{verb}-n-{kind}" for verb in _VERBS for kind in _NOT_INTEGERS]])
 def test_wrong_typed_json_exits_3(tmp_path, capsys, verb, payload, says):
     # Exit 1 would read as a false verdict; a malformed file is bad input.
     # A missing key is named, and is told apart from a library KeyError,
@@ -235,6 +260,21 @@ def test_wrong_typed_json_exits_3(tmp_path, capsys, verb, payload, says):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert says in lines[0]
+
+
+def test_a_library_type_error_under_a_loader_exits_4(uv_zero_file, monkeypatch, capsys):
+    # The loaders map no exception to bad input: the schema has already
+    # checked every JSON type, so a TypeError from a constructor is a bug.
+    import mpf.planar
+
+    def broken(*args):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(mpf.planar, "VectorialFunction", broken)
+    assert main(["analyze", "--file", uv_zero_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: TypeError: unsupported operand type(s)\n")
 
 
 @pytest.mark.parametrize("verb, absent, null", [

@@ -1,11 +1,19 @@
-"""Every JSON decoder reads back what its encoder writes, in both settings."""
+"""Every JSON decoder reads back what its encoder writes, in both settings,
+and a damaged input file exits as bad input, with a message that says what
+is bad."""
 
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mpf.boolfun import TruthTable, table_from_json
+from mpf.cli import main
+from mpf.errors import SCHEMAS
 from mpf.gf2n import MODES, field_from_json, field_to_json, make_field, poly_is_irreducible
 from mpf.planar import VectorialFunction, function_from_json, function_to_json
 from mpf.rds import GroupSpec, elements_from_json, group_from_json
@@ -70,3 +78,64 @@ def test_elements_round_trip(n, data):
     q = 1 << n
     elements = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))))
     assert elements_from_json(_via_text(elements_to_json(elements))) == sorted(elements)
+
+
+GOLDEN_INPUTS = sorted((Path(__file__).parent / "data" / "golden" / "inputs").glob("*.json"))
+VERBS = {"f": "analyze", "t": "spectrum", "v": "verify-rds"}  # by the first letter of the file name
+KEY = re.compile(r"\b(%s)\b" % "|".join(sorted({key for schema in SCHEMAS.values() for key in schema})))
+BOUND = re.compile(r"must be in \[|bound|limited to")
+PYTHON_TEXT = ("object is not subscriptable", "has no attribute", "invalid literal for int()", "NoneType",
+               "unhashable", "not iterable", "argument must be", "Traceback")
+# One of each JSON type, a huge int and long strings.
+OTHER_VALUES = [True, False, 2.5, 1e300, "2", "", "0x1", [], ["0x0"], {}, {"n": 2}, None,
+                10 ** 400, -(2 ** 80), "0x" + "f" * 5000, "u" * 5000]
+
+
+def _paths(obj, path=()):
+    """The path to every value inside obj, obj itself first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def damaged_inputs(draw):
+    """(verb, golden input with one value retyped, dropped, nested or made huge, the change)."""
+    path = draw(st.sampled_from(GOLDEN_INPUTS))
+    obj = json.loads(path.read_text())
+    paths = list(_paths(obj))[1:]
+    # Half the draws take a key, so the few keys are not lost among the table entries.
+    where = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]) | st.sampled_from(paths))
+    parent = obj
+    for key in where[:-1]:
+        parent = parent[key]
+    change = draw(st.sampled_from(["retype", "drop", "nest"]))
+    if change == "drop":
+        del parent[where[-1]]
+    elif change == "nest":
+        value, in_list = parent[where[-1]], draw(st.booleans())
+        for _ in range(draw(st.integers(1, 200))):
+            value = [value] if in_list else {"x": value}
+        parent[where[-1]] = value
+    else:
+        parent[where[-1]] = draw(st.sampled_from(OTHER_VALUES))
+    return VERBS[path.name[0]], obj, (change, where)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(damaged_inputs())
+def test_a_damaged_input_file_exits_as_bad_input(tmp_path_factory, case):
+    verb, obj, _ = case
+    path = tmp_path_factory.getbasetemp() / "damaged.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([verb, "--file", str(path)])
+    assert code in (0, 1, 3), err.getvalue()
+    if code == 3:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert KEY.search(lines[0]) or str(path) in lines[0] or BOUND.search(lines[0]), lines[0]
+        assert not any(text in lines[0] for text in PYTHON_TEXT), lines[0]
+        assert out.getvalue() == ""

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpf.errors import InvalidModulusError
+from mpf.errors import InputError, InvalidModulusError
 from mpf.gf2n import (
     default_modulus,
     dual_mask,
@@ -62,6 +62,21 @@ def test_make_field_degree_bounds():
         make_field(0)
     with pytest.raises(ValueError):
         make_field(25)
+
+
+def test_field_tables_build_at_the_table_degree_bound_and_refuse_past_it():
+    # Scalar arithmetic runs to n = 24; the 2^n-entry tables stop at 20.
+    tables = field_tables(make_field(20))
+    assert tables.mul(3, 5) == fe_mul(tables.spec, 3, 5)
+    with pytest.raises(InputError, match="n <= 20"):
+        field_tables(make_field(21))
+
+
+def test_make_field_refuses_a_negative_modulus():
+    # -0x7 has the bit length of a degree-2 polynomial; trial division
+    # by it never ended.
+    with pytest.raises(InvalidModulusError):
+        make_field(2, -0x7)
 
 
 def test_fe_mul_f4_alpha_squared():

@@ -106,6 +106,12 @@ def test_do_polynomial_validates_exponents():
         DOPolynomial(F4, linearized={2: 1})
 
 
+def test_do_polynomial_constant_is_a_field_element():
+    assert DOPolynomial(F8, constant=F8.order - 1).constant == 7
+    with pytest.raises(ValueError, match="constant"):
+        DOPolynomial(F8, constant=F8.order)
+
+
 def test_do_to_table_matches_pointwise_evaluation():
     p = DOPolynomial(F8, quad={(0, 1): 3, (1, 2): 5}, linearized={0: 2, 2: 7}, constant=4)
     F = do_to_table(p)
