@@ -9,16 +9,7 @@ route can serve as an oracle for the others.
 """
 
 from .boolfun import TruthTable, from_values, table_from_json
-from .errors import (
-    ElementRangeError,
-    FilterDisagreementError,
-    InputError,
-    InvalidModulusError,
-    MpfError,
-    NonPowerOfTwoError,
-    NotASubgroupError,
-    SearchBoundsError,
-)
+from .errors import FilterDisagreementError, InputError, MpfError
 from .gf2n import (
     FieldSpec,
     default_modulus,

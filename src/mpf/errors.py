@@ -1,4 +1,4 @@
-"""Exception types raised by the mpf library, and the schema that every input file must match."""
+"""The two mpf exceptions, InputError (exit 3) and FilterDisagreementError (exit 4), and the input schema."""
 
 import reprlib
 
@@ -8,31 +8,7 @@ class MpfError(Exception):
 
 
 class InputError(MpfError, ValueError):
-    """A bad argument or input value: of the wrong JSON type, out of range, or of an unknown kind."""
-
-
-class InvalidModulusError(MpfError):
-    """Field modulus is reducible or has the wrong degree."""
-
-
-class NonPowerOfTwoError(MpfError):
-    """Transform input length is not a power of two."""
-
-
-class ElementRangeError(MpfError):
-    """A group element is malformed or has a coordinate out of range."""
-
-
-class NotASubgroupError(MpfError):
-    """The claimed forbidden subgroup is not a subgroup."""
-
-
-class BruteForceBoundsError(MpfError):
-    """A brute-force RDS check exceeds the permitted amount of work."""
-
-
-class SearchBoundsError(MpfError):
-    """Search job exceeds the permitted size bounds (n for exhaustive jobs, 4^n for sampled ones)."""
+    """Bad input: a wrong JSON type or value, a reducible modulus, a non-subgroup N, or work past a bound."""
 
 
 class FilterDisagreementError(MpfError):

@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import InputError, InvalidModulusError, decode
+from .errors import InputError, decode
 
 MODES = ("mv", "uv")  # the cross term x*y: coordinatewise product (mv), field product (uv)
 MAX_DEGREE = 24
@@ -39,9 +39,9 @@ class FieldSpec:
     def __post_init__(self):
         check_setting("uv", self.n)
         if self.modulus < 0 or _poly_degree(self.modulus) != self.n:
-            raise InvalidModulusError(f"modulus {hex(self.modulus):.40} is not a polynomial of degree {self.n}")
+            raise InputError(f"modulus {hex(self.modulus):.40} is not a polynomial of degree {self.n}")
         if not poly_is_irreducible(self.modulus):
-            raise InvalidModulusError(f"modulus {hex(self.modulus)} is reducible over GF(2)")
+            raise InputError(f"modulus {hex(self.modulus)} is reducible over GF(2)")
 
     @property
     def order(self) -> int:
@@ -102,8 +102,8 @@ def _default_field(n: int) -> FieldSpec:
 def make_field(n: int, modulus: int | None = None) -> FieldSpec:
     """Fix GF(2^n); with no modulus given, the smallest irreducible is used.
 
-    Raises InvalidModulusError if the supplied modulus does not have
-    degree exactly n or is reducible (the FieldSpec constructor checks).
+    Raises InputError if the supplied modulus does not have degree
+    exactly n or is reducible (the FieldSpec constructor checks).
     The default spec is built, and so checked, once per n.
     """
     check_setting("uv", n)

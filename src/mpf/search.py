@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterDisagreementError, InputError, SearchBoundsError
+from . import transforms
+from .errors import FilterDisagreementError, InputError
 from .gf2n import check_setting, make_field
 from .planar import (
     VectorialFunction,
@@ -27,7 +28,7 @@ from .planar import (
     function_to_json,
     perm_witnesses,
 )
-from .transforms import _BLOCK_ENTRIES, components_flat
+from .transforms import components_flat
 
 # Each class is (largest n for exhaustive jobs, its slot exponents at n).
 # affine slots are x^(2^i), i < n, then the constant; do_quadratic slots
@@ -120,9 +121,7 @@ def decode_block(n: int, monomials: np.ndarray | None, indices: list[int]) -> np
 def _check_bounds(n: int, klass: str) -> None:
     bound = _CLASSES[klass][0]
     if n > bound:
-        raise SearchBoundsError(
-            f"exhaustive {klass} jobs are limited to n <= {bound}, got n={n}"
-        )
+        raise InputError(f"exhaustive {klass} jobs are limited to n <= {bound}, got n={n}")
 
 
 def _sampler(seed: int, size: int):
@@ -166,7 +165,7 @@ def _run_shard(
     q = 1 << job.n
     spec = make_field(job.n) if job.mode == "uv" else None
     monomials = slot_monomials(job.n, job.klass)
-    block = max(1, _BLOCK_ENTRIES // (q * (q - 1)))
+    block = max(1, transforms._BLOCK_ENTRIES // (q * (q - 1)))
     dtype = np.min_scalar_type(q - 1)
     draw = None if job.sample is None else _sampler(job.seed, size)
     examined = 0
@@ -205,7 +204,7 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
         _check_bounds(job.n, job.klass)
         total = class_size(job.mode, job.n, job.klass)
     elif 4 ** job.n > MAX_CANDIDATE_WORK:
-        raise SearchBoundsError(f"sampled jobs are limited to 4^n <= {MAX_CANDIDATE_WORK}, got n={job.n}")
+        raise InputError(f"sampled jobs are limited to 4^n <= {MAX_CANDIDATE_WORK}, got n={job.n}")
     else:
         total = job.sample
     # The report does not depend on the shard count, so shards stop at the

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfun import TruthTable
-from .errors import InputError, NonPowerOfTwoError
+from .errors import InputError
 from .gf2n import FieldSpec, check_field, field_tables
 
 
@@ -106,7 +106,7 @@ def fwht(values) -> np.ndarray:
         raise TypeError("fwht needs integer input; spectra are exact")
     size = a.shape[0]
     if size == 0 or size & (size - 1):
-        raise NonPowerOfTwoError(f"length {size} is not a power of two")
+        raise InputError(f"length {size} is not a power of two")
     bound = max(-int(a.min()), int(a.max())) * size if a.size else 0
     return _butterfly(a, bound).astype(np.int64, copy=False)
 

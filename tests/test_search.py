@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mpf import search
 from mpf.cli import main
-from mpf.errors import FilterDisagreementError, SearchBoundsError
+from mpf.errors import FilterDisagreementError, InputError
 from mpf.gf2n import make_field
 from mpf.planar import VectorialFunction, is_modified_planar_perm
 from mpf.search import (
@@ -59,9 +59,9 @@ def test_enumerate_do_quadratic_f8():
 
 
 def test_enumerate_rejects_oversized_jobs():
-    with pytest.raises(SearchBoundsError):
+    with pytest.raises(InputError, match="exhaustive all jobs are limited to n <= 2, got n=3"):
         list(enumerate_class("mv", 3, "all"))
-    with pytest.raises(SearchBoundsError):
+    with pytest.raises(InputError, match="exhaustive do_quadratic jobs are limited to n <= 4, got n=6"):
         run_search(SearchJob("uv", 6, "do_quadratic"))
 
 
@@ -72,7 +72,7 @@ def test_exhaustive_do_quadratic_n5_is_refused_before_decoding(monkeypatch, caps
 
     decoded = []
     monkeypatch.setattr(mpf.search, "decode_block", lambda *args: decoded.append(args))
-    with pytest.raises(SearchBoundsError):
+    with pytest.raises(InputError, match="exhaustive do_quadratic jobs are limited to n <= 4, got n=5"):
         run_search(SearchJob("uv", 5, "do_quadratic"))
     assert main(["search", "--mode", "uv", "--n", "5", "--class", "do_quadratic"]) == 3
     assert capsys.readouterr().err.startswith("error: exhaustive do_quadratic jobs are limited to n <= 4")
@@ -89,7 +89,7 @@ def test_sampled_jobs_are_bounded_per_candidate(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: sampled jobs are limited to 4^n <= {1 << 26}, got n=16"]
-    with pytest.raises(SearchBoundsError):
+    with pytest.raises(InputError, match=rf"sampled jobs are limited to 4\^n <= {1 << 26}, got n=14"):
         run_search(SearchJob("uv", 14, "affine", sample=1))
     assert decoded == []
     assert run_search(SearchJob("uv", 13, "affine", sample=0)).examined == 0
@@ -360,10 +360,18 @@ def test_sampled_jobs_count_repeated_draws():
 def test_search_reports_do_not_depend_on_the_block_size(job, monkeypatch):
     expect = run_search(job)
     # 256 entries: one candidate a search block from n = 4 on, and one
-    # direction a perm block at n = 5.
-    monkeypatch.setattr("mpf.search._BLOCK_ENTRIES", 256)
+    # direction a perm block at n = 5.  Search reads the bound where the
+    # kernels do, so patching it there resizes the candidate blocks too:
+    # perm_witnesses sees each block of at most 256 // (q * (q - 1)) rows.
     monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", 256)
+    rows = []
+    real = search.perm_witnesses
+    monkeypatch.setattr(search, "perm_witnesses", lambda n, t, spec: rows.append(len(t)) or real(n, t, spec))
     assert run_search(job) == expect
+    q = 1 << job.n
+    block = max(1, 256 // (q * (q - 1)))
+    total = class_size(job.mode, job.n, job.klass) if job.sample is None else job.sample
+    assert rows == [min(block, total - s) for s in range(0, total, block)]
 
 
 def test_shards_build_a_function_only_for_a_disagreement(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpf.boolfun import TruthTable, from_values
-from mpf.errors import NonPowerOfTwoError
+from mpf.errors import InputError
 from mpf.gf2n import dual_mask, fe_mul, make_field, sigma
 from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm
 from mpf.rds import GroupSpec, group_elements, rds_verify_characters
@@ -76,9 +76,9 @@ def test_fwht_orthogonality():
 
 
 def test_fwht_rejects_bad_length():
-    with pytest.raises(NonPowerOfTwoError):
+    with pytest.raises(InputError, match="length 6 is not a power of two"):
         fwht(np.ones(6, dtype=np.int64))
-    with pytest.raises(NonPowerOfTwoError):
+    with pytest.raises(InputError, match="length 0 is not a power of two"):
         fwht(np.ones((0, 2), dtype=np.int64))
 
 
