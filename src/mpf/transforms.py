@@ -22,8 +22,8 @@ builds and butterflies only the survivors.  For uv those sums need no
 signs: sigma(c, x) = s2(cx) depends on cx alone, so in the log domain
 the q - 1 nonzero twists' sums are one exact integer correlation, the
 s_2 link behind Parker-Pott's "negabent iff g + s_2 is bent".  An mv
-twist has no such shift, so its sums come from blocks of signs, by the
-same _block_sums.
+twist is no such shift, but i^wt(c&x) = prod_k i^(c_k x_k) splits over
+the bits, so n Gaussian butterfly passes give every twist's sums at once.
 components_flat tests each component L_c.F of F's table at its own
 twist c, L_c = c (mv) or dual[c^2] (uv); that spectrum is the star-group
 character sum of the graph of F at (u, c), so the RDS character route
@@ -248,24 +248,31 @@ def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, 
     """(A(0), A(d)) of every twist c = 0..q-1 of g, as int64 (q,) arrays.
 
     bits is g's 0/1 table as a uint8 (2^n, 1) column; spec None for mv;
-    A(d) is None for even n.  mv sums each block of twists from its signs
-    (_block_sums).  For uv, sigma(c, x) = s2(cx), so for c = alpha^j the
-    column sum is A(0) = (-1)^g(0) + sum_k G[k] W[j+k], with
-    G[k] = (-1)^g(alpha^k) and W[m] = (-1)^sigma_exp[m] for m < 2q-3: all
-    q-1 sums are one exact correlation of W with G.  As d.x = Tr(cx) for
-    d = dual[c], A(d) is the same correlation with W[m] (-1)^Tr(alpha^m),
-    the trace being bit 0 of dual[alpha^m].  At c = 0 both are the plain
-    sum of (-1)^g.
+    A(d) is None for even n.  For mv, one pass per bit of the Gaussian
+    butterfly (v0, v1) -> (v0 + v1, v0 + i v1) turns int64 (re, im) from
+    (-1)^g into T(c) = sum_x (-1)^g(x) i^wt(c&x), |T| <= 2^n.  As
+    (-1)^bit1(w) = Re i^w + Im i^w and (-1)^(bit1(w)+bit0(w)) = Re i^w -
+    Im i^w, A(0) = Re T + Im T and A(d) = Re T - Im T (d = c).  For uv,
+    sigma(c, x) = s2(cx), so for c = alpha^j the column sum is A(0) =
+    (-1)^g(0) + sum_k G[k] W[j+k], with G[k] = (-1)^g(alpha^k) and
+    W[m] = (-1)^sigma_exp[m] for m < 2q-3: all q-1 sums are one exact
+    correlation of W with G.  As d.x = Tr(cx) for d = dual[c], A(d) is the
+    same correlation with W[m] (-1)^Tr(alpha^m), the trace being bit 0 of
+    dual[alpha^m].  At c = 0 both are the plain sum of (-1)^g.
     """
     q = len(bits)
     n = q.bit_length() - 1
-    if spec is None:
-        step = max(1, _BLOCK_ENTRIES // q)
-        s0, ad = zip(*(_block_sums(*_twisted_signs(bits, None, np.arange(lo, min(q, lo + step))), n)
-                       for lo in range(0, q, step)))
-        return np.concatenate(s0), np.concatenate(ad) if n & 1 else None
-    t = field_tables(spec)
     g = 1 - 2 * bits[:, 0].astype(np.int64)
+    if spec is None:
+        re, im = g, np.zeros(q, dtype=np.int64)
+        for k in range(n):  # bit k of x and c: (v0, v1) -> (v0 + v1, v0 + i v1)
+            r, i = re.reshape(-1, 2, 1 << k), im.reshape(-1, 2, 1 << k)
+            r1, i1 = r[:, 0] - i[:, 1], i[:, 0] + r[:, 1]
+            r[:, 0] += r[:, 1]
+            i[:, 0] += i[:, 1]
+            r[:, 1], i[:, 1] = r1, i1
+        return re + im, re - im if n & 1 else None
+    t = field_tables(spec)
     units = t.exp[: q - 1]  # alpha^k, k = 0..q-2
     g_units = g.take(units)
     lags = 2 * q - 3  # j + k runs over 0..2q-4

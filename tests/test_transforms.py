@@ -174,6 +174,15 @@ def test_transform_V_examples():
     assert spectrum_pairs(walsh) == [(4, 0), (0, 0), (0, 0), (0, 0)]
 
 
+@pytest.mark.parametrize("c", [-1, 4])
+def test_transforms_refuse_a_twist_out_of_range(c):
+    # A twist is a point of the 2^n-element domain; 2^n is the first past it.
+    with pytest.raises(InputError, match="twist c out of range"):
+        transform_U(TruthTable(2, 0, "mv"), c)
+    with pytest.raises(InputError, match="twist c out of range"):
+        transform_V(F4, TruthTable(2, 0, "uv"), c)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_transform_U_equals_both_direct_forms(n):
     size = 1 << n
@@ -473,23 +482,26 @@ def _block_screen_sums(bits, spec):
     """A(0) and A(d) of every twist, summed over the sign block the way _block_sums sees it."""
     q = len(bits)
     signs, d = _twisted_signs(bits[:, None], spec, np.arange(q))
-    parities = np.array([[parity(int(e) & x) for e in d] for x in range(q)])
-    return signs.sum(axis=0, dtype=np.int64), (signs * (1 - 2 * parities)).sum(axis=0)
+    # Sylvester's Hadamard matrix: hadamard[x, e] = (-1)^(e.x).
+    hadamard = functools.reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.int8)] * (q.bit_length() - 1))
+    return signs.sum(axis=0, dtype=np.int64), (signs * hadamard[:, d]).sum(axis=0, dtype=np.int64)
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(1, 12))
 def test_column_sums_equal_the_block_screen_sums(n):
     # _column_sums gives every twist's A(0) (and A(d) at odd n) at once,
-    # for uv by one correlation; twist by twist it must equal the sums
-    # over the signs that the block screen builds, in both modes: on
-    # every table at n <= 3, on seeded ones above.
+    # for uv by one correlation and for mv by the tensor butterfly; twist
+    # by twist it must equal the sums over the signs that the block
+    # screen builds: in both modes on every table at n <= 3 and on seeded
+    # ones up to n = 9, and for mv also at n = 10 (the bent4-sweep size)
+    # and n = 11.
     q = 1 << n
     rng = random.Random(17 * n)
     if n <= 3:
         tables = range(1 << q)
     else:
         tables = [0, (1 << q) - 1] + [rng.getrandbits(q) for _ in range(12)]
-    for mode, spec in (("mv", None), ("uv", make_field(n))):
+    for mode, spec in [("mv", None)] + ([("uv", make_field(n))] if n <= 9 else []):
         for bits in tables:
             table = TruthTable(n, bits, mode).bit_array()
             s0, ad = _column_sums(table[:, None], spec)
@@ -518,6 +530,65 @@ def test_column_sums_are_the_spectrum_at_zero(mode, n, data):
         assert s0[c] == re + im
         if n & 1:
             assert ad[c] == re - im
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_mv_screen_and_witnesses_follow_a_coordinate_permutation(n, is_quadratic, data):
+    # For P a permutation of the coordinates, wt(c & P^-1 y) = wt(Pc & y),
+    # so U_{g o P}(u, c) = U_g(Pu, Pc): the column sums of g o P are those
+    # of g read at Pc, and its witnesses are P^-1 of g's.  A tensor pass
+    # that mislabels a bit breaks this.  Quadratic tables have witnesses
+    # to move; random ones mostly have none.
+    q = 1 << n
+    if is_quadratic:
+        pairs = data.draw(st.lists(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))
+                          if n > 1 else st.just([]))
+        g = from_values([sum(x >> i & x >> j & 1 for i, j in pairs) & 1 for x in range(q)], "mv")
+    else:
+        g = TruthTable(n, data.draw(st.integers(0, (1 << q) - 1)), "mv")
+    perm = data.draw(st.permutations(range(n)))
+    x = np.arange(q)
+    p = sum((x >> k & 1) << perm[k] for k in range(n))  # Px: bit k of x moves to bit perm[k]
+    gp = from_values(g.bit_array()[p].tolist(), "mv")
+    s0, ad = _column_sums(g.bit_array()[:, None], None)
+    s0p, adp = _column_sums(gp.bit_array()[:, None], None)
+    assert s0p.tolist() == s0[p].tolist()
+    if n & 1:
+        assert adp.tolist() == ad[p].tolist()
+    inverse = np.argsort(p)
+    assert bent4_witnesses(gp) == {int(inverse[c]) for c in bent4_witnesses(g)}
+
+
+def _signed_twists(monkeypatch) -> list[int]:
+    """Spy on _twisted_signs: every twist it builds signs for, in call order."""
+    import mpf.transforms
+
+    seen = []
+    real = mpf.transforms._twisted_signs
+
+    def spy(bits, spec, twists):
+        seen.extend(np.asarray(twists).tolist())
+        return real(bits, spec, twists)
+
+    monkeypatch.setattr(mpf.transforms, "_twisted_signs", spy)
+    return seen
+
+
+def test_mv_bent4_builds_signs_only_for_the_twists_that_pass_the_screen(monkeypatch):
+    # The mv screen reads every twist's sums off the tensor butterfly, with
+    # no signs.  An odd-weight table puts every A(0) at 2 mod 4, never at
+    # +-2^(n/2) for even n, so a random one at n = 10 has no survivor and
+    # builds no signs at all; the zero table at n = 8 builds them for its
+    # one flat twist, the all-ones one.
+    seen = _signed_twists(monkeypatch)
+    bits = random.Random(23).getrandbits(1 << 10)
+    g = TruthTable(10, bits ^ (bits.bit_count() + 1) % 2, "mv")
+    assert weight(g) % 2 == 1
+    assert bent4_witnesses(g) == set()
+    assert seen == []
+    assert bent4_witnesses(TruthTable(8, 0, "mv")) == {255}
+    assert seen == [255]
 
 
 def _derivative_oracle_witnesses(g, spec):
@@ -936,17 +1007,8 @@ def test_components_flat_stack_ignores_column_order_and_affine_shifts(case):
 def test_characters_flat_visits_every_twist_once(block_entries, monkeypatch):
     # Twist 0 is rds_verify_characters' graph check, so only the twists
     # 1..q-1 get signs.
-    import mpf.transforms
-
-    seen = []
-    real = mpf.transforms._twisted_signs
-
-    def spy(bits, spec, twists):
-        seen.extend(np.asarray(twists).tolist())
-        return real(bits, spec, twists)
-
-    monkeypatch.setattr(mpf.transforms, "_twisted_signs", spy)
-    monkeypatch.setattr(mpf.transforms, "_BLOCK_ENTRIES", block_entries)
+    seen = _signed_twists(monkeypatch)
+    monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", block_entries)
     g, spec = _star_group("uv", 5)
     zero = [(x, 0) for x in range(32)]  # modified planar in the univariate setting
     assert rds_verify_characters(g, zero)
