@@ -142,12 +142,13 @@ def perm_witnesses(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
 
     Direction a is bad for a row F when x -> F(x+a) + F(x) + a*x is not a
     bijection (a*x is the field product when spec is given, the
-    coordinatewise product otherwise).  Blocks hold at most _BLOCK_ENTRIES
-    derivative values (rows x directions x 2^n): the cross term is built
-    once per block of directions, one boolean scatter at row offsets marks
-    the values each (row, direction) hits, and a row leaves at its first
-    bad block.  The first block of directions is one wide and each next one
-    twice as wide, so a row that fails at a small direction costs little.
+    coordinatewise product otherwise).  transforms._block sizes a block:
+    _block(q, q - 1) rows, _block(q) (row, direction) pairs of 2^n values.
+    The cross term is built once per block of directions, one boolean
+    scatter at row offsets marks the values each (row, direction) hits,
+    and a row leaves at its first bad block.  The first block of
+    directions is one wide and each next one twice as wide, so a row that
+    fails at a small direction costs little.
     """
     q = 1 << n
     tables = np.asarray(tables)
@@ -155,8 +156,7 @@ def perm_witnesses(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
     x = np.arange(q)
     directions = x[:, None]
     mul = field_tables(spec).mul if spec is not None else None
-    pairs = max(1, transforms._BLOCK_ENTRIES // q)  # (row, direction) pairs per block
-    step = max(1, pairs // (q - 1))
+    step = transforms._block(q, q - 1)
     for start in range(0, len(tables), step):
         live = np.arange(start, min(start + step, len(tables)))
         lo, width = 1, 1
@@ -173,7 +173,7 @@ def perm_witnesses(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
                 witnesses[live[~keep]] = lo + good[~keep].argmin(axis=1)
                 live = live[keep]
             lo += width
-            width = min(2 * width, max(1, pairs // max(1, len(live))))
+            width = min(2 * width, transforms._block(q, max(1, len(live))))
     return witnesses
 
 

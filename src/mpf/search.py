@@ -154,18 +154,18 @@ def _run_shard(
 
     The payload is the job and the counter range [lo, hi) of one shard.
     Each block of candidates is decoded in one decode_block call and
-    decided by one perm_witnesses call and one components_flat call, each
-    on at most _BLOCK_ENTRIES (function, direction or twist, point)
-    entries.  A VectorialFunction is built only for a disagreement.  The
-    passing tables come back as one (k, 2^n) array in counter order, in
-    the narrowest unsigned dtype that holds 2^n - 1.
+    decided by one perm_witnesses call and one components_flat call.  A
+    block holds transforms._block(q, q - 1) candidates, so each call takes
+    it as one group of tables.  A VectorialFunction is built only for a
+    disagreement.  The passing tables come back as one (k, 2^n) array in
+    counter order, in the narrowest unsigned dtype that holds 2^n - 1.
     """
     job, lo, hi = payload
     size = class_size(job.mode, job.n, job.klass)
     q = 1 << job.n
     spec = make_field(job.n) if job.mode == "uv" else None
     monomials = slot_monomials(job.n, job.klass)
-    block = max(1, transforms._BLOCK_ENTRIES // (q * (q - 1)))
+    block = transforms._block(q, q - 1)
     dtype = np.min_scalar_type(q - 1)
     draw = None if job.sample is None else _sampler(job.seed, size)
     examined = 0

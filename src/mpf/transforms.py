@@ -206,6 +206,11 @@ def is_flat(s: Spectrum) -> bool:
 _BLOCK_ENTRIES = 1 << 15
 
 
+def _block(q: int, per: int = 1) -> int:
+    """Items of per x q entries each that fit in _BLOCK_ENTRIES, at least 1: every kernel's block rule."""
+    return max(1, _BLOCK_ENTRIES // q // per)
+
+
 def _flat_at_zero(n: int, s0: np.ndarray, ad: np.ndarray | None) -> np.ndarray:
     """Which columns of (-1)^b, from A(0) = s0 and, for odd n, A(d) = ad (_block_sums), pass flatness at u = 0.
 
@@ -316,12 +321,10 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     then built only for the twists that pass, in full blocks, and each
     block is butterflied (_flat_columns).
     """
-    if g.mode == "mv":
-        spec = None  # a field passed with an mv table is ignored
     check_field(g.mode, g.n, spec)
     bits = g.bit_array()[:, None]
     survivors = np.flatnonzero(_flat_at_zero(g.n, *_column_sums(bits, spec)))
-    step = max(1, _BLOCK_ENTRIES // g.size)
+    step = _block(g.size)
     found: set[int] = set()
     for lo in range(0, len(survivors), step):
         c = survivors[lo : lo + step]
@@ -340,43 +343,36 @@ def components_flat(n: int, f, spec: FieldSpec | None = None):
     with bent4_witnesses' screen and flatness test at c.  Its twisted
     spectrum is also the star-group character sum of the graph of F at
     (u, c), which is how rds_verify_characters uses this.  Tables go in
-    groups of bent4's step // (q-1), so a block has at most step columns.
+    groups of _block(q, q - 1), and each group's live tables in blocks of
+    twists, so a block has at most _block(q) columns.  A table leaves at
+    its first failing block, and only the tables that pass the screen are
+    butterflied.
     """
     q = 1 << n
     f = np.asarray(f, dtype=np.int64)
     stack = f.reshape(q, -1)
-    group = max(1, _BLOCK_ENTRIES // q // (q - 1))
-    flat = np.zeros(stack.shape[1], dtype=bool)
-    for first in range(0, stack.shape[1], group):
-        flat[first + _flat_group(n, stack[:, first : first + group, None], spec)] = True
-    return bool(flat[0]) if f.ndim == 1 else flat
-
-
-def _flat_group(n: int, f: np.ndarray, spec: FieldSpec | None) -> np.ndarray:
-    """Indices of the tables f[:, j, 0] (f is (2^n, k, 1)) that components_flat accepts.
-
-    Only the tables that pass the screen are butterflied.  k > 1 tables
-    fit every twist in one block; one table stops at the first failing block.
-    """
-    q = 1 << n
     t = None if spec is None else field_tables(spec)
-    live = np.arange(f.shape[1])
-    width = max(1, _BLOCK_ENTRIES // q // len(live))
-    for lo in range(1, q, width):
-        c = np.arange(lo, min(q, lo + width))
-        lc = c if t is None else t.dual.take(t.mul(c, c))
-        k = len(live)
-        bits = (np.bitwise_count(lc & f) & 1).reshape(q, -1)
-        signs, d = _twisted_signs(bits, spec, c if k == 1 else np.tile(c, k))
-        ok = _flat_at_zero(n, *_block_sums(signs, d, n)).reshape(k, -1).all(axis=1)
-        live = live[ok]
-        if not len(live):
-            break
-        if len(live) < k:  # take, not a mask: a C-contiguous block butterflies fastest
-            keep = ok.nonzero()[0]
-            signs = signs.reshape(q, k, -1).take(keep, axis=1).reshape(q, -1)
-            d = d.reshape(k, -1).take(keep, axis=0).reshape(-1)
-        live = live[_flat_columns(signs, d, n).reshape(len(live), -1).all(axis=1)]
-        if not len(live):
-            break
-    return live
+    flat = np.zeros(stack.shape[1], dtype=bool)
+    group = _block(q, q - 1)
+    for first in range(0, stack.shape[1], group):
+        live = np.arange(first, min(first + group, stack.shape[1]))
+        width = _block(q, len(live))
+        for lo in range(1, q, width):
+            k = len(live)
+            if not k:
+                break
+            c = np.arange(lo, min(q, lo + width))
+            lc = c if t is None else t.dual.take(t.mul(c, c))
+            bits = (np.bitwise_count(lc & stack[:, live, None]) & 1).reshape(q, -1)
+            signs, d = _twisted_signs(bits, spec, np.tile(c, k))
+            ok = _flat_at_zero(n, *_block_sums(signs, d, n)).reshape(k, -1).all(axis=1)
+            if not ok.all():  # take, not a mask: a C-contiguous block butterflies fastest
+                keep = ok.nonzero()[0]
+                live = live[keep]
+                signs = signs.reshape(q, k, -1).take(keep, axis=1).reshape(q, -1)
+                d = d.reshape(k, -1).take(keep, axis=0).reshape(-1)
+                if not len(live):
+                    break
+            live = live[_flat_columns(signs, d, n).reshape(len(live), -1).all(axis=1)]
+        flat[live] = True
+    return bool(flat[0]) if f.ndim == 1 else flat

@@ -68,6 +68,27 @@ def test_do_to_table_cube_on_f4():
     assert do_to_table(p).table == (0, 1, 1, 1)
 
 
+def test_monomials_x_to_the_2k_plus_1_are_modified_planar_at_n_4_8_12_only():
+    # x^(2^k+1), 1 <= k < n, on GF(2^n) for n = 2..12: one do_monomials
+    # block per n for perm_witnesses, and its transpose, one table per
+    # column, for components_flat.  n = 2k is not enough: at n = 2, 6 and
+    # 10 the k = n/2 monomial fails at direction a = 2, 3 and 3.
+    found, half = [], {}
+    for n in range(2, 13):
+        spec = make_field(n)
+        block = do_monomials(spec, [(1 << k) + 1 for k in range(1, n)])
+        witnesses = perm_witnesses(n, block, spec)
+        assert mpf.transforms.components_flat(n, block.T, spec).tolist() == (witnesses == 0).tolist(), n
+        found += [(n, k) for k in range(1, n) if not witnesses[k - 1]]
+        if not n & 1:
+            half[n] = int(witnesses[n // 2 - 1])
+        if n in (2, 6):  # the definition read literally agrees
+            F = VectorialFunction("uv", n, block[n // 2 - 1].tolist(), spec)
+            assert perm_verdict_direct(F).witness_a == half[n]
+    assert found == [(4, 2), (8, 4), (12, 6)]
+    assert half == {2: 2, 4: 0, 6: 3, 8: 0, 10: 3, 12: 0}
+
+
 def test_do_to_table_frobenius_on_f4():
     p = DOPolynomial(F4, linearized={1: 1})  # x^2
     assert do_to_table(p).table == (0, 1, 3, 2)
@@ -102,6 +123,8 @@ def test_do_monomials_are_scalar_powers(n):
 def test_do_polynomial_validates_exponents():
     with pytest.raises(ValueError):
         DOPolynomial(F4, quad={(1, 1): 1})
+    with pytest.raises(ValueError):
+        DOPolynomial(F4, quad={(0, 2): 1})  # j = n, the first index past the field
     with pytest.raises(ValueError):
         DOPolynomial(F4, linearized={2: 1})
 

@@ -1,0 +1,24 @@
+"""tools/mutants.py's list of equivalent mutants stays in step with src/."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+mutants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
+
+
+def test_every_equivalent_mutant_names_a_live_site():
+    # The tool skips a listed site by its key (scope, source line, column,
+    # change), so an entry whose site was edited away skips nothing, and
+    # the mutant it stood for would be sampled and counted as a survivor.
+    entries = json.loads(mutants.EQUIVALENT.read_text())
+    live = {}
+    for module in {e["module"] for e in entries}:
+        source = (ROOT / "src" / "mpf" / f"{module}.py").read_text()
+        live[module] = {mutants._key(module, site) for site in mutants.sites(source)}
+    stale = [e for e in entries if mutants._key(e["module"], e) not in live[e["module"]]]
+    assert stale == []
+    assert all(e["reason"] for e in entries)

@@ -242,6 +242,14 @@ def test_bent4_witnesses_mv_zero():
     assert bent4_witnesses(TruthTable(2, 0, "mv")) == {0b11}
 
 
+def test_bent4_witnesses_refuses_a_field_with_an_mv_table():
+    # As transform_V and VectorialFunction do: an mv table carries no field.
+    with pytest.raises(InputError, match="uv needs a field of degree n and mv none"):
+        bent4_witnesses(TruthTable(2, 0, "mv"), F4)
+    with pytest.raises(InputError, match="uv needs a field of degree n and mv none"):
+        bent4_witnesses(TruthTable(2, 0, "uv"))
+
+
 def test_bent4_witnesses_mv_affine_contains_all_ones():
     g = from_values([0, 1, 1, 0], "mv")  # x_1 + x_2
     assert 0b11 in bent4_witnesses(g)
@@ -953,6 +961,16 @@ def test_components_flat_stack_matches_single_tables_and_perm(mode, blocks, monk
         perm = [is_modified_planar_perm(VectorialFunction(mode, n, f, spec)).is_planar for f in tables]
         assert stacked.tolist() == alone == perm
         assert any(perm) and not all(perm) or n == 1
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_components_flat_prunes_a_group_of_tables_across_blocks_of_twists(mode, monkeypatch):
+    # Two tables a group and two twists a block: a group's live tables
+    # shrink between its blocks of twists, which no budget does at n <= 3.
+    monkeypatch.setattr("mpf.transforms._block", lambda q, per=1: 2)
+    for n, spec, tables in _stack_cases(mode):
+        perm = [is_modified_planar_perm(VectorialFunction(mode, n, f, spec)).is_planar for f in tables]
+        assert components_flat(n, np.array(tables).T, spec).tolist() == perm
 
 
 # Modified planar mv tables at n = 2..4 (any mv table is at n = 1); the
