@@ -965,8 +965,9 @@ def test_components_flat_stack_matches_single_tables_and_perm(mode, blocks, monk
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
 def test_components_flat_prunes_a_group_of_tables_across_blocks_of_twists(mode, monkeypatch):
-    # Two tables a group and two twists a block: a group's live tables
-    # shrink between its blocks of twists, which no budget does at n <= 3.
+    # Two tables a group and two twists a block, so a group's live tables
+    # shrink between its blocks of twists.  Under _BLOCK_ENTRIES a group
+    # of several tables fits all its twists in one block.
     monkeypatch.setattr("mpf.transforms._block", lambda q, per=1: 2)
     for n, spec, tables in _stack_cases(mode):
         perm = [is_modified_planar_perm(VectorialFunction(mode, n, f, spec)).is_planar for f in tables]
