@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from .boolfun import TruthTable, table_from_json
+from .boolfun import TruthTable
 from .errors import FilterDisagreementError, InputError, MpfError, decode
 from .gf2n import (MODES, check_field, fe_mul, field_from_json, field_to_json, make_field, poly_is_irreducible,
                    sigma, trace_n)
@@ -159,14 +159,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    obj = _load_json(args.file)
-    g = table_from_json(obj)
+    mode, n, bits, field = decode("truth_table", _load_json(args.file))
+    g = TruthTable(n, bits, mode)
     try:
         c = int(args.c, 16)
     except ValueError:
         raise InputError(f"--c must be a hex field element, got {args.c!r}") from None
-    spec = field_from_json(decode("truth_table", obj)[3]) or (make_field(g.n) if g.mode == "uv" else None)
-    check_field(g.mode, g.n, spec)
+    spec = field_from_json(field) or (make_field(n) if mode == "uv" else None)
+    check_field(mode, n, spec)
     s = transform_V(spec, g, c) if g.mode == "uv" else transform_U(g, c)
     if args.format == "csv":
         norms = s.norms_sq()

@@ -8,11 +8,14 @@ derivative F(x+a) + F(x) + a*x must be a bijection), or through the
 components, whose twisted spectra must all be flat.  The two verdicts
 coincide; the library keeps both routes so they can cross-check each
 other.  Both decide a block of tables in one call (perm_witnesses and
-transforms.components_flat), which is how the search filters use them.
+transforms.components_flat), which is how the search filters use them;
+is_modified_planar_perm is one perm_witnesses call on a block of one
+table, so mpf analyze cross-checks the kernel that search trusts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,26 +125,27 @@ class PlanarVerdict:
         return self.is_planar
 
 
+def _cross(spec: FieldSpec | None, a, x):
+    """The cross term a*x: the field product when spec is given, a & x otherwise."""
+    return field_tables(spec).mul(a, x) if spec is not None else a & x
+
+
 def _first_collision(values: list[int]) -> tuple[int, int]:
-    """Lexicographically smallest (x1, x2), x1 < x2, with equal values."""
-    first_seen: dict[int, int] = {}
-    best: tuple[int, int] | None = None
-    for x, v in enumerate(values):
-        if v in first_seen:
-            pair = (first_seen[v], x)
-            if best is None or pair < best:
-                best = pair
-        else:
-            first_seen[v] = x
-    assert best is not None
-    return best
+    """Lexicographically smallest (x1, x2), x1 < x2, with equal values.
+
+    x1 is the first x whose value occurs again, and x2 is that value's
+    next index.
+    """
+    counts = Counter(values)
+    x1 = next(x for x, v in enumerate(values) if counts[v] > 1)
+    return x1, values.index(values[x1], x1 + 1)
 
 
 def perm_witnesses(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
     """(m,) int64: the smallest bad direction of each row of an (m, 2^n) table block, 0 if none.
 
     Direction a is bad for a row F when x -> F(x+a) + F(x) + a*x is not a
-    bijection (a*x is the field product when spec is given, the
+    bijection (a*x is _cross: the field product when spec is given, the
     coordinatewise product otherwise).  transforms._block sizes a block:
     _block(q, q - 1) rows, _block(q) (row, direction) pairs of 2^n values.
     The cross term is built once per block of directions, one boolean
@@ -155,14 +159,13 @@ def perm_witnesses(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
     witnesses = np.zeros(len(tables), dtype=np.int64)
     x = np.arange(q)
     directions = x[:, None]
-    mul = field_tables(spec).mul if spec is not None else None
     step = transforms._block(q, q - 1)
     for start in range(0, len(tables), step):
         live = np.arange(start, min(start + step, len(tables)))
         lo, width = 1, 1
         while lo < q and len(live):
             a = directions[lo : lo + width]
-            cross = mul(a, x) if mul is not None else a & x
+            cross = _cross(spec, a, x)
             t = tables[live]
             values = t[:, a ^ x] ^ t[:, None, :] ^ cross
             seen = np.zeros(values.size, dtype=bool)
@@ -181,23 +184,16 @@ def is_modified_planar_perm(F: VectorialFunction) -> PlanarVerdict:
     """Permutation-definition verdict: F(x+a) + F(x) + a*x bijective for all a != 0.
 
     The cross term a*x is the coordinatewise product for mv and the
-    field product for uv.  Direction a = 1 is tested first in plain
-    Python: most functions that are not modified planar fail there, and
-    it skips the kernel's fixed numpy cost.  Otherwise perm_witnesses
-    finds the smallest bad direction a.  The lexicographically smallest
-    colliding pair is read off that direction alone.
+    field product for uv.  One perm_witnesses call on a block of one
+    table finds the smallest bad direction a, and the lexicographically
+    smallest colliding pair is read off direction a alone.
     """
-    table = F.table
-    low = -1 if F.spec is not None else 1  # 1*x is x in the field, x & 1 in mv
-    values = [table[x ^ 1] ^ v ^ (x & low) for x, v in enumerate(table)]
-    if len(set(values)) < F.size:
-        return PlanarVerdict(False, 1, _first_collision(values))
-    a = int(perm_witnesses(F.n, np.array([table]), F.spec)[0])
+    a = int(perm_witnesses(F.n, [F.table], F.spec)[0])
     if not a:
         return PlanarVerdict(True)
-    x = np.arange(F.size)
-    cross = field_tables(F.spec).mul(a, x) if F.spec is not None else a & x
-    values = [table[i ^ a] ^ table[i] ^ c for i, c in enumerate(cross.tolist())]
+    table = F.table
+    cross = _cross(F.spec, a, np.arange(F.size)).tolist()
+    values = [table[x ^ a] ^ v ^ c for x, (v, c) in enumerate(zip(table, cross))]
     return PlanarVerdict(False, a, _first_collision(values))
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpf.planar
 import mpf.transforms
 from mpf.gf2n import fe_mul, make_field, trace_n
 from mpf.planar import (
@@ -345,6 +346,19 @@ def _perm_answers(mode, n, rows):
     return verdicts, witnesses
 
 
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+def test_each_perm_verdict_is_one_perm_witnesses_call(mode):
+    # The one-function verdict runs the kernel that search trusts, on every
+    # table, so the analyze cross-check covers it: no Python pre-pass may
+    # decide a table before the kernel sees it.
+    for n in (1, 2):
+        spec = make_field(n) if mode == "uv" else None
+        for table in itertools.product(range(1 << n), repeat=1 << n):
+            with mock.patch.object(mpf.planar, "perm_witnesses", wraps=perm_witnesses) as spy:
+                is_modified_planar_perm(VectorialFunction(mode, n, table, spec))
+            assert spy.call_count == 1, table
+
+
 @pytest.mark.parametrize(
     "mode, n, klass", [("mv", 2, "all"), ("uv", 1, "all"), ("uv", 2, "all"), ("uv", 3, "affine"), ("uv", 3, "do_quadratic")]
 )
@@ -360,8 +374,8 @@ def test_perm_matches_the_direct_oracle_on_whole_classes(mode, n, klass):
 @pytest.mark.parametrize("mode", ["mv", "uv"])
 @pytest.mark.parametrize("n", [1, 3])
 def test_perm_verdict_matches_the_oracle_on_every_table_up_to_affine_terms(mode, n):
-    # is_modified_planar_perm tests a = 1 in Python before the kernel, so
-    # witness_a and collision come from either path.  n = 1 is every table
+    # is_modified_planar_perm takes witness_a from one perm_witnesses call
+    # and reads collision off that direction in Python.  n = 1 is every table
     # (n = 2 is in the whole-class test above); at n = 3 the 4096 tables
     # with F(0) = F(2^i) = 0 stand for all 2^24, since adding an affine map
     # moves each derivative by a constant, and seeded tables without that

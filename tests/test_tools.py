@@ -11,9 +11,10 @@ _spec.loader.exec_module(mutants)
 
 
 def test_every_equivalent_mutant_names_a_live_site():
-    # The tool skips a listed site by its key (scope, source line, column,
-    # change), so an entry whose site was edited away skips nothing, and
-    # the mutant it stood for would be sampled and counted as a survivor.
+    # The tool skips a listed site by its key (scope, source line, start
+    # and end column, change), so an entry whose site was edited away
+    # skips nothing, and the mutant it stood for would be sampled and
+    # counted as a survivor.
     entries = json.loads(mutants.EQUIVALENT.read_text())
     live = {}
     for module in {e["module"] for e in entries}:
@@ -22,3 +23,12 @@ def test_every_equivalent_mutant_names_a_live_site():
     stale = [e for e in entries if mutants._key(e["module"], e) not in live[e["module"]]]
     assert stale == []
     assert all(e["reason"] for e in entries)
+
+
+def test_every_site_has_its_own_key():
+    # mutate() makes the first site whose key matches, so two sites with one
+    # key (the nested operators of a chain such as a // b // c) would leave
+    # the second one unreachable, and a sample could draw one mutant twice.
+    for module in mutants.TESTS:
+        keys = [mutants._key(module, site) for site in mutants.sites((ROOT / "src" / "mpf" / f"{module}.py").read_text())]
+        assert len(keys) == len(set(keys)), module

@@ -92,14 +92,18 @@ def _sites(tree: ast.AST):
         for k, op in ops:
             change = f"{node.value} -> {node.value + 1}" if op is int else f"{op.__name__} -> {SWAPS[op].__name__}"
             yield node, k, {"scope": scope.get(id(node), ""), "line": node.lineno, "col": node.col_offset,
-                            "index": k, "change": change}
+                            "end_col": node.end_col_offset, "index": k, "change": change}
 
 
 def sites(source: str) -> list[dict]:
-    """Every mutable site of a module; scope, source line and column key it across line moves."""
+    """Every mutable site of a module; scope, source line and columns key it across line moves.
+
+    The end column tells apart the nested operators of a chain such as
+    ``a // b // c``, which start at one column.
+    """
     lines = source.splitlines()
     found = [{**site, "source": lines[site["line"] - 1].strip()} for _, _, site in _sites(ast.parse(source))]
-    return sorted(found, key=lambda s: (s["line"], s["col"], s["index"], s["change"]))
+    return sorted(found, key=lambda s: (s["line"], s["col"], s["end_col"], s["index"], s["change"]))
 
 
 def mutate(source: str, site: dict) -> str:
@@ -118,7 +122,7 @@ def mutate(source: str, site: dict) -> str:
 
 
 def _key(module: str, site: dict) -> tuple:
-    return module, site["scope"], site["source"], site["col"], site["index"], site["change"]
+    return module, site["scope"], site["source"], site["col"], site["end_col"], site["index"], site["change"]
 
 
 def _limit_memory():
