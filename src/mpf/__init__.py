@@ -8,7 +8,7 @@ the components, relative-difference-set checks on the graph), so each
 route can serve as an oracle for the others.
 """
 
-from .boolfun import TruthTable, from_values, table_from_json
+from .boolfun import TruthTable, from_values
 from .errors import FilterDisagreementError, InputError, MpfError
 from .gf2n import (
     FieldSpec,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, decode
+from .errors import InputError
 from .gf2n import check_setting
 
 
@@ -53,11 +53,3 @@ def from_values(values, mode: str) -> TruthTable:
             bits |= 1 << t
     return TruthTable(n, bits, mode)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def table_from_json(obj: dict) -> TruthTable:
-    mode, n, bits, _ = decode("truth_table", obj)  # the field is the caller's: a TruthTable has none
-    return TruthTable(n, bits, mode)

@@ -7,10 +7,11 @@ ways: directly from the permutation definition (every shifted
 derivative F(x+a) + F(x) + a*x must be a bijection), or through the
 components, whose twisted spectra must all be flat.  The two verdicts
 coincide; the library keeps both routes so they can cross-check each
-other.  Both decide a block of tables in one call (perm_witnesses and
-transforms.components_flat), which is how the search filters use them;
-is_modified_planar_perm is one perm_witnesses call on a block of one
-table, so mpf analyze cross-checks the kernel that search trusts.
+other.  Both kernels, perm_witnesses and transforms.components_flat,
+take an (m, 2^n) block with one row per function and return an (m,)
+array; the search filters give both the same block.  The one-function
+verdicts are each one call on a block of one row, so mpf analyze
+cross-checks the kernels that search trusts.
 """
 
 from __future__ import annotations
@@ -146,37 +147,35 @@ def perm_witnesses(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
 
     Direction a is bad for a row F when x -> F(x+a) + F(x) + a*x is not a
     bijection (a*x is _cross: the field product when spec is given, the
-    coordinatewise product otherwise).  transforms._block sizes a block:
-    _block(q, q - 1) rows, _block(q) (row, direction) pairs of 2^n values.
-    The cross term is built once per block of directions, one boolean
-    scatter at row offsets marks the values each (row, direction) hits,
-    and a row leaves at its first bad block.  The first block of
-    directions is one wide and each next one twice as wide, so a row that
-    fails at a small direction costs little.
+    coordinatewise product otherwise).  The cross term is built once per
+    block of directions, one boolean scatter at row offsets marks the
+    values each (row, direction) hits, and a row leaves at its first bad
+    block.  The first block of directions is one wide and each next one
+    twice as wide, up to transforms._block(q, live rows), so a row that
+    fails at a small direction costs little, and a step holds at most
+    max(m, _block(q)) (row, direction) pairs of 2^n values.
     """
     q = 1 << n
     tables = np.asarray(tables)
     witnesses = np.zeros(len(tables), dtype=np.int64)
     x = np.arange(q)
     directions = x[:, None]
-    step = transforms._block(q, q - 1)
-    for start in range(0, len(tables), step):
-        live = np.arange(start, min(start + step, len(tables)))
-        lo, width = 1, 1
-        while lo < q and len(live):
-            a = directions[lo : lo + width]
-            cross = _cross(spec, a, x)
-            t = tables[live]
-            values = t[:, a ^ x] ^ t[:, None, :] ^ cross
-            seen = np.zeros(values.size, dtype=bool)
-            seen[values.reshape(-1, q) + np.arange(0, values.size, q)[:, None]] = True
-            good = seen.reshape(values.shape).all(axis=-1)
-            keep = good.all(axis=1)
-            if not keep.all():
-                witnesses[live[~keep]] = lo + good[~keep].argmin(axis=1)
-                live = live[keep]
-            lo += width
-            width = min(2 * width, transforms._block(q, max(1, len(live))))
+    live = np.arange(len(tables))
+    lo, width = 1, 1
+    while lo < q and len(live):
+        a = directions[lo : lo + width]
+        cross = _cross(spec, a, x)
+        t = tables[live]
+        values = t[:, a ^ x] ^ t[:, None, :] ^ cross
+        seen = np.zeros(values.size, dtype=bool)
+        seen[values.reshape(-1, q) + np.arange(0, values.size, q)[:, None]] = True
+        good = seen.reshape(values.shape).all(axis=-1)
+        keep = good.all(axis=1)
+        if not keep.all():
+            witnesses[live[~keep]] = lo + good[~keep].argmin(axis=1)
+            live = live[keep]
+        lo += width
+        width = min(2 * width, transforms._block(q, max(1, len(live))))
     return witnesses
 
 
@@ -201,9 +200,9 @@ def is_modified_planar_components(F: VectorialFunction) -> bool:
     """Component-spectrum verdict: every component flat at its own twist.
 
     transforms.components_flat screens and butterflies the components of
-    F's table in batched blocks of twists.
+    F's table, a block of one row, in batched blocks of twists.
     """
-    return transforms.components_flat(F.n, F.table, F.spec)
+    return bool(transforms.components_flat(F.n, [F.table], F.spec)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import InputError, SCHEMAS, decode
+from .errors import InputError, decode
 from .gf2n import MODES, FieldSpec, check_field, check_setting, fe_mul, field_from_json
 from .planar import VectorialFunction
 from .transforms import components_flat
@@ -180,7 +180,8 @@ def rds_verify_characters(g: GroupSpec, R: Iterable[Element]) -> bool:
     of the counts of each x, so it holds iff every x occurs exactly once:
     R is the graph of some F (Zhou 2013).  At c != 0 the character sum
     of a graph is the twisted spectrum of the component of F at c, so
-    transforms.components_flat decides the rest from the sorted y column.
+    transforms.components_flat decides the rest from the y column sorted
+    by x, a block of one row.
     """
     R = list(R)
     _check_elements(g, R)
@@ -188,7 +189,7 @@ def rds_verify_characters(g: GroupSpec, R: Iterable[Element]) -> bool:
     pts = pts[pts[:, 0].argsort()]
     if len(pts) != 1 << g.n or (pts[:, 0] != np.arange(len(pts))).any():
         return False
-    return components_flat(g.n, pts[:, 1], g.spec)
+    return bool(components_flat(g.n, [pts[:, 1]], g.spec)[0])
 
 
 def graph_of(F: VectorialFunction) -> set[Element]:
@@ -208,10 +209,6 @@ def group_for(F: VectorialFunction) -> GroupSpec:
 def group_from_json(obj: dict) -> GroupSpec:
     law, n, field = decode("group", obj)
     return GroupSpec(law, n, field_from_json(field))
-
-
-def elements_from_json(items: list) -> list[Element]:
-    return list(decode("elements", items, SCHEMAS["rds_input"]["elements"]))
 
 
 def report_to_json(report: RdsReport) -> dict:

@@ -154,11 +154,12 @@ def _run_shard(
 
     The payload is the job and the counter range [lo, hi) of one shard.
     Each block of candidates is decoded in one decode_block call and
-    decided by one perm_witnesses call and one components_flat call.  A
-    block holds transforms._block(q, q - 1) candidates, so each call takes
-    it as one group of tables.  A VectorialFunction is built only for a
-    disagreement.  The passing tables come back as one (k, 2^n) array in
-    counter order, in the narrowest unsigned dtype that holds 2^n - 1.
+    decided by one perm_witnesses call and one components_flat call, on
+    the same (rows, 2^n) tables.  A block holds transforms._block(q, q - 1)
+    candidates, the one row-block size of a search.  A VectorialFunction
+    is built only for a disagreement.  The passing tables come back as
+    one (k, 2^n) array in counter order, in the narrowest unsigned dtype
+    that holds 2^n - 1.
     """
     job, lo, hi = payload
     size = class_size(job.mode, job.n, job.klass)
@@ -177,7 +178,7 @@ def _run_shard(
         if job.filter != "components":
             verdicts = perm_witnesses(job.n, tables, spec) == 0
         if job.filter != "perm":
-            flat = components_flat(job.n, tables.T, spec)
+            flat = components_flat(job.n, tables, spec)
         agree = len(indices)
         if job.filter == "components":
             verdicts = flat
@@ -196,9 +197,9 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
 
     A sampled job draws job.sample indices with replacement, so a
     candidate can come up more than once; examined and passing count
-    every draw, repeats included.  stream, if given, is a writable text
-    file or a path: every passing function is written to it as one JSON
-    object per line (not capped).
+    every draw, repeats included.  stream, if given, is a path: every
+    passing function is written to it as one JSON object per line (not
+    capped).
     """
     if job.sample is None:
         _check_bounds(job.n, job.klass)
@@ -237,8 +238,7 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
     passing = np.concatenate([tables for _, tables, _ in results])
     if stream is not None:
         spec = make_field(job.n) if job.mode == "uv" else None
-        # A path is opened and closed here; a file the caller passes stays open.
-        with open(stream, "w") if isinstance(stream, (str, bytes)) else nullcontext(stream) as out:
+        with open(stream, "w") as out:
             for table in passing:
                 F = VectorialFunction(job.mode, job.n, table.tolist(), spec)
                 out.write(json.dumps(function_to_json(F)) + "\n")

@@ -24,8 +24,8 @@ the q - 1 nonzero twists' sums are one exact integer correlation, the
 s_2 link behind Parker-Pott's "negabent iff g + s_2 is bent".  An mv
 twist is no such shift, but i^wt(c&x) = prod_k i^(c_k x_k) splits over
 the bits, so n Gaussian butterfly passes give every twist's sums at once.
-components_flat tests each component L_c.F of F's table at its own
-twist c, L_c = c (mv) or dual[c^2] (uv); that spectrum is the star-group
+components_flat tests each component L_c.F of each table row F at its
+own twist c, L_c = c (mv) or dual[c^2] (uv); that spectrum is the star-group
 character sum of the graph of F at (u, c), so the RDS character route
 shares it.  Each kernel knows a bound on its partial sums (2^n for +-1
 inputs), so it calls the butterfly core _butterfly directly; the public
@@ -333,46 +333,40 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     return found
 
 
-def components_flat(n: int, f, spec: FieldSpec | None = None):
-    """True iff every component of F but the zero one is flat at its own twist.
+def components_flat(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
+    """(m,) bool: which rows of an (m, 2^n) table block have every nonzero component flat at its own twist.
 
-    f holds F(x) in index order: one table of 2^n values (gives a bool)
-    or a (2^n, m) stack, one table per column (gives an (m,) bool array);
-    spec None for mv.  The component at twist c != 0 is
-    parity(L_c & F(x)), L_c = c (mv) or dual[c^2] (uv), and it is tested
-    with bent4_witnesses' screen and flatness test at c.  Its twisted
-    spectrum is also the star-group character sum of the graph of F at
-    (u, c), which is how rds_verify_characters uses this.  Tables go in
-    groups of _block(q, q - 1), and each group's live tables in blocks of
-    twists, so a block has at most _block(q) columns.  A table leaves at
-    its first failing block, and only the tables that pass the screen are
-    butterflied.
+    Row F holds F(x) in index order; spec None for mv.  The component at
+    twist c != 0 is parity(L_c & F(x)), L_c = c (mv) or dual[c^2] (uv),
+    and it is tested with bent4_witnesses' screen and flatness test at c.
+    Its twisted spectrum is also the star-group character sum of the
+    graph of F at (u, c), which is how rds_verify_characters uses this.
+    Twists go in blocks of _block(q, m), so a block has at most
+    max(m, _block(q)) columns.  A row leaves at its first failing block,
+    and only the rows that pass the screen are butterflied.
     """
     q = 1 << n
-    f = np.asarray(f, dtype=np.int64)
-    stack = f.reshape(q, -1)
+    stack = np.asarray(tables, dtype=np.int64).T  # one column per row
     t = None if spec is None else field_tables(spec)
     flat = np.zeros(stack.shape[1], dtype=bool)
-    group = _block(q, q - 1)
-    for first in range(0, stack.shape[1], group):
-        live = np.arange(first, min(first + group, stack.shape[1]))
-        width = _block(q, len(live))
-        for lo in range(1, q, width):
-            k = len(live)
-            if not k:
+    live = np.arange(stack.shape[1])
+    width = _block(q, max(1, len(live)))
+    for lo in range(1, q, width):
+        k = len(live)
+        if not k:
+            break
+        c = np.arange(lo, min(q, lo + width))
+        lc = c if t is None else t.dual.take(t.mul(c, c))
+        bits = (np.bitwise_count(lc & stack[:, live, None]) & 1).reshape(q, -1)
+        signs, d = _twisted_signs(bits, spec, np.tile(c, k))
+        ok = _flat_at_zero(n, *_block_sums(signs, d, n)).reshape(k, -1).all(axis=1)
+        if not ok.all():  # take, not a mask: a C-contiguous block butterflies fastest
+            keep = ok.nonzero()[0]
+            live = live[keep]
+            signs = signs.reshape(q, k, -1).take(keep, axis=1).reshape(q, -1)
+            d = d.reshape(k, -1).take(keep, axis=0).reshape(-1)
+            if not len(live):
                 break
-            c = np.arange(lo, min(q, lo + width))
-            lc = c if t is None else t.dual.take(t.mul(c, c))
-            bits = (np.bitwise_count(lc & stack[:, live, None]) & 1).reshape(q, -1)
-            signs, d = _twisted_signs(bits, spec, np.tile(c, k))
-            ok = _flat_at_zero(n, *_block_sums(signs, d, n)).reshape(k, -1).all(axis=1)
-            if not ok.all():  # take, not a mask: a C-contiguous block butterflies fastest
-                keep = ok.nonzero()[0]
-                live = live[keep]
-                signs = signs.reshape(q, k, -1).take(keep, axis=1).reshape(q, -1)
-                d = d.reshape(k, -1).take(keep, axis=0).reshape(-1)
-                if not len(live):
-                    break
-            live = live[_flat_columns(signs, d, n).reshape(len(live), -1).all(axis=1)]
-        flat[live] = True
-    return bool(flat[0]) if f.ndim == 1 else flat
+        live = live[_flat_columns(signs, d, n).reshape(len(live), -1).all(axis=1)]
+    flat[live] = True
+    return flat

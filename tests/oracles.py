@@ -11,7 +11,7 @@ import functools
 import numpy as np
 
 from mpf.boolfun import TruthTable
-from mpf.errors import MpfError
+from mpf.errors import SCHEMAS, MpfError, decode
 from mpf.gf2n import FieldSpec, dual_mask, fe_mul, field_tables, field_to_json, make_field, sigma, trace_n
 from mpf.planar import (
     DOPolynomial,
@@ -448,8 +448,17 @@ def table_to_json(g: TruthTable) -> dict:
     return {"mode": g.mode, "n": g.n, "bits": f"0x{g.bits:x}"}
 
 
+def table_from_json(obj: dict) -> TruthTable:
+    mode, n, bits, _ = decode("truth_table", obj)  # a TruthTable has no field
+    return TruthTable(n, bits, mode)
+
+
 def elements_to_json(elements) -> list:
     return [[f"0x{v:x}" for v in e] for e in sorted(elements)]
+
+
+def elements_from_json(items: list) -> list:
+    return list(decode("elements", items, SCHEMAS["rds_input"]["elements"]))
 
 
 def group_to_json(g: GroupSpec) -> dict:

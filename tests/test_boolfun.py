@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpf.boolfun import TruthTable, from_values, table_from_json
+from mpf.boolfun import TruthTable, from_values
 from mpf.gf2n import fe_mul, make_field, trace_n
 from oracles import (
     ZeroShiftError,
@@ -12,6 +13,7 @@ from oracles import (
     pack_bits,
     shifted_derivative_mv,
     shifted_derivative_uv,
+    table_from_json,
     table_to_json,
     table_values,
     weight,
@@ -39,6 +41,10 @@ def test_bits_must_fit():
     with pytest.raises(ValueError):
         TruthTable(1, -1, "mv")
     assert TruthTable(1, 0b11, "mv").bits == 3
+    for n in range(1, 7):  # 2^n bits fit, and one bit more does not
+        assert TruthTable(n, (1 << (1 << n)) - 1, "uv").bits.bit_length() == 1 << n
+        with pytest.raises(ValueError, match="bits does not fit in 2\\^n positions"):
+            TruthTable(n, 1 << (1 << n), "uv")
 
 
 @pytest.mark.parametrize("n", [0, -1, 25])
@@ -52,6 +58,20 @@ def test_values_round_trip():
     assert table_values(g) == [1, 0, 1, 1, 0, 0, 1, 0]
     assert list(g.bit_array()) == table_values(g)
     assert pack_bits(g.bit_array()) == g.bits
+    assert from_values([0, 1], "uv") == TruthTable(1, 0b10, "uv")  # the smallest table, n = 1
+    with pytest.raises(ValueError, match="number of values must be a power of two"):
+        from_values([0, 1, 1], "mv")
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 10), st.data())
+def test_bit_array_reads_every_bit(n, data):
+    # From n = 6 on a table spans several bytes; the top bit must survive.
+    bits = data.draw(st.integers(0, (1 << (1 << n)) - 1) | st.just((1 << (1 << n)) - 1))
+    g = TruthTable(n, bits, "mv")
+    array = g.bit_array()
+    assert array.dtype == np.uint8 and array.shape == (1 << n,)
+    assert array.tolist() == table_values(g)
 
 
 @settings(max_examples=100)

@@ -11,13 +11,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mpf.boolfun import TruthTable, table_from_json
+from mpf.boolfun import TruthTable
 from mpf.cli import main
 from mpf.errors import SCHEMAS
 from mpf.gf2n import MODES, field_from_json, field_to_json, make_field, poly_is_irreducible
 from mpf.planar import VectorialFunction, function_from_json, function_to_json
-from mpf.rds import GroupSpec, elements_from_json, group_from_json
-from oracles import elements_to_json, group_to_json, table_to_json
+from mpf.rds import GroupSpec, group_from_json
+from oracles import elements_from_json, elements_to_json, group_to_json, table_from_json, table_to_json
 
 _NON_DEFAULT_F8 = make_field(3, 0b1101)  # the default modulus at n = 3 is 0b1011
 

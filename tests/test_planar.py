@@ -71,15 +71,14 @@ def test_do_to_table_cube_on_f4():
 
 def test_monomials_x_to_the_2k_plus_1_are_modified_planar_at_n_4_8_12_only():
     # x^(2^k+1), 1 <= k < n, on GF(2^n) for n = 2..12: one do_monomials
-    # block per n for perm_witnesses, and its transpose, one table per
-    # column, for components_flat.  n = 2k is not enough: at n = 2, 6 and
+    # block per n for both kernels.  n = 2k is not enough: at n = 2, 6 and
     # 10 the k = n/2 monomial fails at direction a = 2, 3 and 3.
     found, half = [], {}
     for n in range(2, 13):
         spec = make_field(n)
         block = do_monomials(spec, [(1 << k) + 1 for k in range(1, n)])
         witnesses = perm_witnesses(n, block, spec)
-        assert mpf.transforms.components_flat(n, block.T, spec).tolist() == (witnesses == 0).tolist(), n
+        assert mpf.transforms.components_flat(n, block, spec).tolist() == (witnesses == 0).tolist(), n
         found += [(n, k) for k in range(1, n) if not witnesses[k - 1]]
         if not n & 1:
             half[n] = int(witnesses[n // 2 - 1])
@@ -88,6 +87,26 @@ def test_monomials_x_to_the_2k_plus_1_are_modified_planar_at_n_4_8_12_only():
             assert perm_verdict_direct(F).witness_a == half[n]
     assert found == [(4, 2), (8, 4), (12, 6)]
     assert half == {2: 2, 4: 0, 6: 3, 8: 0, 10: 3, 12: 0}
+
+
+def test_the_modified_planar_power_maps_up_to_n_11():
+    # Every x^d, d < q - 1, in one do_monomials block that both kernels take
+    # unchanged (the perm kernel alone at n = 11): the modified planar ones
+    # are x^0 = 1, the linear x^(2^i), and x^(2^(n/2)+1) at n = 4 and 8.
+    # A cyclotomic coset of a planar exponent is not planar throughout, so
+    # d must not be cut to one exponent per coset: x^10 = (x^5)^2 fails at
+    # n = 4.
+    for n in range(1, 12):
+        spec = make_field(n)
+        q = 1 << n
+        block = do_monomials(spec, range(q - 1))
+        planar = perm_witnesses(n, block, spec) == 0
+        if n <= 10:
+            assert mpf.transforms.components_flat(n, block, spec).tolist() == planar.tolist(), n
+        expect = {0} | {1 << i for i in range(n) if 1 << i < q - 1} | ({(1 << n // 2) + 1} if n in (4, 8) else set())
+        assert set(np.flatnonzero(planar).tolist()) == expect, n
+        if n == 4:
+            assert not planar[10] and planar[5]
 
 
 def test_do_to_table_frobenius_on_f4():
@@ -339,7 +358,7 @@ def _perm_answers(mode, n, rows):
     verdicts = [is_modified_planar_perm(VectorialFunction(mode, n, row, spec)) for row in rows]
     witnesses = []
     # 64 entries hold one direction of one row from n = 6 on, so the
-    # direction blocks, the row chunks and the survivors all run small.
+    # direction blocks and the survivors all run small.
     for block_entries in (mpf.transforms._BLOCK_ENTRIES, 64, 512):
         with mock.patch.object(mpf.transforms, "_BLOCK_ENTRIES", block_entries):
             witnesses.append(perm_witnesses(n, np.array(rows, dtype=np.uint8), spec).tolist())

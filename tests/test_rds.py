@@ -8,6 +8,7 @@ from mpf.errors import InputError
 from mpf.gf2n import make_field
 from oracles import (
     character_eval,
+    elements_from_json,
     elements_to_json,
     enumerate_class,
     four_verdicts,
@@ -20,7 +21,6 @@ from oracles import (
 from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm
 from mpf.rds import (
     GroupSpec,
-    elements_from_json,
     forbidden_subgroup,
     graph_of,
     group_elements,

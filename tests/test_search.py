@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import io
 import json
 import multiprocessing
 
@@ -261,7 +260,7 @@ def _flip_components(monkeypatch, indices):
 
     def flipping(n, f, spec=None):
         verdicts = real(n, f, spec)
-        for j, table in enumerate(f.T.tolist()):
+        for j, table in enumerate(f.tolist()):
             if tuple(table) in flipped:
                 verdicts[j] = not verdicts[j]
         return verdicts
@@ -394,10 +393,10 @@ def test_stream_output(tmp_path):
     first = json.loads(lines[0])
     assert first["mode"] == "uv"
     assert first["table"] == ["0x0", "0x0"]
-    # A file the caller passes is written to and left open.
-    out = io.StringIO()
-    assert run_search(SearchJob("uv", 1, "all", "both"), stream=out) == report
-    assert out.getvalue() == path.read_text()
+    # A second path, as a Path, gets the same lines and the same report.
+    again = tmp_path / "again.jsonl"
+    assert run_search(SearchJob("uv", 1, "all", "both"), stream=again) == report
+    assert again.read_text() == path.read_text()
 
 
 def test_candidate_decode_round_trip():

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from mpf.boolfun import TruthTable, from_values
 from mpf.errors import InputError
 from mpf.gf2n import dual_mask, fe_mul, make_field, sigma
-from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm
+from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm, perm_witnesses
 from mpf.rds import GroupSpec, group_elements, rds_verify_characters
 from mpf.search import class_size, decode_block, slot_monomials
 from mpf.transforms import (
     GaussianInt,
     Spectrum,
+    _block,
     _block_sums,
     _column_sums,
     _flat_at_zero,
@@ -420,8 +421,8 @@ def test_components_flat_matches_the_oracle_on_every_table_up_to_affine_terms(mo
     spec = make_field(n) if mode == "uv" else None
     tables = [list(t) for t in itertools.product(range(q), repeat=q)] if n == 1 else affine_representatives(n)
     expect = [perm_verdict_direct(VectorialFunction(mode, n, t, spec)).is_planar for t in tables]
-    assert components_flat(n, np.array(tables).T, spec).tolist() == expect
-    assert [components_flat(n, t, spec) for t in tables] == expect
+    assert components_flat(n, tables, spec).tolist() == expect
+    assert [components_flat(n, [t], spec)[0] for t in tables] == expect
     assert all(expect) if n == 1 else 0 < sum(expect) < len(tables)
 
 
@@ -441,8 +442,11 @@ def _component_columns(spec, tables):
 def test_column_screen_is_exact_on_do_quadratic_components(n, sample, planar, monkeypatch):
     # Every twisted component of a DO F is quadratic, and for odd n the
     # screen (flatness at u = 0) is then flatness itself: column by column
-    # on every uv DO table at n = 3 and on a seeded sample at n = 5.  So
-    # components_flat butterflies the columns of the planar tables only.
+    # on every uv DO table at n = 3 and on a seeded sample at n = 5.  So on
+    # search's blocks of _block(q, q - 1) rows, whose twists all fit one
+    # block, components_flat butterflies the columns of the planar tables
+    # only.  (A larger block takes fewer twists at a time, and a row that
+    # passes the screen at the first ones is butterflied there.)
     spec = make_field(n)
     size = class_size("uv", n, "do_quadratic")
     indices = range(size) if sample is None else random.Random(16).sample(range(size), sample)
@@ -454,7 +458,9 @@ def test_column_screen_is_exact_on_do_quadratic_components(n, sample, planar, mo
     expect = flat.reshape(len(tables), -1).all(axis=1)
     assert expect.sum() == planar
     seen = _butterfly_columns(monkeypatch)
-    assert components_flat(n, np.array(tables).T, spec).tolist() == expect.tolist()
+    step = _block(1 << n, (1 << n) - 1)
+    blocks = [components_flat(n, tables[lo : lo + step], spec) for lo in range(0, len(tables), step)]
+    assert np.concatenate(blocks).tolist() == expect.tolist()
     assert sum(seen) == planar * ((1 << n) - 1)
 
 
@@ -930,10 +936,10 @@ def test_characters_flat_does_not_depend_on_block_size(mode, monkeypatch):
     rng = random.Random(7)
     tables = [[rng.randrange(16) for _ in range(16)] for _ in range(30)]
     tables.append([0] * 16)  # planar for uv, not for mv
-    verdicts = [components_flat(n, f, spec) for f in tables]
+    verdicts = [components_flat(n, [f], spec)[0] for f in tables]
     assert [rds_verify_characters(g, enumerate(f)) for f in tables] == verdicts
     monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", 16)  # one twist per block
-    assert [components_flat(n, f, spec) for f in tables] == verdicts
+    assert [components_flat(n, [f], spec)[0] for f in tables] == verdicts
     assert [rds_verify_characters(g, enumerate(f)) for f in tables] == verdicts
     assert verdicts[-1] == (mode == "uv")
 
@@ -951,27 +957,32 @@ def _stack_cases(mode):
 @pytest.mark.parametrize("blocks", [1, 3, None])  # None keeps the default _BLOCK_ENTRIES
 @pytest.mark.parametrize("mode", ["mv", "uv"])
 def test_components_flat_stack_matches_single_tables_and_perm(mode, blocks, monkeypatch):
-    # Blocks of q and 3q entries split both the functions and the twists.
+    # Blocks of q and 3q entries split the twists and the directions.  Each
+    # kernel takes all the rows in one call, more than search's block of
+    # _block(q, q - 1) rows (but at the default size at n <= 2), and must
+    # answer as it does for the rows one at a time.
     for n, spec, tables in _stack_cases(mode):
         if blocks is not None:
             monkeypatch.setattr("mpf.transforms._BLOCK_ENTRIES", blocks << n)
-        stacked = components_flat(n, np.array(tables).T, spec)
+        assert len(tables) > _block(1 << n, (1 << n) - 1) or blocks is None and n < 3
+        stacked = components_flat(n, tables, spec)
         assert stacked.dtype == bool and stacked.shape == (len(tables),)
-        alone = [components_flat(n, f, spec) for f in tables]
+        alone = [components_flat(n, [f], spec)[0] for f in tables]
         perm = [is_modified_planar_perm(VectorialFunction(mode, n, f, spec)).is_planar for f in tables]
         assert stacked.tolist() == alone == perm
+        assert (perm_witnesses(n, tables, spec) == 0).tolist() == perm
         assert any(perm) and not all(perm) or n == 1
 
 
 @pytest.mark.parametrize("mode", ["mv", "uv"])
 def test_components_flat_prunes_a_group_of_tables_across_blocks_of_twists(mode, monkeypatch):
-    # Two tables a group and two twists a block, so a group's live tables
-    # shrink between its blocks of twists.  Under _BLOCK_ENTRIES a group
-    # of several tables fits all its twists in one block.
+    # Two twists a block, so the live rows shrink between blocks of twists.
+    # Under _BLOCK_ENTRIES a block of search's _block(q, q - 1) rows fits
+    # all its twists in one block.
     monkeypatch.setattr("mpf.transforms._block", lambda q, per=1: 2)
     for n, spec, tables in _stack_cases(mode):
         perm = [is_modified_planar_perm(VectorialFunction(mode, n, f, spec)).is_planar for f in tables]
-        assert components_flat(n, np.array(tables).T, spec).tolist() == perm
+        assert components_flat(n, tables, spec).tolist() == perm
 
 
 # Modified planar mv tables at n = 2..4 (any mv table is at n = 1); the
@@ -999,27 +1010,27 @@ def _stacks(draw):
     points = st.integers(0, q - 1)
     affine = st.tuples(st.lists(points, min_size=n, max_size=n), points)
     planar = [0] * q if mode == "uv" else _MV_PLANAR.get(n, [0] * q if n == 1 else None)
-    columns = []
+    rows = []
     for _ in range(draw(st.integers(1, 8))):
         if planar is not None and draw(st.booleans()):
-            columns.append(planar ^ _affine_table(n, *draw(affine)))
+            rows.append(planar ^ _affine_table(n, *draw(affine)))
         else:
-            columns.append(np.array(draw(st.lists(points, min_size=q, max_size=q))))
-    order = draw(st.permutations(range(len(columns))))
-    return mode, n, np.stack(columns, axis=1), order, _affine_table(n, *draw(affine))
+            rows.append(np.array(draw(st.lists(points, min_size=q, max_size=q))))
+    order = draw(st.permutations(range(len(rows))))
+    return mode, n, np.stack(rows), order, _affine_table(n, *draw(affine))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_stacks())
 def test_components_flat_stack_ignores_column_order_and_affine_shifts(case):
-    # F + A is modified planar iff F is: D_a(F + A) is D_a F shifted by the
-    # constant A(a) + A(0).
+    # The rows of a block in any order.  F + A is modified planar iff F is:
+    # D_a(F + A) is D_a F shifted by the constant A(a) + A(0).
     mode, n, stack, order, shift = case
     spec = make_field(n) if mode == "uv" else None
     verdicts = components_flat(n, stack, spec)
-    assert verdicts.tolist() == [components_flat(n, f, spec) for f in stack.T]
-    assert components_flat(n, stack[:, order], spec).tolist() == verdicts[order].tolist()
-    assert components_flat(n, stack ^ shift[:, None], spec).tolist() == verdicts.tolist()
+    assert verdicts.tolist() == [components_flat(n, [f], spec)[0] for f in stack]
+    assert components_flat(n, stack[order], spec).tolist() == verdicts[order].tolist()
+    assert components_flat(n, stack ^ shift, spec).tolist() == verdicts.tolist()
 
 
 @pytest.mark.parametrize("block_entries", [16, 1 << 16])
@@ -1033,7 +1044,7 @@ def test_characters_flat_visits_every_twist_once(block_entries, monkeypatch):
     assert rds_verify_characters(g, zero)
     assert seen == list(range(1, 32))
     seen.clear()
-    assert components_flat(5, [0] * 32, spec)
+    assert components_flat(5, [[0] * 32], spec)[0]
     assert seen == list(range(1, 32))
 
 
@@ -1056,7 +1067,7 @@ def test_characters_flat_agrees_with_perm_on_sampled_graphs(mode, n):
     for _ in range(40):
         F = VectorialFunction(mode, n, [rng.randrange(q) for _ in range(q)], spec)
         planar = is_modified_planar_perm(F).is_planar
-        assert components_flat(n, F.table, spec) == planar, F.table
+        assert components_flat(n, [F.table], spec)[0] == planar, F.table
         assert rds_verify_characters(g, enumerate(F.table)) == planar, F.table
 
 
@@ -1072,7 +1083,7 @@ def test_characters_flat_accepts_planar_affine_uv_functions(n):
         R = list(enumerate(F.table))
         rng.shuffle(R)
         assert rds_verify_characters(g, R)
-        assert components_flat(n, F.table, spec)
+        assert components_flat(n, [F.table], spec)[0]
         assert is_modified_planar_perm(F).is_planar
         # One moved value: the routes must still agree.
         x = rng.randrange(1 << n)
@@ -1080,5 +1091,5 @@ def test_characters_flat_accepts_planar_affine_uv_functions(n):
         table[x] ^= 1 + rng.randrange((1 << n) - 1)
         G = VectorialFunction("uv", n, table, spec)
         planar = is_modified_planar_perm(G).is_planar
-        assert components_flat(n, table, spec) == planar
+        assert components_flat(n, [table], spec)[0] == planar
         assert rds_verify_characters(g, enumerate(table)) == planar
