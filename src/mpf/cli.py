@@ -40,7 +40,7 @@ from .transforms import bent4_witnesses, is_flat, transform_U, transform_V
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
-EXIT_USAGE = 2
+# 2, a usage error, is argparse's own exit code.
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="klass", required=True, choices=CLASSES)
     p.add_argument("--filter", choices=FILTERS, default="both")
-    p.add_argument("--shards", type=int, default=1, help="worker shards (default 1)")
+    p.add_argument("--shards", type=int, default=1, help="one process per shard, at most one per CPU (default 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=None,
                    help="draw this many candidates instead of exhausting the class")

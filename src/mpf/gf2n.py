@@ -24,6 +24,12 @@ from .errors import InputError, decode
 MODES = ("mv", "uv")  # the cross term x*y: coordinatewise product (mv), field product (uv)
 MAX_DEGREE = 24
 
+# Bound on one job's work, counted in steps, not bytes: the brute-force
+# RDS route's ordered pairs and group scan, and a sampled search's 4^n
+# steps per candidate and 2^n table entries per draw (which also bounds
+# the passing tables it holds).  It admits every n <= 13.
+MAX_WORK = 1 << 26
+
 # Largest degree for which the cached numpy tables are built (2^n entries
 # per table); scalar arithmetic is not subject to this limit.
 MAX_TABLE_DEGREE = 20

@@ -16,7 +16,6 @@ cross-checks the kernels that search trusts.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,15 +130,9 @@ def _cross(spec: FieldSpec | None, a, x):
     return field_tables(spec).mul(a, x) if spec is not None else a & x
 
 
-def _first_collision(values: list[int]) -> tuple[int, int]:
-    """Lexicographically smallest (x1, x2), x1 < x2, with equal values.
-
-    x1 is the first x whose value occurs again, and x2 is that value's
-    next index.
-    """
-    counts = Counter(values)
-    x1 = next(x for x, v in enumerate(values) if counts[v] > 1)
-    return x1, values.index(values[x1], x1 + 1)
+def _derivatives(spec: FieldSpec | None, tables: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F(x+a) + F(x) + a*x, (rows, directions, 2^n), for the rows of tables and a column of directions a."""
+    return tables[:, a ^ x] ^ tables[:, None, :] ^ _cross(spec, a, x)
 
 
 def perm_witnesses(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
@@ -163,10 +156,7 @@ def perm_witnesses(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray:
     live = np.arange(len(tables))
     lo, width = 1, 1
     while lo < q and len(live):
-        a = directions[lo : lo + width]
-        cross = _cross(spec, a, x)
-        t = tables[live]
-        values = t[:, a ^ x] ^ t[:, None, :] ^ cross
+        values = _derivatives(spec, tables[live], directions[lo : lo + width], x)
         seen = np.zeros(values.size, dtype=bool)
         seen[values.reshape(-1, q) + np.arange(0, values.size, q)[:, None]] = True
         good = seen.reshape(values.shape).all(axis=-1)
@@ -185,15 +175,18 @@ def is_modified_planar_perm(F: VectorialFunction) -> PlanarVerdict:
     The cross term a*x is the coordinatewise product for mv and the
     field product for uv.  One perm_witnesses call on a block of one
     table finds the smallest bad direction a, and the lexicographically
-    smallest colliding pair is read off direction a alone.
+    smallest colliding pair (x1, x2) is read off direction a alone: in a
+    stable sort of its values, each x is followed by the next x with the
+    same value, so x1 is the least x so followed.
     """
     a = int(perm_witnesses(F.n, [F.table], F.spec)[0])
     if not a:
         return PlanarVerdict(True)
-    table = F.table
-    cross = _cross(F.spec, a, np.arange(F.size)).tolist()
-    values = [table[x ^ a] ^ v ^ c for x, (v, c) in enumerate(zip(table, cross))]
-    return PlanarVerdict(False, a, _first_collision(values))
+    values = _derivatives(F.spec, np.array([F.table]), np.array([[a]]), np.arange(F.size))[0, 0]
+    order = np.argsort(values, kind="stable")
+    follows = np.flatnonzero(values[order[1:]] == values[order[:-1]])
+    i = follows[order[follows].argmin()]
+    return PlanarVerdict(False, a, (int(order[i]), int(order[i + 1])))
 
 
 def is_modified_planar_components(F: VectorialFunction) -> bool:

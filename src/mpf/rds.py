@@ -22,19 +22,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError, decode
-from .gf2n import MODES, FieldSpec, check_field, check_setting, fe_mul, field_from_json
+from .gf2n import MAX_WORK, MODES, FieldSpec, check_field, check_setting, fe_mul, field_from_json
 from .planar import VectorialFunction
 from .transforms import components_flat
 
 LAWS = tuple("star_" + mode for mode in MODES)
 
 Element = tuple[int, int]
-
-# Bound on the brute-force route's work: |R|^2 ordered differences, the
-# scan of all |G| = 4^n elements and, for a given N, |N|^2 closure
-# products.  It admits every n <= 13 graph with the canonical subgroup.
-MAX_PAIR_WORK = 1 << 26
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -101,10 +95,14 @@ def _check_elements(g: GroupSpec, elements: Iterable) -> None:
 
 
 def _check_pair_work(g: GroupSpec, *sizes: int) -> None:
-    """Refuse a brute-force job over MAX_PAIR_WORK before building anything of its size."""
+    """Refuse a brute-force job over MAX_WORK before building anything of its size.
+
+    The work is the largest of |R|^2 ordered differences, the scan of all
+    |G| = 4^n elements and, for a given N, |N|^2 closure products.
+    """
     work = max([g.order] + [k * k for k in sizes])
-    if work > MAX_PAIR_WORK:
-        raise InputError(f"brute-force RDS work {work} at n={g.n} exceeds the bound {MAX_PAIR_WORK}")
+    if work > MAX_WORK:
+        raise InputError(f"brute-force RDS work {work} at n={g.n} exceeds the bound {MAX_WORK}")
 
 
 def _check_subgroup(g: GroupSpec, N: frozenset) -> None:

@@ -13,14 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import transforms
 from .errors import FilterDisagreementError, InputError
-from .gf2n import check_setting, make_field
+from .gf2n import MAX_WORK, check_setting, make_field
 from .planar import (
     VectorialFunction,
     do_monomials,
@@ -43,11 +42,6 @@ _CLASSES = {
 }
 CLASSES = tuple(_CLASSES)
 FILTERS = ("perm", "components", "both")
-
-# Bound on one sampled candidate's work, about 4^n steps (q directions
-# or twists of q points each): a time bound, not a memory bound.  It
-# admits every n <= 13.
-MAX_CANDIDATE_WORK = 1 << 26
 
 REPORT_FUNCTION_CAP = 10_000
 
@@ -201,33 +195,33 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
     passing function is written to it as one JSON object per line (not
     capped).
     """
+    # A candidate costs up to 4^n steps, and a draw holds its 2^n-entry
+    # table until the merge; both are refused past MAX_WORK before any
+    # shard starts.
     if job.sample is None:
         _check_bounds(job.n, job.klass)
         total = class_size(job.mode, job.n, job.klass)
-    elif 4 ** job.n > MAX_CANDIDATE_WORK:
-        raise InputError(f"sampled jobs are limited to 4^n <= {MAX_CANDIDATE_WORK}, got n={job.n}")
+    elif 4 ** job.n > MAX_WORK:
+        raise InputError(f"sampled jobs are limited to 4^n <= {MAX_WORK}, got n={job.n}")
+    elif job.sample << job.n > MAX_WORK:
+        raise InputError(f"sampled jobs are limited to sample * 2^n <= {MAX_WORK}, got {job.sample} at n={job.n}")
     else:
         total = job.sample
-    # The report does not depend on the shard count, so shards stop at the
-    # candidate count (past it they are empty) and at four per core (a
-    # sampled job's count is --sample, which need not fit in memory).
-    shards = max(1, min(job.shards, total, 4 * (os.cpu_count() or 1)))
+    # The report does not depend on the shard count, so a job runs one
+    # shard per process, at most one per candidate and one per CPU: the
+    # caller runs shard 0 and a pool of shards - 1 workers the rest.
+    shards = max(1, min(job.shards, total, os.cpu_count() or 1))
     payloads = [(job, s * total // shards, (s + 1) * total // shards) for s in range(shards)]
-    # The caller is one of w processes, w - 1 of them pool workers: it runs
-    # shards 0, w, 2w, ... while the workers take the rest.  Shards fix the
-    # report; processes beyond the cores would only contend.
-    w = min(shards, os.cpu_count() or 1)
-    pool = None
-    if w > 1:
+    if shards == 1:
+        results = [_run_shard(payloads[0])]
+    else:
         # Imported only here: the process pool machinery adds about 1 MiB of
         # resident memory that in-process jobs and the other verbs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=w - 1)
-    with pool or nullcontext():
-        theirs = pool.map(_run_shard, [p for s, p in enumerate(payloads) if s % w]) if pool else None
-        mine = iter([_run_shard(p) for p in payloads[::w]])
-        results = [next(theirs) if s % w else next(mine) for s in range(shards)]
+        with ProcessPoolExecutor(max_workers=shards - 1) as pool:
+            theirs = pool.map(_run_shard, payloads[1:])
+            results = [_run_shard(payloads[0]), *theirs]
     examined = 0
     for shard_examined, _, disagreement in results:
         if disagreement is not None:

@@ -423,6 +423,35 @@ def transport_function(F: VectorialFunction) -> VectorialFunction:
     return VectorialFunction("mv", F.n, tuple(table))
 
 
+# The same isomorphism can fix x: (x, y) -> (x, S(y) + Q(x)), with S the
+# inverse of squaring, carries star_uv onto star_mv when Q(x + y) + Q(x) +
+# Q(y) = S(xy) + (x & y), a polar form that is alternating (S(x x) = x).
+# So G = S(F) + Q has D_a G = S(D_a F) + Q(a): the same bad directions and
+# colliding pairs as F, with no map on a.
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def sqrt_form(spec: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tables (S, Q) over the field: S(y y) = y, Q(0) = 0 and Q(x + 2^k) = Q(x) + S(x alpha^k) for x < 2^k.
+
+    That is Q(x + 2^k) = Q(x) + Q(2^k) + S(x 2^k) + (x & 2^k) with every
+    Q(2^k) = 0, as x & 2^k = 0 for x < 2^k.
+    """
+    S = [0] * spec.order
+    for y in spec.elements():
+        S[fe_mul(spec, y, y)] = y
+    Q = [0]
+    for k in range(spec.n):
+        Q += [Q[x] ^ S[fe_mul(spec, x, 1 << k)] for x in range(1 << k)]
+    return tuple(S), tuple(Q)
+
+
+def sqrt_transport(F: VectorialFunction) -> VectorialFunction:
+    """The multivariate G = S(F) + Q of a univariate F, with (S, Q) = sqrt_form(F.spec)."""
+    S, Q = sqrt_form(F.spec)
+    return VectorialFunction("mv", F.n, tuple(S[v] ^ Q[x] for x, v in enumerate(F.table)))
+
+
 # ---------------------------------------------------------------------------
 # Codecs and enumerators that only the tests use; the library has no
 # caller for them.

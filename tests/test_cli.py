@@ -336,6 +336,21 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_checks_the_functions_its_lines_name(monkeypatch, capsys):
+    # The battery passes for many other inputs (any non-planar mv table, the
+    # constants at more n), so record what it runs: the zero functions on
+    # GF(4) and on F_2^2, and the nega spectra of the constants at n = 2..5.
+    import mpf.cli as cli
+
+    perm, spectra = [], []
+    real_perm, real_U = cli.is_modified_planar_perm, cli.transform_U
+    monkeypatch.setattr(cli, "is_modified_planar_perm", lambda F: perm.append((F.mode, F.table)) or real_perm(F))
+    monkeypatch.setattr(cli, "transform_U", lambda g, c: spectra.append((g.n, g.bits, c)) or real_U(g, c))
+    assert main(["selftest"]) == 0
+    assert perm == [("uv", (0, 0, 0, 0)), ("mv", (0, 0, 0, 0))]
+    assert spectra == [(2, 0, 0b11)] + [(n, 0, (1 << n) - 1) for n in range(2, 6)]
+
+
 def test_analyze_route_disagreement_exits_4(uv_zero_file, monkeypatch, capsys):
     # the verdict routes provably coincide; fake a disagreement to check
     # that the internal-error path is wired

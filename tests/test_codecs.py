@@ -65,6 +65,13 @@ def test_table_round_trip(setting, data):
     assert table_from_json(_via_text(table_to_json(g))) == g
 
 
+def test_a_table_of_hex_strings_without_the_prefix_reads_in_base_16():
+    # decode reads a whole list of hex strings in one pass: "10" and "1f"
+    # are 16 and 31 there too.
+    obj = {"mode": "mv", "n": 5, "field": None, "table": [f"{v:x}" for v in range(32)]}
+    assert function_from_json(obj).table == tuple(range(32))
+
+
 @given(mpf_settings())
 @example(("uv", 3, _NON_DEFAULT_F8))
 def test_group_round_trip(setting):

@@ -6,14 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpf.planar
 import mpf.transforms
-from mpf.gf2n import fe_mul, make_field, trace_n
+from mpf.gf2n import fe_mul, field_tables, make_field, trace_n
 from mpf.planar import (
     DOPolynomial,
+    PlanarVerdict,
     VectorialFunction,
     do_monomials,
     do_to_table,
@@ -32,6 +33,8 @@ from oracles import (
     do_table_pointwise,
     is_permutation,
     perm_verdict_direct,
+    sqrt_form,
+    sqrt_transport,
     table_values,
     transport_function,
 )
@@ -107,6 +110,84 @@ def test_the_modified_planar_power_maps_up_to_n_11():
         assert set(np.flatnonzero(planar).tolist()) == expect, n
         if n == 4:
             assert not planar[10] and planar[5]
+
+
+def test_the_square_root_transport_keeps_every_witness_and_pair():
+    # G = S(F) + Q fixes x, so D_a G = S(D_a F) + Q(a): G has F's bad
+    # directions and colliding pairs, and its verdicts, with no map on a.
+    # Every uv table at n <= 2, seeded tables and DO quadratics at n = 3..8,
+    # the law itself at n = 10, and power maps at n = 10 and 12.
+    for n in (1, 2):
+        spec = make_field(n)
+        for table in itertools.product(range(1 << n), repeat=1 << n):
+            F = uv(table, spec)
+            G = sqrt_transport(F)
+            assert is_modified_planar_perm(G) == is_modified_planar_perm(F), table
+            assert is_modified_planar_components(G) == is_modified_planar_components(F), table
+    rng, draw = np.random.default_rng(27), random.Random(27)
+    for n in range(3, 9):
+        spec = make_field(n)
+        q = 1 << n
+        S, Q = map(np.array, sqrt_form(spec))
+        indices = [draw.randrange(class_size("uv", n, "do_quadratic")) for _ in range(20)]
+        block = np.concatenate([rng.integers(0, q, (20, q)), decode_block(n, slot_monomials(n, "do_quadratic"), indices)])
+        images = S[block] ^ Q
+        assert images.tolist() == [list(sqrt_transport(uv(t, spec)).table) for t in block.tolist()]
+        witnesses = perm_witnesses(n, block, spec)
+        assert perm_witnesses(n, images).tolist() == witnesses.tolist(), n
+        assert mpf.transforms.components_flat(n, images).tolist() == (witnesses == 0).tolist(), n
+        for t, image in zip(block[::4].tolist(), images[::4].tolist()):
+            assert is_modified_planar_perm(mv(image, n)) == is_modified_planar_perm(uv(t, spec))
+    spec = make_field(10)
+    q = 1 << 10
+    S, Q = map(np.array, sqrt_form(spec))
+    F = rng.integers(0, q, q)
+    a, x = np.arange(q)[:, None], np.arange(q)
+    derivative = F[a ^ x] ^ F[x] ^ field_tables(spec).mul(a, x)
+    G = S[F] ^ Q
+    assert (G[a ^ x] ^ G[x] ^ (a & x) == S[derivative] ^ Q[a]).all()
+    for n, exponents in ((10, range(1023)), (12, [0, 1, 3, 5, 9, 17, 33, 65, 129, 513])):
+        spec = make_field(n)
+        S, Q = map(np.array, sqrt_form(spec))
+        block = do_monomials(spec, exponents)
+        witnesses = perm_witnesses(n, block, spec)
+        assert perm_witnesses(n, S[block] ^ Q).tolist() == witnesses.tolist(), n
+        assert (witnesses == 0).sum() == (11 if n == 10 else 3)  # x^0, the x^(2^i) in range, x^65 at n = 12
+
+
+@functools.cache
+def _planar_power_map(mode, n):
+    """x^(2^(n/2)+1) on GF(2^n), modified planar at n = 4, 8 and 12, or its image under sqrt_transport."""
+    spec = make_field(n)
+    F = uv(do_monomials(spec, [(1 << n // 2) + 1])[0].tolist(), spec)
+    return F if mode == "uv" else sqrt_transport(F)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["uv", "mv"]), st.sampled_from([4, 8, 12]), st.integers(0, 4095), st.integers(1, 4095))
+@example("uv", 12, 77, 1)
+@example("mv", 8, 200, 1)
+def test_one_changed_entry_breaks_modified_planarity_at_a_predicted_witness(mode, n, x0, delta):
+    # H = F except H(x0) = F(x0) + delta, delta != 0, for a modified planar
+    # F.  D_a H differs from D_a F only at x0 and x0 + a, by delta at both,
+    # and D_a F(x0 + a) = D_a F(x0) + a*a, so D_a H is a bijection iff delta
+    # = a*a (a*a = a for mv).  So H is never modified planar, and its
+    # smallest bad direction is 1, or 2 when delta = 1.  There the two moved
+    # values each land on the one point where D_a F already takes them.
+    q = 1 << n
+    x0, delta = x0 % q, (delta - 1) % (q - 1) + 1
+    F = _planar_power_map(mode, n)
+    table = list(F.table)
+    table[x0] ^= delta
+    H = VectorialFunction(mode, n, table, F.spec)
+    a = 2 if delta == 1 else 1
+    D = [F.table[x ^ a] ^ F.table[x] ^ (fe_mul(F.spec, a, x) if mode == "uv" else a & x) for x in range(q)]
+    where = {v: x for x, v in enumerate(D)}
+    assert len(where) == q  # F is modified planar
+    pairs = [tuple(sorted((x, where[D[x] ^ delta]))) for x in (x0, x0 ^ a)]
+    assert is_modified_planar_perm(H) == PlanarVerdict(False, a, min(pairs))
+    if n <= 8:
+        assert not is_modified_planar_components(H)
 
 
 def test_do_to_table_frobenius_on_f4():

@@ -57,11 +57,15 @@ def test_enumerate_do_quadratic_f8():
     assert funcs[0].table == (0,) * 8
 
 
-def test_enumerate_rejects_oversized_jobs():
+def test_enumerate_rejects_oversized_jobs(monkeypatch):
     with pytest.raises(InputError, match="exhaustive all jobs are limited to n <= 2, got n=3"):
         list(enumerate_class("mv", 3, "all"))
     with pytest.raises(InputError, match="exhaustive do_quadratic jobs are limited to n <= 4, got n=6"):
         run_search(SearchJob("uv", 6, "do_quadratic"))
+    # affine at n = 5 would be 2^30 candidates; a decoded block fails at once.
+    monkeypatch.setattr(search, "decode_block", lambda *args: None)
+    with pytest.raises(InputError, match="exhaustive affine jobs are limited to n <= 4, got n=5"):
+        run_search(SearchJob("uv", 5, "affine"))
 
 
 def test_exhaustive_do_quadratic_n5_is_refused_before_decoding(monkeypatch, capsys):
@@ -79,7 +83,7 @@ def test_exhaustive_do_quadratic_n5_is_refused_before_decoding(monkeypatch, caps
 
 
 def test_sampled_jobs_are_bounded_per_candidate(monkeypatch, capsys):
-    # Each candidate costs about 4^n steps; past MAX_CANDIDATE_WORK (n >= 14)
+    # Each candidate costs about 4^n steps; past gf2n.MAX_WORK (n >= 14)
     # a sampled job is refused before its first candidate is decoded.
     decoded = []
     monkeypatch.setattr(search, "decode_block", lambda *args: decoded.append(args))
@@ -92,6 +96,32 @@ def test_sampled_jobs_are_bounded_per_candidate(monkeypatch, capsys):
         run_search(SearchJob("uv", 14, "affine", sample=1))
     assert decoded == []
     assert run_search(SearchJob("uv", 13, "affine", sample=0)).examined == 0
+
+
+def test_sampled_jobs_are_bounded_by_draws_times_table_entries(monkeypatch, capsys):
+    # A sampled shard keeps every passing table until the merge, so a job
+    # whose draws times 2^n entries exceed the work bound is refused before
+    # any shard starts.  Every uv n = 1 function passes, so 10^8 draws would
+    # hold 10^8 tables.
+    class Decoded(Exception):
+        pass
+
+    def decode(*args):
+        raise Decoded
+
+    monkeypatch.setattr(search, "decode_block", decode)
+    argv = ["search", "--mode", "uv", "--n", "1", "--class", "all", "--sample", "100000000"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: sampled jobs are limited to sample * 2^n <= {1 << 26}, got 100000000 at n=1"
+    ]
+    for n, edge in ((1, 1 << 25), (13, 1 << 13)):
+        with pytest.raises(InputError, match=rf"sample \* 2\^n <= {1 << 26}, got {edge + 1} at n={n}$"):
+            run_search(SearchJob("uv", n, "affine", sample=edge + 1, shards=2))
+        with pytest.raises(Decoded):  # the edge itself reaches the decoder
+            run_search(SearchJob("uv", n, "affine", sample=edge))
 
 
 @pytest.mark.parametrize("stream", [False, True])
@@ -186,9 +216,8 @@ _SHARDED_JOBS = [
 
 @pytest.mark.parametrize("shards", [1, 2, 3, 5, 8])
 def test_shard_independence(shards):
-    # A real pool.  With w = min(shards, CPUs) processes the caller runs
-    # shards 0, w, 2w, ... and w - 1 workers the rest, so 3 and 5 shards
-    # split unevenly between them on two or more CPUs.
+    # A real pool.  A job runs min(shards, CPUs) shards, one per process:
+    # the caller runs shard 0 and a pool worker each of the others.
     for job in _SHARDED_JOBS:
         single = run_search(job)
         sharded = run_search(dataclasses.replace(job, shards=shards))
@@ -223,33 +252,33 @@ def in_process_pool(monkeypatch):
     return seen
 
 
-def _pool_payloads(job, shards, processes):
-    """The payloads the pool gets: every shard but the caller's 0, w, 2w, ... (w = processes)."""
+def _pool_payloads(job, shards):
+    """The payloads the pool gets: every shard but the caller's shard 0, each one contiguous range."""
     total = class_size(job.mode, job.n, job.klass) if job.sample is None else job.sample
-    return [(job, s * total // shards, (s + 1) * total // shards) for s in range(shards) if s % processes]
+    return [(job, s * total // shards, (s + 1) * total // shards) for s in range(1, shards)]
 
 
 @pytest.mark.parametrize("shards, cpus, processes", [(64, 2, 2), (64, None, 1), (3, 8, 3)])
 def test_pool_workers_capped_at_cpu_count(shards, cpus, processes, in_process_pool, monkeypatch):
-    # processes counts the caller, which runs its share of the shards itself.
+    # processes counts the caller, which runs shard 0 itself: one shard per process.
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     job = SearchJob("mv", 2, "all", "both", shards=shards)
     sharded = run_search(job)
     assert in_process_pool["workers"] == ([processes - 1] if processes > 1 else [])
     assert 1 + sum(in_process_pool["workers"]) <= (cpus or 1)
-    assert in_process_pool["payloads"] == _pool_payloads(job, min(shards, 4 * (cpus or 1)), processes)
+    assert in_process_pool["payloads"] == _pool_payloads(job, processes)
     assert sharded == run_search(SearchJob("mv", 2, "all", "both"))
 
 
-def test_sampled_shards_capped_at_four_per_cpu(in_process_pool, monkeypatch):
+def test_sampled_shards_capped_at_cpu_count(in_process_pool, monkeypatch):
     # A sampled job's candidate count is --sample, so that cap alone would
-    # build one payload per draw.  Of the 8 shards two CPUs allow, the
-    # caller runs 0, 2, 4 and 6 and one worker the odd ones.
+    # build one payload per draw.  Two CPUs allow 2 shards: the caller
+    # runs the first 10000 draws and one worker the last 10000.
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     job = SearchJob("mv", 2, "all", "both", shards=10**6, sample=20000)
     sharded = run_search(job)
     assert in_process_pool["workers"] == [1]
-    assert in_process_pool["payloads"] == _pool_payloads(job, 8, 2)
+    assert in_process_pool["payloads"] == _pool_payloads(job, 2) == [(job, 10000, 20000)]
     assert sharded == run_search(SearchJob("mv", 2, "all", "both", sample=20000))
 
 
@@ -373,6 +402,13 @@ def test_search_reports_do_not_depend_on_the_block_size(job, monkeypatch):
     assert rows == [min(block, total - s) for s in range(0, total, block)]
 
 
+def test_a_shard_holds_its_passing_tables_in_the_narrowest_dtype():
+    # 2^n - 1 fits one byte up to n = 8 and two from n = 9 on; every affine function passes.
+    for n, dtype in ((8, np.uint8), (9, np.uint16)):
+        examined, passing, _ = search._run_shard((SearchJob("uv", n, "affine", "perm", sample=2), 0, 2))
+        assert (examined, passing.dtype, passing.shape) == (2, dtype, (2, 1 << n))
+
+
 def test_shards_build_a_function_only_for_a_disagreement(monkeypatch):
     built = []
     real = search.VectorialFunction
@@ -447,6 +483,12 @@ def test_sampled_draws_reach_every_slot_of_large_classes():
     # The high-order digest is SHA-256 of "seed:counter:1".
     for c in range(20):
         digests = [hashlib.sha256(text.encode()).digest() for text in (f"5:{c}:1", f"5:{c}")]
+        assert draw(c) == int.from_bytes(b"".join(digests), "big") % size
+    # A class past 2^768 takes three further digests: mv n = 7 all has 2^896 candidates.
+    size = class_size("mv", 7, "all")
+    draw = search._sampler(2, size)
+    for c in range(5):
+        digests = [hashlib.sha256(f"2:{c}{tail}".encode()).digest() for tail in (":3", ":2", ":1", "")]
         assert draw(c) == int.from_bytes(b"".join(digests), "big") % size
     # Classes up to 2^256 draw what one digest of "seed:counter" gives, as they always did.
     for size in (class_size("uv", 5, "do_quadratic"), class_size("uv", 8, "do_quadratic"), 1 << 256):
