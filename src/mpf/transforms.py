@@ -20,8 +20,9 @@ components_flat screens each block of signs by its sums (_block_sums).
 bent4_witnesses takes the sums of every twist first (_column_sums), then
 builds and butterflies only the survivors.  For uv those sums need no
 signs: sigma(c, x) = s2(cx) depends on cx alone, so in the log domain
-the q - 1 nonzero twists' sums are one exact integer correlation, the
-s_2 link behind Parker-Pott's "negabent iff g + s_2 is bent".  An mv
+the q - 1 nonzero twists' sums are one exact correlation of +-1 bits,
+the s_2 link behind Parker-Pott's "negabent iff g + s_2 is bent", read
+by XOR and popcount on packed bits (q^2/8 byte operations).  An mv
 twist is no such shift, but i^wt(c&x) = prod_k i^(c_k x_k) splits over
 the bits, so n Gaussian butterfly passes give every twist's sums at once.
 components_flat tests each component L_c.F of each table row F at its
@@ -202,7 +203,7 @@ def is_flat(s: Spectrum) -> bool:
 # but raise peak memory: traced on the uv zero function, whose twists
 # all reach the butterfly, about 16 bytes an entry at n = 10 in
 # bent4_witnesses and 15 in components_flat (28 and 27 at n = 9, whose
-# pair test runs in int64).
+# pair test runs in int64).  The packed uv screen counts 64-bit words.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -263,7 +264,11 @@ def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, 
     W[m] = (-1)^sigma_exp[m] for m < 2q-3: all q-1 sums are one exact
     correlation of W with G.  As d.x = Tr(cx) for d = dual[c], A(d) is the
     same correlation with W[m] (-1)^Tr(alpha^m), the trace being bit 0 of
-    dual[alpha^m].  At c = 0 both are the plain sum of (-1)^g.
+    dual[alpha^m].  At c = 0 both are the plain sum of (-1)^g.  As both
+    are +-1, a sum is m - 2 popcount(Gbits xor Wbits[j : j+m]), m = q - 1:
+    W's bits are packed at each of the 8 bit offsets, so a window is a byte
+    slice, XORed with the packed G in 64-bit words, its bits from j + m on
+    masked off: q^2/8 byte operations, in blocks of _block words.
     """
     q = len(bits)
     n = q.bit_length() - 1
@@ -278,18 +283,31 @@ def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, 
             r[:, 1], i[:, 1] = r1, i1
         return re + im, re - im if n & 1 else None
     t = field_tables(spec)
-    units = t.exp[: q - 1]  # alpha^k, k = 0..q-2
-    g_units = g.take(units)
-    lags = 2 * q - 3  # j + k runs over 0..2q-4
-    w = 1 - 2 * t.sigma_exp[:lags].astype(np.int64)
-
-    def sums(kernel: np.ndarray) -> np.ndarray:
-        s = np.empty(q, dtype=np.int64)
-        s[0] = g.sum()
-        s[units] = g[0] + np.correlate(kernel, g_units, "valid")
-        return s
-
-    return sums(w), sums(w * (1 - 2 * (t.dual.take(t.exp[:lags]) & 1))) if n & 1 else None
+    m = q - 1
+    units = t.exp[:m]  # alpha^k, k = 0..q-2
+    words, count = -(-m // 64), (m + 7) >> 3  # 64-bit words per window; windows per bit offset
+    span = count - 1 + 8 * words  # bytes of one bit offset's row
+    kernels = np.zeros((1 + (n & 1), 8 * span + 7), dtype=np.uint8)  # bits of W, and at odd n of W (-1)^Tr
+    kernels[:, : 2 * m - 1] = t.sigma_exp[: 2 * m - 1]  # j + k runs over 0..2q-4
+    if n & 1:
+        kernels[1, : 2 * m - 1] ^= (t.dual.take(t.exp[: 2 * m - 1]) & 1).astype(np.uint8)
+    # Overlapping views by the ndarray constructor, not as_strided: on numpy 2.4 its read of
+    # __array_interface__ grows an internal table with each new array, 0.5 MiB over 10^4 calls.
+    shifted = np.ndarray((len(kernels), 8, 8 * span), np.uint8, kernels, strides=(kernels.strides[0], 1, 1))
+    rows = np.packbits(shifted, axis=2, bitorder="little")  # rows[k, r] packs bits r, r + 1, ... of kernel k
+    windows = np.ndarray((*rows.shape[:2], count, 8 * words), np.uint8, rows, strides=(*rows.strides, 1))
+    gp = np.packbits(np.resize(bits[units, 0], 64 * words), bitorder="little")  # bits from m on are masked
+    last = np.uint64((1 << (m - 64 * words + 64)) - 1)  # the bits of the last word before j + m
+    step = min(count, _block(words, 8 * len(kernels)))
+    buf = np.empty((len(kernels), 8, step, 8 * words), dtype=np.uint8)
+    pops = np.empty((len(kernels), 8, count), dtype=np.int64)  # [k, r, a]: mismatches at j = 8a + r
+    for lo in range(0, count, step):
+        v = np.bitwise_xor(windows[:, :, lo : lo + step], gp, out=buf[:, :, : count - lo]).view("<u8")
+        v[..., -1] &= last
+        np.einsum("...i->...", np.bitwise_count(v, out=v.view("<i8")), out=pops[:, :, lo : lo + step])
+    s = np.full((len(kernels), q), g.sum())  # c = 0: the plain sum
+    s[:, units] = g[0] + m - 2 * pops.transpose(0, 2, 1).reshape(len(kernels), -1)[:, :m]
+    return s[0], s[1] if n & 1 else None
 
 
 def _flat_columns(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:

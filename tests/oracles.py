@@ -288,6 +288,34 @@ def character_norms(n: int, points, spec: FieldSpec | None = None, twists=None) 
     return norms if spec is None else norms[t.dual]
 
 
+def correlation_column_sums(bits, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """(A(0), A(d)) of every twist of a univariate g, as one int64 np.correlate each (O(q^2)).
+
+    bits is g's 0/1 table as a uint8 (2^n, 1) column.  For c = alpha^j,
+    A(0) = (-1)^g(0) + sum_k G[k] W[j+k], with G[k] = (-1)^g(alpha^k) and
+    W[m] = (-1)^sigma_exp[m]; A(d) uses W[m] (-1)^Tr(alpha^m), the trace
+    being bit 0 of dual[alpha^m]; A(d) is None for even n.  At c = 0
+    both are the plain sum of (-1)^g.  This is the library's screen
+    before it moved to packed bits, kept to check that one.
+    """
+    q = len(bits)
+    n = q.bit_length() - 1
+    g = 1 - 2 * bits[:, 0].astype(np.int64)
+    t = field_tables(spec)
+    units = t.exp[: q - 1]  # alpha^k, k = 0..q-2
+    g_units = g.take(units)
+    lags = 2 * q - 3  # j + k runs over 0..2q-4
+    w = 1 - 2 * t.sigma_exp[:lags].astype(np.int64)
+
+    def sums(kernel: np.ndarray) -> np.ndarray:
+        s = np.empty(q, dtype=np.int64)
+        s[0] = g.sum()
+        s[units] = g[0] + np.correlate(kernel, g_units, "valid")
+        return s
+
+    return sums(w), sums(w * (1 - 2 * (t.dual.take(t.exp[:lags]) & 1))) if n & 1 else None
+
+
 def component_mv(F: VectorialFunction, c: int) -> TruthTable:
     """Boolean component x -> c . F(x) (dot product of coordinate bits)."""
     if F.mode != "mv":

@@ -32,3 +32,17 @@ def test_every_site_has_its_own_key():
     for module in mutants.TESTS:
         keys = [mutants._key(module, site) for site in mutants.sites((ROOT / "src" / "mpf" / f"{module}.py").read_text())]
         assert len(keys) == len(set(keys)), module
+
+
+def test_dropping_a_site_keeps_every_other_draw():
+    # A site's rank is a hash of the seed and its own key, so removing any
+    # one live site leaves every other chosen site chosen, and a module's
+    # before and after scores share the sites that did not change.
+    live = mutants.sites((ROOT / "src" / "mpf" / "transforms.py").read_text())
+    chosen = mutants.sample("transforms", live, 1, 30)
+    assert len(chosen) == 30
+    for k in range(len(live)):
+        rest = live[:k] + live[k + 1:]
+        again = mutants.sample("transforms", rest, 1, 30)
+        assert all(site in again for site in chosen if site is not live[k])
+    assert mutants.sample("transforms", live, 2, 30) != chosen

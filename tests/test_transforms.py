@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from mpf.boolfun import TruthTable, from_values
 from mpf.errors import InputError
-from mpf.gf2n import dual_mask, fe_mul, make_field, sigma
+from mpf.gf2n import dual_mask, fe_mul, field_tables, make_field, sigma
 from mpf.planar import DOPolynomial, VectorialFunction, do_to_table, is_modified_planar_perm, perm_witnesses
 from mpf.rds import GroupSpec, group_elements, rds_verify_characters
 from mpf.search import class_size, decode_block, slot_monomials
 from mpf.transforms import (
+    _BLOCK_ENTRIES,
     GaussianInt,
     Spectrum,
     _block,
@@ -36,6 +38,7 @@ from oracles import (
     characters_direct,
     component_mv,
     component_uv,
+    correlation_column_sums,
     enumerate_class,
     inverse_twisted,
     is_balanced,
@@ -544,6 +547,70 @@ def test_column_sums_are_the_spectrum_at_zero(mode, n, data):
         assert s0[c] == re + im
         if n & 1:
             assert ad[c] == re - im
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_uv_column_sums_equal_the_correlation_oracle(n):
+    # The packed-bit popcount screen against the np.correlate screen it
+    # replaced: A(0) and A(d), values and int64 dtype, on every uv table
+    # at n <= 3 and on the zero, all-ones and 12 seeded tables at n = 4..13.
+    q = 1 << n
+    spec = make_field(n)
+    rng = random.Random(29 * n)
+    tables = range(1 << q) if n <= 3 else [0, (1 << q) - 1] + [rng.getrandbits(q) for _ in range(12)]
+    for bits in tables:
+        column = TruthTable(n, bits, "uv").bit_array()[:, None]
+        (s0, ad), (want_s0, want_ad) = _column_sums(column, spec), correlation_column_sums(column, spec)
+        assert s0.dtype == np.int64
+        assert s0.tolist() == want_s0.tolist(), bits
+        if n & 1:
+            assert ad.dtype == np.int64
+            assert ad.tolist() == want_ad.tolist(), bits
+        else:
+            assert ad is None is want_ad
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10, 14), st.data())
+def test_uv_column_sums_follow_a_scaling_of_the_input(n, data):
+    # Past the oracle's reach: for h(x) = g(lam x), sigma(lam c, x) =
+    # sigma(c, lam x) and Tr(lam c x) = Tr(c lam x), so h's A(0) and A(d)
+    # at twist lam c are g's at c.  And the twist's own term
+    # sigma(lam, x), as a table, has b = 0 at lam: A(0) = 2^n and A(d) = 0
+    # there, which pins each window to its lag.
+    q = 1 << n
+    spec = make_field(n)
+    t = field_tables(spec)
+    lam = data.draw(st.integers(1, q - 1))
+    g = TruthTable(n, data.draw(st.randoms()).getrandbits(q), "uv").bit_array()
+    scaled = t.mul(lam, np.arange(q))  # lam x, and lam c
+    s0, ad = _column_sums(g[:, None], spec)
+    h0, hd = _column_sums(g[scaled][:, None], spec)
+    assert h0[scaled].tolist() == s0.tolist()
+    own0, own_d = _column_sums(t.s2.take(scaled).astype(np.uint8)[:, None], spec)
+    assert own0[lam] == q
+    if n & 1:
+        assert hd[scaled].tolist() == ad.tolist()
+        assert own_d[lam] == 0
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_uv_column_sums_hold_one_block_of_windows_at_a_time(n):
+    # All q - 1 packed windows at once would take q^2/8 bytes per kernel
+    # (32 MiB at n = 14); in blocks of _block words the traced peak is one
+    # block, 8 bytes a word, plus the O(q) tables.
+    q = 1 << n
+    spec = make_field(n)
+    t = field_tables(spec)
+    t.sigma_exp, t.dual  # built before the trace starts
+    column = TruthTable(n, random.Random(n).getrandbits(q), "uv").bit_array()[:, None]
+    tracemalloc.start()
+    try:
+        _column_sums(column, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _BLOCK_ENTRIES + 128 * q
 
 
 @settings(max_examples=60, deadline=None)

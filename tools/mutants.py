@@ -8,10 +8,12 @@ Each mutant changes one site of ``src/mpf/<module>.py``: it swaps an
 arithmetic, bitwise or comparison operator, or adds 1 to an int constant.
 Type annotations and f-string parts are never mutated.  Sites listed in
 ``tools/mutants_equivalent.json`` (equivalent mutants, each with its
-reason) are skipped.  ``--count`` sites are sampled with ``--seed``, and
-each mutant runs the module's targeted tests with ``pytest -x`` in a
-temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``; the
-checkout itself is never written.  A mutant is killed when the tests fail
+reason) are skipped.  The ``--count`` sites drawn are those whose hash
+with ``--seed`` ranks lowest (``sample``), so adding or removing one site
+leaves every other draw as it was, and a before and an after score share
+the sites that did not change.  Each mutant runs the module's targeted
+tests with ``pytest -x`` in a temporary copy of ``src/``, ``tests/`` and
+``pyproject.toml``; the checkout itself is never written.  A mutant is killed when the tests fail
 or time out.  The score and every survivor are written as JSON.
 
 ``--root`` points at another checkout, to score a parent commit with
@@ -25,7 +27,6 @@ import ast
 import hashlib
 import json
 import os
-import random
 import resource
 import shutil
 import subprocess
@@ -125,6 +126,11 @@ def _key(module: str, site: dict) -> tuple:
     return module, site["scope"], site["source"], site["col"], site["end_col"], site["index"], site["change"]
 
 
+def sample(module: str, live: list[dict], seed: int, count: int) -> list[dict]:
+    """The count sites of live that rank lowest by sha256 of the seed and the site's key."""
+    return sorted(live, key=lambda site: hashlib.sha256(f"{seed}:{_key(module, site)}".encode()).digest())[:count]
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
@@ -154,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     equivalent = {_key(e["module"], e): e["reason"] for e in json.loads(EQUIVALENT.read_text())}
     every = sites(source)
     live = [s for s in every if _key(args.module, s) not in equivalent]
-    chosen = random.Random(args.seed).sample(live, min(args.count, len(live)))
+    chosen = sample(args.module, live, args.seed, args.count)
     tests = TESTS[args.module] + COMMON_TESTS
 
     with tempfile.TemporaryDirectory() as tmp:
