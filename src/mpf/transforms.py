@@ -261,10 +261,10 @@ def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, 
     Im i^w, A(0) = Re T + Im T and A(d) = Re T - Im T (d = c).  For uv,
     sigma(c, x) = s2(cx), so for c = alpha^j the column sum is A(0) =
     (-1)^g(0) + sum_k G[k] W[j+k], with G[k] = (-1)^g(alpha^k) and
-    W[m] = (-1)^sigma_exp[m] for m < 2q-3: all q-1 sums are one exact
+    W[i] = (-1)^sigma_exp[i] for i < 2q-3: all q-1 sums are one exact
     correlation of W with G.  As d.x = Tr(cx) for d = dual[c], A(d) is the
-    same correlation with W[m] (-1)^Tr(alpha^m), the trace being bit 0 of
-    dual[alpha^m].  At c = 0 both are the plain sum of (-1)^g.  As both
+    same correlation with W[i] (-1)^Tr(alpha^i), the trace being bit 0 of
+    dual[alpha^i].  At c = 0 both are the plain sum of (-1)^g.  As both
     are +-1, a sum is m - 2 popcount(Gbits xor Wbits[j : j+m]), m = q - 1:
     W's bits are packed at each of the 8 bit offsets, so a window is a byte
     slice, XORed with the packed G in 64-bit words, its bits from j + m on

@@ -293,8 +293,8 @@ def correlation_column_sums(bits, spec: FieldSpec) -> tuple[np.ndarray, np.ndarr
 
     bits is g's 0/1 table as a uint8 (2^n, 1) column.  For c = alpha^j,
     A(0) = (-1)^g(0) + sum_k G[k] W[j+k], with G[k] = (-1)^g(alpha^k) and
-    W[m] = (-1)^sigma_exp[m]; A(d) uses W[m] (-1)^Tr(alpha^m), the trace
-    being bit 0 of dual[alpha^m]; A(d) is None for even n.  At c = 0
+    W[i] = (-1)^sigma_exp[i]; A(d) uses W[i] (-1)^Tr(alpha^i), the trace
+    being bit 0 of dual[alpha^i]; A(d) is None for even n.  At c = 0
     both are the plain sum of (-1)^g.  This is the library's screen
     before it moved to packed bits, kept to check that one.
     """
