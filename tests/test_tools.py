@@ -36,8 +36,8 @@ def test_every_site_has_its_own_key():
 
 def test_dropping_a_site_keeps_every_other_draw():
     # A site's rank is a hash of the seed and its own key, so removing any
-    # one live site leaves every other chosen site chosen, and a module's
-    # before and after scores share the sites that did not change.
+    # one live site leaves every other chosen site chosen; a draw over the
+    # list order would reshuffle the whole sample.
     live = mutants.sites((ROOT / "src" / "mpf" / "transforms.py").read_text())
     chosen = mutants.sample("transforms", live, 1, 30)
     assert len(chosen) == 30

@@ -9,12 +9,13 @@ arithmetic, bitwise or comparison operator, or adds 1 to an int constant.
 Type annotations and f-string parts are never mutated.  Sites listed in
 ``tools/mutants_equivalent.json`` (equivalent mutants, each with its
 reason) are skipped.  The ``--count`` sites drawn are those whose hash
-with ``--seed`` ranks lowest (``sample``), so adding or removing one site
-leaves every other draw as it was, and a before and an after score share
-the sites that did not change.  Each mutant runs the module's targeted
-tests with ``pytest -x`` in a temporary copy of ``src/``, ``tests/`` and
-``pyproject.toml``; the checkout itself is never written.  A mutant is killed when the tests fail
-or time out.  The score and every survivor are written as JSON.
+with ``--seed`` ranks lowest (``sample``): removing a site leaves every
+other draw as it was, and each added site pushes out at most one draw,
+the highest-ranked, so a before and an after score share most unchanged
+sites.  Each mutant runs the module's targeted tests with ``pytest -x``
+in a temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``; the
+checkout itself is never written.  A mutant is killed when the tests
+fail or time out.  The score and every survivor are written as JSON.
 
 ``--root`` points at another checkout, to score a parent commit with
 the same tool.  Stdlib only; not part of the test suite.
