@@ -7,15 +7,15 @@ multiplicative identities.  No wrapper object is allocated per element,
 so exhaustive loops over the field stay cheap.
 
 A FieldSpec pins the degree and the modulus.  All derived lookup tables
-(discrete-log pair, the sigma form, the trace-dual index map) are
-cached per spec and built lazily; scalar operations never need them and
-work up to n = 24.
+(discrete-log pair, the sigma form, the trace-dual index map) are built
+together, once per spec, by field_tables; scalar operations never need
+them and work up to n = 24.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -179,7 +179,7 @@ def dual_mask(spec: FieldSpec, u: int) -> int:
 # ---------------------------------------------------------------------------
 
 class _FieldTables:
-    """Lazily built numpy tables for one FieldSpec."""
+    """The numpy tables of one FieldSpec, all built by the constructor."""
 
     def __init__(self, spec: FieldSpec):
         if spec.n > MAX_TABLE_DEGREE:
@@ -211,6 +211,21 @@ class _FieldTables:
         log[exp[:cycle]] = np.arange(cycle)
         self.exp = exp
         self.log = log
+        # dual[u] = the mask m with Tr(u*x) = parity(m & x), and s2 = sigma(1, .),
+        # doubled together over a = alpha^k: dual is linear, and sigma(y + a) =
+        # sigma(y) + sigma(a) + Tr(y)Tr(a) + Tr(ya), the traces being bit 0 of
+        # dual[y] and of dual[a], and bit k of dual[y].
+        dual = np.zeros(q, dtype=np.int64)
+        s2 = np.zeros(q, dtype=np.int64)
+        for k in range(spec.n):
+            step = 1 << k
+            low, mask = dual[:step], dual_mask(spec, step)
+            s2[step:2 * step] = s2[:step] ^ sigma(spec, 1, step) ^ (low & mask & 1) ^ ((low >> k) & 1)
+            dual[step:2 * step] = low ^ mask
+        self.dual = dual
+        # sigma(1, .) o exp, so sigma(c, x) = sigma_exp[log c + log x]; like
+        # exp it reads 0 from the zero sentinel of log on.
+        self.sigma_exp = s2.take(exp).astype(np.uint8)
 
     def mul(self, a, b) -> np.ndarray:
         """Elementwise field product of integer arrays (broadcasting).
@@ -219,40 +234,6 @@ class _FieldTables:
         table faster than fancy indexing or np.take, at every size.
         """
         return self.exp.take(self.log.take(a) + self.log.take(b))
-
-    @cached_property
-    def s2(self) -> np.ndarray:
-        """Table of sigma(1, y) over all y; sigma(c, x) = s2[c*x].
-
-        Doubled over a = alpha^k by sigma(y + a) = sigma(y) + sigma(a) +
-        Tr(y)Tr(a) + Tr(ya); Tr(y) and Tr(ya) are bits 0 and k of dual[y].
-        """
-        spec, dual = self.spec, self.dual
-        out = np.zeros(spec.order, dtype=np.int64)
-        for k in range(spec.n):
-            step = 1 << k
-            low = dual[:step]
-            tr_a = int(dual[step]) & 1
-            out[step:2 * step] = out[:step] ^ sigma(spec, 1, step) ^ (low & tr_a) ^ ((low >> k) & 1)
-        return out
-
-    @cached_property
-    def sigma_exp(self) -> np.ndarray:
-        """sigma(1, .) o exp as uint8, so sigma(c, x) = sigma_exp[log c + log x].
-
-        Like exp it reads 0 from the zero sentinel of log on.
-        """
-        return self.s2.take(self.exp).astype(np.uint8)
-
-    @cached_property
-    def dual(self) -> np.ndarray:
-        """dual[u] = bit mask m with Tr(u*x) = parity(m & x)."""
-        spec = self.spec
-        out = np.zeros(spec.order, dtype=np.int64)
-        for j in range(spec.n):
-            step = 1 << j
-            out[step:2 * step] = out[:step] ^ dual_mask(spec, 1 << j)
-        return out
 
 
 @cache

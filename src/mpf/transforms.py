@@ -19,7 +19,7 @@ affine or DO F is, so those reach the butterfly only when flat.
 components_flat screens each block of signs by its sums (_block_sums).
 bent4_witnesses takes the sums of every twist first (_column_sums), then
 builds and butterflies only the survivors.  For uv those sums need no
-signs: sigma(c, x) = s2(cx) depends on cx alone, so in the log domain
+signs: sigma(c, x) = sigma(1, cx) depends on cx alone, so in the log domain
 the q - 1 nonzero twists' sums are one exact correlation of +-1 bits,
 the s_2 link behind Parker-Pott's "negabent iff g + s_2 is bent", read
 by XOR and popcount on packed bits (q^2/8 byte operations).  An mv
@@ -72,7 +72,7 @@ class Spectrum:
     values: np.ndarray  # shape (2^n, 2), int64, columns (re, im)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
+        v = np.array(self.values, dtype=np.int64)  # a copy: freezing it leaves the caller's array writeable
         if v.shape != (1 << self.n, 2):
             raise InputError(f"values must have shape ({1 << self.n}, 2)")
         v.flags.writeable = False
@@ -259,7 +259,7 @@ def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, 
     (-1)^g into T(c) = sum_x (-1)^g(x) i^wt(c&x), |T| <= 2^n.  As
     (-1)^bit1(w) = Re i^w + Im i^w and (-1)^(bit1(w)+bit0(w)) = Re i^w -
     Im i^w, A(0) = Re T + Im T and A(d) = Re T - Im T (d = c).  For uv,
-    sigma(c, x) = s2(cx), so for c = alpha^j the column sum is A(0) =
+    sigma(c, x) = sigma(1, cx), so for c = alpha^j the column sum is A(0) =
     (-1)^g(0) + sum_k G[k] W[j+k], with G[k] = (-1)^g(alpha^k) and
     W[i] = (-1)^sigma_exp[i] for i < 2q-3: all q-1 sums are one exact
     correlation of W with G.  As d.x = Tr(cx) for d = dual[c], A(d) is the

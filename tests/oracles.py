@@ -35,6 +35,12 @@ def trace_table(spec: FieldSpec) -> np.ndarray:
 
 
 @functools.cache
+def sigma_table(spec: FieldSpec) -> np.ndarray:
+    """sigma(1, y) for every field element y, from the scalar double sum."""
+    return np.array([sigma(spec, 1, y) for y in spec.elements()], dtype=np.int64)
+
+
+@functools.cache
 def trace_pairing(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     """Tr(ux) as rows [u][x], from the scalar product and trace."""
     tr = trace_table(spec).tolist()
@@ -227,11 +233,10 @@ def character_eval(g, u: int, c: int, a) -> GaussianInt:
         k = ((c & x).bit_count() + 2 * sign) & 3
     elif g.law == "star_uv":
         spec = g.spec
-        t = field_tables(spec)
         tr = trace_table(spec)
         cx = fe_mul(spec, c, x)
         c2 = fe_mul(spec, c, c)
-        sign = (int(tr[fe_mul(spec, u, x)]) ^ int(tr[fe_mul(spec, c2, y)]) ^ int(t.s2[cx])) & 1
+        sign = (int(tr[fe_mul(spec, u, x)]) ^ int(tr[fe_mul(spec, c2, y)]) ^ sigma(spec, c, x)) & 1
         k = (int(tr[cx]) + 2 * sign) & 3
     else:
         raise ValueError("characters are only provided for the star laws")
@@ -278,7 +283,7 @@ def character_norms(n: int, points, spec: FieldSpec | None = None, twists=None) 
         b, d, lc = (np.bitwise_count(c & x) >> 1) & 1, c, c
     else:
         t = field_tables(spec)
-        b, d, lc = t.s2[t.mul(c, x)], t.dual[c], t.dual[t.mul(c, c)]
+        b, d, lc = sigma_table(spec)[t.mul(c, x)], t.dual[c], t.dual[t.mul(c, c)]
     b = b ^ (np.bitwise_count(lc & y) & 1)
     m = len(c)
     count = np.bincount(((x * m + np.arange(m)) * 2 + b).ravel(), minlength=q * m * 2).reshape(q, m, 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,33 @@ def test_field_tables_build_at_the_table_degree_bound_and_refuse_past_it():
     assert tables.mul(3, 5) == fe_mul(tables.spec, 3, 5)
     with pytest.raises(InputError, match="n <= 20"):
         field_tables(make_field(21))
+
+
+def test_field_tables_refuse_past_the_bound_before_allocating():
+    # The refusal is the constructor's first statement: at n = 21 one table
+    # would take several MiB, the refusal about 1.4 KB.
+    spec = make_field(21)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="n <= 20"):
+            field_tables(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_field_tables_are_built_at_once_as_plain_attributes(n):
+    q = 1 << n
+    tables = vars(field_tables(make_field(n)))
+    shapes = {name: (str(a.dtype), a.shape) for name, a in tables.items() if isinstance(a, np.ndarray)}
+    assert shapes == {
+        "exp": ("int32", (4 * q - 3,)),
+        "log": ("int32", (q,)),
+        "dual": ("int64", (q,)),
+        "sigma_exp": ("uint8", (4 * q - 3,)),
+    }
 
 
 def test_make_field_refuses_a_negative_modulus():
@@ -221,18 +250,23 @@ def test_sigma_addition_rule_random(n, data):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sigma_table_matches_scalar_sigma_everywhere(n):
+    # sigma_exp[log y] = sigma(1, y); at y = 0 log's zero sentinel reads 0.
     spec = make_field(n)
-    assert field_tables(spec).s2.tolist() == [sigma(spec, 1, y) for y in spec.elements()]
+    t = field_tables(spec)
+    assert t.sigma_exp.take(t.log).tolist() == [sigma(spec, 1, y) for y in spec.elements()]
+    assert t.sigma_exp[t.log[0]] == 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(10, 14), st.data())
 def test_sigma_table_reads_sigma_at_the_product(n, data):
-    # sigma(c, x) depends on c and x only through cx, so s2[cx] is the form.
+    # sigma(c, x) depends on c and x only through cx, so sigma_exp at
+    # log c + log x is the form, zeros included.
     spec = make_field(n)
+    t = field_tables(spec)
     c = data.draw(st.integers(0, spec.order - 1))
     x = data.draw(st.integers(0, spec.order - 1))
-    assert field_tables(spec).s2[fe_mul(spec, c, x)] == sigma(spec, c, x)
+    assert t.sigma_exp[t.log[c] + t.log[x]] == sigma(spec, c, x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -17,6 +17,7 @@ from mpf.planar import (
     PlanarVerdict,
     VectorialFunction,
     do_monomials,
+    do_tables,
     do_to_table,
     function_from_json,
     function_to_json,
@@ -188,6 +189,55 @@ def test_one_changed_entry_breaks_modified_planarity_at_a_predicted_witness(mode
     assert is_modified_planar_perm(H) == PlanarVerdict(False, a, min(pairs))
     if n <= 8:
         assert not is_modified_planar_components(H)
+
+
+def _bad_directions(spec, F):
+    """Every a != 0 whose x -> F(x+a) + F(x) + a*x is not a bijection, for F of degree <= 2.
+
+    That map is affine in x, so it is a bijection iff it takes its value at
+    x = 0 nowhere else.  Scanned in blocks of about 2^20 entries.
+    """
+    t = field_tables(spec)
+    x = np.arange(spec.order)
+    bad = []
+    for a in np.array_split(x[1:, None], max(1, spec.order**2 >> 20)):
+        d = F[a ^ x] ^ F[x] ^ t.mul(a, x)
+        bad.append(a[(d[:, 1:] == d[:, :1]).any(axis=1), 0])
+    return np.concatenate(bad)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8, 10, 12])
+def test_scaling_and_frobenius_map_the_bad_directions(n):
+    # For G(x) = u^-2 F(ux), D_a G(x) = u^-2 D_ua F(ux), so G's bad
+    # directions are F's times u^-1.  For G(x) = F(x^(1/2))^2, D_a G(x) =
+    # (D_sqrt(a) F(x^(1/2)))^2, so they are F's squared.  Two seeded DO
+    # quadratics per n, and at n = 8 the modified planar x^17, whose set is
+    # empty.  Each whole set comes from a scan of every direction; the
+    # perm kernel gives its minimum, and components_flat one verdict.
+    spec = make_field(n)
+    t = field_tables(spec)
+    q = 1 << n
+    rng = np.random.default_rng(n)
+    monomials = slot_monomials(n, "do_quadratic")
+    block = do_tables(spec, monomials, rng.integers(0, q, (2, len(monomials))))
+    if n == 8:
+        block = np.concatenate([block, do_monomials(spec, [17])])
+    x = np.arange(q)
+    sqrt = np.empty(q, dtype=np.int64)
+    sqrt[t.mul(x, x)] = x
+    for F in block:
+        u = int(rng.integers(1, q))
+        u_inv = int(t.exp[(q - 1 - t.log[u]) % (q - 1)])
+        scaled = t.mul(t.mul(u_inv, u_inv), F[t.mul(u, x)])
+        conjugate = t.mul(F[sqrt], F[sqrt])
+        bad = _bad_directions(spec, F)
+        predicted = [np.sort(t.mul(bad, u_inv)), np.sort(t.mul(bad, bad))]
+        sets = [bad] + [_bad_directions(spec, G) for G in (scaled, conjugate)]
+        assert [s.tolist() for s in sets[1:]] == [s.tolist() for s in predicted], u
+        rows = np.stack([F, scaled, conjugate])
+        assert perm_witnesses(n, rows, spec).tolist() == [int(s.min()) if len(s) else 0 for s in sets], u
+        if n <= 8:
+            assert mpf.transforms.components_flat(n, rows, spec).tolist() == [len(bad) == 0] * 3, u
 
 
 def test_do_to_table_frobenius_on_f4():

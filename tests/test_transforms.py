@@ -587,7 +587,7 @@ def test_uv_column_sums_follow_a_scaling_of_the_input(n, data):
     s0, ad = _column_sums(g[:, None], spec)
     h0, hd = _column_sums(g[scaled][:, None], spec)
     assert h0[scaled].tolist() == s0.tolist()
-    own0, own_d = _column_sums(t.s2.take(scaled).astype(np.uint8)[:, None], spec)
+    own0, own_d = _column_sums(t.sigma_exp.take(t.log.take(scaled))[:, None], spec)
     assert own0[lam] == q
     if n & 1:
         assert hd[scaled].tolist() == ad.tolist()
@@ -601,8 +601,7 @@ def test_uv_column_sums_hold_one_block_of_windows_at_a_time(n):
     # block, 8 bytes a word, plus the O(q) tables.
     q = 1 << n
     spec = make_field(n)
-    t = field_tables(spec)
-    t.sigma_exp, t.dual  # built before the trace starts
+    field_tables(spec)  # built before the trace starts
     column = TruthTable(n, random.Random(n).getrandbits(q), "uv").bit_array()[:, None]
     tracemalloc.start()
     try:
@@ -850,6 +849,16 @@ def test_inverse_recovers_delta():
     delta[5, 0] = 1
     s = Spectrum(3, "mv", 0, fwht(delta))
     assert np.array_equal(inverse_twisted(s), delta)
+
+
+def test_a_spectrum_freezes_a_copy_of_its_values():
+    # An int64 array was frozen in place: the caller's own array turned
+    # read-only and stayed shared with the spectrum.
+    a = np.zeros((4, 2), dtype=np.int64)
+    s = Spectrum(2, "mv", 0, a)
+    assert a.flags.writeable and not s.values.flags.writeable
+    a[1] = 7
+    assert not s.values.any()
 
 
 def test_spectrum_value_accessor():
