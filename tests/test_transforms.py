@@ -852,8 +852,6 @@ def test_inverse_recovers_delta():
 
 
 def test_a_spectrum_freezes_a_copy_of_its_values():
-    # An int64 array was frozen in place: the caller's own array turned
-    # read-only and stayed shared with the spectrum.
     a = np.zeros((4, 2), dtype=np.int64)
     s = Spectrum(2, "mv", 0, a)
     assert a.flags.writeable and not s.values.flags.writeable
