@@ -9,7 +9,8 @@ so exhaustive loops over the field stay cheap.
 A FieldSpec pins the degree and the modulus.  All derived lookup tables
 (discrete-log pair, the sigma form, the trace-dual index map) are built
 together, once per spec, by field_tables; scalar operations never need
-them and work up to n = 24.
+them.  check_setting bounds n by MAX_DEGREE for every object, so the
+tables and the scalar operations stop there too.
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ import numpy as np
 from .errors import InputError, decode
 
 MODES = ("mv", "uv")  # the cross term x*y: coordinatewise product (mv), field product (uv)
-MAX_DEGREE = 24
+MAX_DEGREE = 20
 
 # Bound on one job's work, counted in steps, not bytes: the brute-force
 # RDS route's ordered pairs and group scan, and a sampled search's 4^n
 # steps per candidate and 2^n table entries per draw (which also bounds
 # the passing tables it holds).  It admits every n <= 13.
 MAX_WORK = 1 << 26
-
-# Largest degree for which the cached numpy tables are built (2^n entries
-# per table); scalar arithmetic is not subject to this limit.
-MAX_TABLE_DEGREE = 20
 
 
 @dataclass(frozen=True)
@@ -182,17 +179,13 @@ class _FieldTables:
     """The numpy tables of one FieldSpec, all built by the constructor."""
 
     def __init__(self, spec: FieldSpec):
-        if spec.n > MAX_TABLE_DEGREE:
-            raise InputError(
-                f"lookup tables limited to n <= {MAX_TABLE_DEGREE}, got n={spec.n}"
-            )
         self.spec = spec
         q = spec.order
         # Discrete-log pair over a generator of the multiplicative group,
         # made zero-aware: log[0] is a sentinel past every sum of two nonzero
         # logs, and exp repeats its cycle once and is zero from the sentinel
         # on, so a product is exp[log[a] + log[b]] with no mask or modulo.
-        # Every index and value fits int32 (q <= 2^MAX_TABLE_DEGREE).
+        # Every index and value fits int32 (q <= 2^MAX_DEGREE).
         cycle = q - 1
         zero = 2 * cycle
         # The generator is the smallest element whose powers walk all q - 1

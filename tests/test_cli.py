@@ -443,7 +443,10 @@ sys.exit(main(sys.argv[1:]))
     (["analyze"], {"mode": "mv", "n": 100_000_000_000, "field": None, "table": []}),
     (["verify-rds"], {"group": {"law": "star_mv", "n": 100_000_000_000}, "elements": []}),
     (["search", "--mode", "mv", "--n", "40", "--class", "all", "--sample", "1"], None),
-], ids=["analyze", "verify-rds", "search"])
+    # One past the bound: an mv spectrum needs no field, so the degree check
+    # alone stands between it and a spectrum of 2^21 rows.
+    (["spectrum"], {"mode": "mv", "n": 21, "bits": "0x0"}),
+], ids=["analyze", "verify-rds", "search", "spectrum"])
 def test_oversized_degree_exits_3_before_allocating(tmp_path, argv, payload):
     if payload is not None:
         path = tmp_path / "in.json"
@@ -456,6 +459,27 @@ def test_oversized_degree_exits_3_before_allocating(tmp_path, argv, payload):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: n must be in [1, ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("payload", [
+    {"mode": "mv", "n": 20, "bits": "0x0"},
+    {"mode": "uv", "n": 20, "bits": "0x0"},
+], ids=["mv", "uv"])
+def test_spectrum_at_the_degree_bound_runs_under_a_memory_cap(tmp_path, payload):
+    # The largest spectrum input admitted: a twisted spectrum of 2^20 rows,
+    # plus the field tables in uv, inside the 1 GiB cap.
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "spectrum.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(mpf.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "spectrum", "--file", str(path), "--c", "0x1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with out.open() as f:
+        rows = sum(1 for _ in f)
+    assert rows == 2 + (1 << 20)
 
 
 def test_huge_shard_count_matches_one_shard_under_a_memory_cap():
@@ -476,7 +500,7 @@ def test_huge_shard_count_matches_one_shard_under_a_memory_cap():
 
 
 @pytest.mark.parametrize("payload", [
-    {"group": {"law": "star_mv", "n": 24}, "elements": []},
+    {"group": {"law": "star_mv", "n": 20}, "elements": []},
     {"group": {"law": "star_mv", "n": 20}, "elements": [], "forbidden": [["0x0", "0x0"]]},
 ], ids=["canonical-subgroup", "explicit-subgroup"])
 def test_oversized_brute_force_rds_exits_3_before_allocating(tmp_path, payload):

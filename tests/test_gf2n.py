@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mpf.errors import InputError
 from mpf.gf2n import (
+    MAX_DEGREE,
     default_modulus,
     dual_mask,
     fe_mul,
@@ -62,26 +63,27 @@ def test_make_field_rejects_wrong_degree():
 def test_make_field_degree_bounds():
     with pytest.raises(ValueError):
         make_field(0)
-    with pytest.raises(ValueError):
-        make_field(25)
+    with pytest.raises(InputError, match=r"n must be in \[1, 20\], got 21"):
+        make_field(21)
+    assert make_field(20).n == MAX_DEGREE == 20
 
 
 def test_field_tables_build_at_the_table_degree_bound_and_refuse_past_it():
-    # Scalar arithmetic runs to n = 24; the 2^n-entry tables stop at 20.
+    # One degree bound for every object: the 2^n-entry tables build at
+    # n = 20, and no field of degree 21 exists to build them for.
     tables = field_tables(make_field(20))
     assert tables.mul(3, 5) == fe_mul(tables.spec, 3, 5)
-    with pytest.raises(InputError, match="n <= 20"):
-        field_tables(make_field(21))
+    with pytest.raises(InputError, match=r"n must be in \[1, 20\]"):
+        make_field(21)
 
 
 def test_field_tables_refuse_past_the_bound_before_allocating():
-    # The refusal is the constructor's first statement: at n = 21 one table
-    # would take several MiB, the refusal about 1.4 KB.
-    spec = make_field(21)
+    # The degree is checked before the modulus search or any table: at
+    # n = 21 one table would take several MiB, the refusal about 1 KB.
     tracemalloc.start()
     try:
-        with pytest.raises(InputError, match="n <= 20"):
-            field_tables(spec)
+        with pytest.raises(InputError, match=r"n must be in \[1, 20\]"):
+            make_field(21)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -191,17 +191,17 @@ def test_one_changed_entry_breaks_modified_planarity_at_a_predicted_witness(mode
         assert not is_modified_planar_components(H)
 
 
-def _bad_directions(spec, F):
+def _bad_directions(n, F, spec=None):
     """Every a != 0 whose x -> F(x+a) + F(x) + a*x is not a bijection, for F of degree <= 2.
 
-    That map is affine in x, so it is a bijection iff it takes its value at
-    x = 0 nowhere else.  Scanned in blocks of about 2^20 entries.
+    a*x is the field product when spec is given, a & x otherwise.  That map
+    is affine in x, so it is a bijection iff it takes its value at x = 0
+    nowhere else.  Scanned in blocks of about 2^20 entries.
     """
-    t = field_tables(spec)
-    x = np.arange(spec.order)
+    x = np.arange(1 << n)
     bad = []
-    for a in np.array_split(x[1:, None], max(1, spec.order**2 >> 20)):
-        d = F[a ^ x] ^ F[x] ^ t.mul(a, x)
+    for a in np.array_split(x[1:, None], max(1, 1 << 2 * n >> 20)):
+        d = F[a ^ x] ^ F[x] ^ (a & x if spec is None else field_tables(spec).mul(a, x))
         bad.append(a[(d[:, 1:] == d[:, :1]).any(axis=1), 0])
     return np.concatenate(bad)
 
@@ -230,14 +230,86 @@ def test_scaling_and_frobenius_map_the_bad_directions(n):
         u_inv = int(t.exp[(q - 1 - t.log[u]) % (q - 1)])
         scaled = t.mul(t.mul(u_inv, u_inv), F[t.mul(u, x)])
         conjugate = t.mul(F[sqrt], F[sqrt])
-        bad = _bad_directions(spec, F)
+        bad = _bad_directions(n, F, spec)
         predicted = [np.sort(t.mul(bad, u_inv)), np.sort(t.mul(bad, bad))]
-        sets = [bad] + [_bad_directions(spec, G) for G in (scaled, conjugate)]
+        sets = [bad] + [_bad_directions(n, G, spec) for G in (scaled, conjugate)]
         assert [s.tolist() for s in sets[1:]] == [s.tolist() for s in predicted], u
         rows = np.stack([F, scaled, conjugate])
         assert perm_witnesses(n, rows, spec).tolist() == [int(s.min()) if len(s) else 0 for s in sets], u
         if n <= 8:
             assert mpf.transforms.components_flat(n, rows, spec).tolist() == [len(bad) == 0] * 3, u
+
+
+def _degree_two_tables(mode, n, rng, planar):
+    """Degree-2 tables on 2^n points: the zero DO quadratic when planar, a seeded one, and the zero one plus c x_{n-1} x_{n-2}.
+
+    The zero DO quadratic is modified planar: a*x alone in uv, and its
+    sqrt_form transport Q in mv, which carries every DO quadratic to mv.
+    Adding c x_{n-1} x_{n-2} to it leaves every direction a good whose bits
+    n-1 and n-2 are clear, so that table's first bad direction is at least
+    2^(n-2); a seeded DO quadratic mostly fails at a = 1 already.
+    """
+    spec = make_field(n)
+    monomials = slot_monomials(n, "do_quadratic")
+    coeffs = np.zeros((3, len(monomials)), dtype=np.int64)
+    coeffs[1] = rng.integers(0, 1 << n, len(monomials))
+    block = do_tables(spec, monomials, coeffs)
+    if mode == "mv":
+        S, Q = map(np.array, sqrt_form(spec))
+        block = S[block] ^ Q
+    x = np.arange(1 << n)
+    block[2] ^= int(rng.integers(1, 1 << n)) * (x >> n - 1 & x >> n - 2 & 1)
+    return block[1 - planar :]
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_a_coordinate_permutation_maps_the_mv_bad_directions(n):
+    # For G = P F P^-1, with P a permutation of the n coordinates, P(u & v)
+    # = P(u) & P(v), so D_a G(x) = P(D_{P^-1 a} F(P^-1 x)) and G's bad
+    # directions are P of F's.  Two mv quadratic tables, and at n = 10 the
+    # modified planar one (the empty set; the perm kernel scans every
+    # direction of a planar row, cheap only there).  Each whole set comes
+    # from a scan of every direction, and the perm kernel gives its minimum.
+    rng = np.random.default_rng(300 + n)
+    x = np.arange(1 << n)
+    moved = 0
+    for F in _degree_two_tables("mv", n, rng, planar=n == 10):
+        to = rng.permutation(n)
+        P = sum(((x >> k) & 1) << int(to[k]) for k in range(n))
+        G = P[F[np.argsort(P)]]
+        bad = _bad_directions(n, F)
+        predicted = np.sort(P[bad])
+        assert _bad_directions(n, G).tolist() == predicted.tolist(), to
+        assert perm_witnesses(n, np.stack([F, G])).tolist() == [int(s.min()) if len(s) else 0 for s in (bad, predicted)], to
+        moved += predicted.tolist() != bad.tolist()
+    assert moved == 2
+
+
+@pytest.mark.parametrize("mode", ["mv", "uv"])
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_an_affine_term_keeps_the_whole_verdict_at_n_10_to_12(mode, n):
+    # D_a(F + A) = D_a F + L(a) for A = L + b with L linear: every derivative
+    # moves by a constant, so F + A has F's bad directions and, at the first,
+    # F's colliding pairs.  The quadratic tables of the test above, whose
+    # first bad direction comes from a scan of every direction, and a random
+    # table, which has no shape the law could lean on.
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    rng = np.random.default_rng(400 + 2 * n + (mode == "uv"))
+    quadratics = _degree_two_tables(mode, n, rng, planar=n == 10)
+    rows = np.concatenate([quadratics, rng.integers(0, q, (1, q))])
+    affine = np.array([rng.integers(q)])
+    for _ in range(n):
+        affine = np.concatenate([affine, affine ^ rng.integers(q)])
+    witnesses = [int(s.min()) if len(s) else 0 for s in (_bad_directions(n, F, spec) for F in quadratics)]
+    assert witnesses.count(0) == (n == 10)
+    found = perm_witnesses(n, np.concatenate([rows, rows ^ affine]), spec).tolist()
+    random_witness = found[len(quadratics)]
+    assert random_witness > 0
+    assert found == 2 * (witnesses + [random_witness])
+    for F in rows:
+        verdict = is_modified_planar_perm(VectorialFunction(mode, n, F.tolist(), spec))
+        assert is_modified_planar_perm(VectorialFunction(mode, n, (F ^ affine).tolist(), spec)) == verdict
 
 
 def test_do_to_table_frobenius_on_f4():

@@ -177,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
         results = []
         for k, site in enumerate(chosen, 1):
             target.write_text(mutate(source, site))
-            outcome, seconds = run_tests(copy, tests, timeout=3 * baseline + 30)
+            # A survivor runs the whole suite once, about one baseline.
+            outcome, seconds = run_tests(copy, tests, timeout=2 * baseline + 10)
             outcome = {"passed": "survived", "failed": "killed"}.get(outcome, outcome)
             results.append({**site, "outcome": outcome, "seconds": round(seconds, 1)})
             print(f"[{k}/{len(chosen)}] line {site['line']} {site['change']}: {outcome}", file=sys.stderr)
