@@ -86,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_command(argv) -> argparse.Namespace:
-    """Parse argv into the verb and its options; usage errors exit with code 2."""
-    return build_parser().parse_args(argv)
-
-
 def _load_json(path: str):
     with open(path) as fh:
         try:
@@ -279,7 +274,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = parse_command(argv if argv is not None else sys.argv[1:])
+    args = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
     try:
         return _DISPATCH[args.verb](args)
     except FilterDisagreementError as exc:

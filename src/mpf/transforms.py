@@ -53,10 +53,6 @@ class GaussianInt(NamedTuple):
     re: int
     im: int
 
-    @property
-    def norm_sq(self) -> int:
-        return self.re * self.re + self.im * self.im
-
 
 # fwht's working dtypes, narrowest first, with the largest value each holds.
 _WORK_DTYPES = [(int(np.iinfo(t).max), t) for t in (np.int16, np.int32, np.int64)]

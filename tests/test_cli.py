@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mpf
-from mpf.cli import main, parse_command
+from mpf.cli import build_parser, main
 from mpf.gf2n import make_field
 from mpf.planar import VectorialFunction, function_to_json
 
@@ -36,13 +36,13 @@ def uv_zero_table_file(tmp_path):
 
 
 def test_parse_command_analyze():
-    cmd = parse_command(["analyze", "--file", "f.json"])
+    cmd = build_parser().parse_args(["analyze", "--file", "f.json"])
     assert cmd.verb == "analyze"
     assert cmd.file == "f.json"
 
 
 def test_parse_command_spectrum():
-    cmd = parse_command(["spectrum", "--file", "g.json", "--c", "0x1", "--out", "s.csv"])
+    cmd = build_parser().parse_args(["spectrum", "--file", "g.json", "--c", "0x1", "--out", "s.csv"])
     assert cmd.verb == "spectrum"
     assert cmd.c == "0x1"
     assert cmd.out == "s.csv"
@@ -50,21 +50,25 @@ def test_parse_command_spectrum():
 
 def test_parse_command_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
-        parse_command(["spectrum"])
+        build_parser().parse_args(["spectrum"])
     assert exc.value.code == 2
 
 
 def test_parse_command_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
-        parse_command(["analyze", "--file", "f.json", "--bogus"])
+        build_parser().parse_args(["analyze", "--file", "f.json", "--bogus"])
     assert exc.value.code == 2
 
 
-def test_analyze_uv_zero_text(uv_zero_file, capsys):
+def test_analyze_uv_zero_text(uv_zero_file, capsys, monkeypatch):
     code = main(["analyze", "--file", uv_zero_file])
     out = capsys.readouterr().out
     assert code == 0
     assert "modified planar: true (perm), true (components), RDS verified" in out
+    # The console script calls main() with no arguments, so it reads sys.argv.
+    monkeypatch.setattr(sys, "argv", ["mpf", "analyze", "--file", uv_zero_file])
+    assert main() == 0
+    assert capsys.readouterr().out == out
 
 
 def test_analyze_mv_zero_fails_with_exit_1(mv_zero_file, capsys):
@@ -216,6 +220,7 @@ def _payload_at(verb, n):
     ("analyze", {"mode": "uv", "n": 2, "field": {"n": 2}, "table": _ZEROS}, "missing key 'modulus'"),
     ("verify-rds", {"group": {"law": "star_mv", "n": 2}}, "missing key 'elements'"),
     ("verify-rds", {"elements": []}, "missing key 'group'"),
+    ("verify-rds", {"group": {"law": "star_zz", "n": 2}, "elements": [["0x0", "0x0"]]}, "law must be one of"),
     ("verify-rds", {"group": {"n": 2}, "elements": []}, "missing key 'law'"),
     ("spectrum", {"mode": "mv", "n": 2}, "missing key 'bits'"),
     ("analyze", {"mode": "uv", "n": 2, "field": _F4, "table": {"0x0": 1, "0x1": 1, "0x2": 1, "0x3": 1}},
@@ -243,7 +248,7 @@ def _payload_at(verb, n):
     *[(verb, _payload_at(verb, n), f".n must be a JSON integer, got {n!r}")
       for verb in _VERBS for n in _NOT_INTEGERS.values()],
 ], ids=["table-number", "table-null", "modulus-number", "top-level-list", "group-number", "bits-number",
-        "degree-infinite", "table-missing", "modulus-missing", "elements-missing", "group-missing",
+        "degree-infinite", "table-missing", "modulus-missing", "elements-missing", "group-missing", "law-unknown",
         "law-missing", "bits-missing", "table-object", "table-bad-hex", "elements-string",
         "analyze-nested", "spectrum-nested", "verify-rds-nested", "analyze-long-int", "spectrum-long-int",
         "verify-rds-long-int", "forbidden-empty", "mv-field-zero", "uv-field-empty-list", "element-object",
@@ -316,7 +321,7 @@ def test_search_cli(tmp_path, capsys):
 
 
 def test_search_cli_shards_default_to_one():
-    assert parse_command(["search", "--mode", "mv", "--n", "2", "--class", "all"]).shards == 1
+    assert build_parser().parse_args(["search", "--mode", "mv", "--n", "2", "--class", "all"]).shards == 1
 
 
 def test_search_cli_identical_outputs(tmp_path):

@@ -50,6 +50,11 @@ def test_default_modulus_large_degrees(n):
     assert poly_is_irreducible(default_modulus(n))
 
 
+def test_constants_are_not_irreducible():
+    assert not poly_is_irreducible(0)
+    assert not poly_is_irreducible(1)
+
+
 def test_make_field_rejects_reducible():
     with pytest.raises(InputError, match=r"modulus 0x5 is reducible over GF\(2\)"):
         make_field(2, 0b101)  # X^2 + 1 = (X+1)^2

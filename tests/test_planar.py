@@ -63,6 +63,12 @@ def test_vectorial_function_validation():
         VectorialFunction("mv", 2, (0, 0, 0, 0), F4)  # stray field
 
 
+def test_a_verdict_is_true_iff_planar():
+    # A frozen dataclass is truthy by default; `if is_modified_planar_perm(F):` relies on __bool__.
+    assert not PlanarVerdict(False, 1, (0, 1))
+    assert PlanarVerdict(True)
+
+
 def test_do_to_table_zero():
     assert do_to_table(DOPolynomial(F4)).table == (0, 0, 0, 0)
 

@@ -164,6 +164,8 @@ def test_job_validation():
         SearchJob("uv", 2, "all", "nope")
     with pytest.raises(ValueError):
         SearchJob("uv", 2, "all", shards=0)
+    with pytest.raises(ValueError, match="sample must be >= 0"):
+        SearchJob("uv", 2, "affine", sample=-1)
 
 
 def test_run_search_uv_n1_all():

@@ -1,5 +1,6 @@
-"""tools/mutants.py's list of equivalent mutants stays in step with src/."""
+"""tools/mutants.py's list of equivalent mutants stays in step with src/, and its deselection with tests/."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -46,3 +47,11 @@ def test_dropping_a_site_keeps_every_other_draw():
         again = mutants.sample("transforms", rest, 1, 30)
         assert all(site in again for site in chosen if site is not live[k])
     assert mutants.sample("transforms", live, 2, 30) != chosen
+
+
+def test_the_deselected_spectra_are_still_defined():
+    # pytest ignores a --deselect that names no test, so a rename would
+    # silently put the two n = 20 spectra back into every module's run.
+    path, name = mutants.CAPPED_SPECTRA.split("::")
+    tree = ast.parse((ROOT / path).read_text())
+    assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}

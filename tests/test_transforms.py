@@ -60,10 +60,6 @@ from oracles import (
 F4 = make_field(2)
 
 
-def test_gaussian_int_norm():
-    assert GaussianInt(3, -4).norm_sq == 25
-
-
 def test_fwht_delta_pairing():
     out = fwht(np.ones((4, 2), dtype=np.int64) * np.array([1, 0]))
     assert out[0].tolist() == [4, 0]
@@ -252,6 +248,13 @@ def test_bent4_witnesses_refuses_a_field_with_an_mv_table():
         bent4_witnesses(TruthTable(2, 0, "mv"), F4)
     with pytest.raises(InputError, match="uv needs a field of degree n and mv none"):
         bent4_witnesses(TruthTable(2, 0, "uv"))
+
+
+def test_each_transform_refuses_a_table_of_the_other_mode():
+    with pytest.raises(InputError, match="transform_U needs a multivariate table"):
+        transform_U(TruthTable(2, 0, "uv"), 0)
+    with pytest.raises(InputError, match="transform_V needs a univariate table"):
+        transform_V(F4, TruthTable(2, 0, "mv"), 0)
 
 
 def test_bent4_witnesses_mv_affine_contains_all_ones():
@@ -859,11 +862,16 @@ def test_a_spectrum_freezes_a_copy_of_its_values():
     assert not s.values.any()
 
 
+def test_a_spectrum_refuses_values_of_the_wrong_shape():
+    with pytest.raises(InputError, match=r"values must have shape \(4, 2\)"):
+        Spectrum(2, "mv", 0, np.zeros((3, 2), dtype=np.int64))
+
+
 def test_spectrum_value_accessor():
     s = transform_U(TruthTable(2, 0, "mv"), 0b11)
     v = s.value(0)
     assert isinstance(v, GaussianInt)
-    assert v.norm_sq == 4
+    assert v == (0, 2)
 
 
 def _star_group(mode, n):
