@@ -12,10 +12,10 @@ position u carries the character x -> (-1)^Tr(ux).
 
 That identity serves all three kernels: transform_U / transform_V read one
 spectrum off it, and bent4_witnesses and components_flat screen each twist
-by flatness at u = 0 (_flat_at_zero on the column sum A(0), with A(d)
-beside it for odd n) and butterfly only the twists that pass.  For odd n
-the screen is exact on a quadratic b, as every twisted component of an
-affine or DO F is, so those reach the butterfly only when flat.
+by flatness at u = 0 (_flat_at_zero on the sums A(0) and A(d)) and
+butterfly only the twists that pass.  The screen is exact on a quadratic
+b, as every twisted component of an affine or DO F is, so those reach
+the butterfly only when flat.
 components_flat screens each block of signs by its sums (_block_sums).
 bent4_witnesses takes the sums of every twist first (_column_sums), then
 builds and butterflies only the survivors.  For uv those sums need no
@@ -208,51 +208,45 @@ def _block(q: int, per: int = 1) -> int:
     return max(1, _BLOCK_ENTRIES // q // per)
 
 
-def _flat_at_zero(n: int, s0: np.ndarray, ad: np.ndarray | None) -> np.ndarray:
-    """Which columns of (-1)^b, from A(0) = s0 and, for odd n, A(d) = ad (_block_sums), pass flatness at u = 0.
+def _flat_at_zero(n: int, s0: np.ndarray, ad: np.ndarray) -> np.ndarray:
+    """Which columns of (-1)^b, from A(0) = s0 and A(d) = ad (_block_sums), pass flatness at u = 0.
 
-    Flatness at column c needs A(u)^2 + A(u^d)^2 = 2^(n+1) for every u.
-    For even n that forces |A(u)| = 2^(n/2), and the screen tests
-    s0^2 = 2^n for the column sum s0 = A(0).  For odd n it tests u = 0
-    itself: A(0)^2 + A(d)^2 = 2^(n+1).  Either way it is a necessary
+    Flatness at column c is A(u)^2 + A(u^d)^2 = 2^(n+1) for every u, that
+    is |V_c(u)|^2 = 2^n; the screen tests it at u = 0.  It is a necessary
     condition, so a flat column always passes.
 
-    For odd n it is also exact when b is quadratic (degree <= 2), as every
-    twisted component of an affine or DO F is.  Such a b is plateaued:
-    A(u)^2 is 0 or 2^(n+r) and its support is a coset of a subspace H of
-    codimension r, with n - r even.  So the sum of two squares reaches
-    2^(n+1) only when r = 1 and exactly one of u, u^d lies in that coset,
-    that is when d is not in H, which does not depend on u.  A quadratic
-    column that fails anywhere fails at u = 0, and only flat ones reach
-    the butterfly.
+    It is also exact when b is quadratic (degree <= 2), as every twisted
+    component of an affine or DO F is.  Such a b is plateaued: A(u)^2 is 0
+    or 2^(n+r) and its support is a coset of a subspace H of codimension
+    r, with n - r even.  A sum of two such squares reaches 2^(n+1) only as
+    2^n + 2^n (r = 0, b bent) or as 2^(n+1) + 0 (r = 1, exactly one of u,
+    u^d in the coset, that is d not in H); neither depends on u.  A
+    quadratic column that fails anywhere fails at u = 0, and only flat
+    ones reach the butterfly.
     """
-    if not n & 1:
-        return s0 * s0 == 1 << n
     return s0 * s0 + ad * ad == 2 << n
 
 
-def _block_sums(signs: np.ndarray, d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _block_sums(signs: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A(0), A(d)) of the columns of (-1)^b (2^n, m), with their d, as int64 (m,) arrays.
 
     A(0) is the column sum s0, and A(d) = s0 - 2 (sum of s(x) over the x
-    with d.x = 1); A(d) is None for even n, whose screen does not read it.
+    with d.x = 1).
     """
     s0 = np.einsum("ij->j", signs, dtype=np.int64)  # 2-3x faster than sum(axis=0)
-    if not n & 1:
-        return s0, None
-    odd = np.bitwise_count(np.arange(1 << n, dtype=np.int32)[:, None] & d.astype(np.int32)).view(np.int8)
+    odd = np.bitwise_count(np.arange(len(signs), dtype=np.int32)[:, None] & d.astype(np.int32)).view(np.int8)
     odd &= 1
     odd *= signs  # s(x) where d.x = 1, else 0
     return s0, s0 - 2 * np.einsum("ij->j", odd, dtype=np.int64)
 
 
-def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, np.ndarray | None]:
+def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, np.ndarray]:
     """(A(0), A(d)) of every twist c = 0..q-1 of g, as int64 (q,) arrays.
 
-    bits is g's 0/1 table as a uint8 (2^n, 1) column; spec None for mv;
-    A(d) is None for even n.  For mv, one pass per bit of the Gaussian
-    butterfly (v0, v1) -> (v0 + v1, v0 + i v1) turns int64 (re, im) from
-    (-1)^g into T(c) = sum_x (-1)^g(x) i^wt(c&x), |T| <= 2^n.  As
+    bits is g's 0/1 table as a uint8 (2^n, 1) column; spec None for mv.
+    For mv, one pass per bit of the Gaussian butterfly (v0, v1) ->
+    (v0 + v1, v0 + i v1) turns int64 (re, im) from (-1)^g into
+    T(c) = sum_x (-1)^g(x) i^wt(c&x), |T| <= 2^n.  As
     (-1)^bit1(w) = Re i^w + Im i^w and (-1)^(bit1(w)+bit0(w)) = Re i^w -
     Im i^w, A(0) = Re T + Im T and A(d) = Re T - Im T (d = c).  For uv,
     sigma(c, x) = sigma(1, cx), so for c = alpha^j the column sum is A(0) =
@@ -277,16 +271,15 @@ def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, 
             r[:, 0] += r[:, 1]
             i[:, 0] += i[:, 1]
             r[:, 1], i[:, 1] = r1, i1
-        return re + im, re - im if n & 1 else None
+        return re + im, re - im
     t = field_tables(spec)
     m = q - 1
     units = t.exp[:m]  # alpha^k, k = 0..q-2
     words, count = -(-m // 64), (m + 7) >> 3  # 64-bit words per window; windows per bit offset
     span = count - 1 + 8 * words  # bytes of one bit offset's row
-    kernels = np.zeros((1 + (n & 1), 8 * span + 7), dtype=np.uint8)  # bits of W, and at odd n of W (-1)^Tr
+    kernels = np.zeros((2, 8 * span + 7), dtype=np.uint8)  # bits of W, and of W (-1)^Tr
     kernels[:, : 2 * m - 1] = t.sigma_exp[: 2 * m - 1]  # j + k runs over 0..2q-4
-    if n & 1:
-        kernels[1, : 2 * m - 1] ^= (t.dual.take(t.exp[: 2 * m - 1]) & 1).astype(np.uint8)
+    kernels[1, : 2 * m - 1] ^= (t.dual.take(t.exp[: 2 * m - 1]) & 1).astype(np.uint8)
     # Overlapping views by the ndarray constructor, not as_strided: on numpy 2.4 its read of
     # __array_interface__ grows an internal table with each new array, 0.5 MiB over 10^4 calls.
     shifted = np.ndarray((len(kernels), 8, 8 * span), np.uint8, kernels, strides=(kernels.strides[0], 1, 1))
@@ -303,7 +296,7 @@ def _column_sums(bits: np.ndarray, spec: FieldSpec | None) -> tuple[np.ndarray, 
         np.einsum("...i->...", np.bitwise_count(v, out=v.view("<i8")), out=pops[:, :, lo : lo + step])
     s = np.full((len(kernels), q), g.sum())  # c = 0: the plain sum
     s[:, units] = g[0] + m - 2 * pops.transpose(0, 2, 1).reshape(len(kernels), -1)[:, :m]
-    return s[0], s[1] if n & 1 else None
+    return s[0], s[1]
 
 
 def _flat_columns(signs: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
@@ -331,7 +324,7 @@ def bent4_witnesses(g: TruthTable, spec: FieldSpec | None = None) -> set[int]:
     all-ones point (mv) or the unit element (uv) means negabent.
 
     Every twist is first screened by flatness at u = 0, from the sums
-    A(0) (and A(d)) of all twists at once (_column_sums).  Signs are
+    A(0) and A(d) of all twists at once (_column_sums).  Signs are
     then built only for the twists that pass, in full blocks, and each
     block is butterflied (_flat_columns).
     """
@@ -373,7 +366,7 @@ def components_flat(n: int, tables, spec: FieldSpec | None = None) -> np.ndarray
         lc = c if t is None else t.dual.take(t.mul(c, c))
         bits = (np.bitwise_count(lc & stack[:, live, None]) & 1).reshape(q, -1)
         signs, d = _twisted_signs(bits, spec, np.tile(c, k))
-        ok = _flat_at_zero(n, *_block_sums(signs, d, n)).reshape(k, -1).all(axis=1)
+        ok = _flat_at_zero(n, *_block_sums(signs, d)).reshape(k, -1).all(axis=1)
         if not ok.all():  # take, not a mask: a C-contiguous block butterflies fastest
             keep = ok.nonzero()[0]
             live = live[keep]

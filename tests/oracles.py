@@ -293,18 +293,17 @@ def character_norms(n: int, points, spec: FieldSpec | None = None, twists=None) 
     return norms if spec is None else norms[t.dual]
 
 
-def correlation_column_sums(bits, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray | None]:
+def correlation_column_sums(bits, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """(A(0), A(d)) of every twist of a univariate g, as one int64 np.correlate each (O(q^2)).
 
     bits is g's 0/1 table as a uint8 (2^n, 1) column.  For c = alpha^j,
     A(0) = (-1)^g(0) + sum_k G[k] W[j+k], with G[k] = (-1)^g(alpha^k) and
     W[i] = (-1)^sigma_exp[i]; A(d) uses W[i] (-1)^Tr(alpha^i), the trace
-    being bit 0 of dual[alpha^i]; A(d) is None for even n.  At c = 0
-    both are the plain sum of (-1)^g.  This is the library's screen
-    before it moved to packed bits, kept to check that one.
+    being bit 0 of dual[alpha^i].  At c = 0 both are the plain sum of
+    (-1)^g.  This is the library's screen before it moved to packed
+    bits, kept to check that one.
     """
     q = len(bits)
-    n = q.bit_length() - 1
     g = 1 - 2 * bits[:, 0].astype(np.int64)
     t = field_tables(spec)
     units = t.exp[: q - 1]  # alpha^k, k = 0..q-2
@@ -318,7 +317,7 @@ def correlation_column_sums(bits, spec: FieldSpec) -> tuple[np.ndarray, np.ndarr
         s[units] = g[0] + np.correlate(kernel, g_units, "valid")
         return s
 
-    return sums(w), sums(w * (1 - 2 * (t.dual.take(t.exp[:lags]) & 1))) if n & 1 else None
+    return sums(w), sums(w * (1 - 2 * (t.dual.take(t.exp[:lags]) & 1)))
 
 
 def component_mv(F: VectorialFunction, c: int) -> TruthTable:

@@ -324,6 +324,19 @@ def test_search_cli_shards_default_to_one():
     assert build_parser().parse_args(["search", "--mode", "mv", "--n", "2", "--class", "all"]).shards == 1
 
 
+def test_search_cli_seed_defaults_to_zero(tmp_path):
+    # A sampled search without --seed draws what --seed 0 draws, and
+    # another seed draws other functions: a changed default would change
+    # every sampled run that leaves the seed out.
+    assert build_parser().parse_args(["search", "--mode", "uv", "--n", "3", "--class", "affine"]).seed == 0
+    args = ["search", "--mode", "uv", "--n", "3", "--class", "affine", "--sample", "20"]
+    outs = {}
+    for name, seed in [("default", []), ("zero", ["--seed", "0"]), ("one", ["--seed", "1"])]:
+        outs[name] = tmp_path / f"{name}.json"
+        assert main(args + seed + ["--out", str(outs[name])]) == 0
+    assert outs["default"].read_bytes() == outs["zero"].read_bytes() != outs["one"].read_bytes()
+
+
 def test_search_cli_identical_outputs(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -355,8 +355,8 @@ def test_bent4_column_sum_test_passes_a_bent_weight_that_is_not_bent(mode, monke
 @pytest.mark.parametrize("mode", ["mv", "uv"])
 @pytest.mark.parametrize("n", [5, 7])
 def test_bent4_column_sum_test_at_odd_n(mode, n, monkeypatch):
-    # For odd n the screen is flatness at u = 0 alone: A(0)^2 + A(d)^2 =
-    # 2^(n+1).  It is exact on quadratic tables, but a random table (degree
+    # The screen is flatness at u = 0 alone: A(0)^2 + A(d)^2 = 2^(n+1).
+    # It is exact on quadratic tables, but a random table (degree
     # above 2) passes it at twists where another u fails, and the butterfly
     # must reject those.  Seed 1 gives such twists in every case here.
     q = 1 << n
@@ -373,7 +373,7 @@ def test_bent4_column_sum_test_at_odd_n(mode, n, monkeypatch):
     for w in (q // 2, (q - (1 << (n + 1) // 2)) // 2):
         signs, d = _twisted_signs(_table_of_weight(n, w, mode, seed=n * w).bit_array()[:, None], spec, [0])
         assert d.tolist() == [0]
-        assert not _flat_at_zero(n, *_block_sums(signs, d, n)).any()
+        assert not _flat_at_zero(n, *_block_sums(signs, d)).any()
 
 
 @pytest.mark.parametrize(("mode", "survivors", "blocks"), [
@@ -392,9 +392,9 @@ def test_bent4_butterflies_only_the_twists_that_pass_the_column_sum(mode, surviv
     seen = _butterfly_columns(monkeypatch)
     witnesses = bent4_witnesses(TruthTable(n, 0, mode), spec)
     assert sum(seen) == survivors == len(witnesses)
-    # A random table of even weight (odd weight puts every A(0) at 2 mod 4)
-    # passes the column sum A(0) = re + im of the spectrum at u = 0 at 20 to
-    # 40 scattered twists, so survivors come from several blocks.
+    # A random table of even weight (odd weight puts every A(0) and A(d) at
+    # 2 mod 4) passes the screen |V_c(0)|^2 = 2^n at a few scattered twists
+    # (seed 1: 3 mv and 5 uv), so survivors come from several blocks.
     g, oracle, passing = _random_table_n8_expected(mode)
     seen.clear()
     assert bent4_witnesses(g, spec) == oracle
@@ -403,15 +403,15 @@ def test_bent4_butterflies_only_the_twists_that_pass_the_column_sum(mode, surviv
 
 @functools.cache
 def _random_table_n8_expected(mode):
-    """A random n = 8 table, its literal-oracle witnesses and its twists passing the column sum.
+    """A random n = 8 table, its literal-oracle witnesses and its twists passing the screen at u = 0.
 
     The O(q^3) oracle is shared by the parametrizations of each mode.
     """
     n = 8
     spec = make_field(n) if mode == "uv" else None
-    g = TruthTable(n, random.Random(0).getrandbits(1 << n), mode)
+    g = TruthTable(n, random.Random(1).getrandbits(1 << n), mode)
     transform = transform_U if spec is None else lambda g, c: transform_V(spec, g, c)
-    passing = sum(sum(transform(g, c).value(0)) ** 2 == 1 << n for c in range(1 << n))
+    passing = sum(re * re + im * im == 1 << n for re, im in (transform(g, c).value(0) for c in range(1 << n)))
     return g, _oracle_witnesses(g, spec), passing
 
 
@@ -444,22 +444,22 @@ def _component_columns(spec, tables):
     return np.hstack(signs), np.concatenate(d)
 
 
-@pytest.mark.parametrize(("n", "sample", "planar"), [(3, None, 8), (5, 300, 0)])
+@pytest.mark.parametrize(("n", "sample", "planar"), [(3, None, 8), (4, 300, 0), (5, 300, 0)])
 def test_column_screen_is_exact_on_do_quadratic_components(n, sample, planar, monkeypatch):
-    # Every twisted component of a DO F is quadratic, and for odd n the
+    # Every twisted component of a DO F is quadratic, and for every n the
     # screen (flatness at u = 0) is then flatness itself: column by column
-    # on every uv DO table at n = 3 and on a seeded sample at n = 5.  So on
-    # search's blocks of _block(q, q - 1) rows, whose twists all fit one
-    # block, components_flat butterflies the columns of the planar tables
-    # only.  (A larger block takes fewer twists at a time, and a row that
-    # passes the screen at the first ones is butterflied there.)
+    # on every uv DO table at n = 3 and on a seeded sample at n = 4 and 5.
+    # So on search's blocks of _block(q, q - 1) rows, whose twists all fit
+    # one block, components_flat butterflies the columns of the planar
+    # tables only.  (A larger block takes fewer twists at a time, and a row
+    # that passes the screen at the first ones is butterflied there.)
     spec = make_field(n)
     size = class_size("uv", n, "do_quadratic")
     indices = range(size) if sample is None else random.Random(16).sample(range(size), sample)
     tables = decode_block(n, slot_monomials(n, "do_quadratic"), list(indices)).tolist()
     signs, d = _component_columns(spec, tables)
     flat = _flat_columns(signs, d, n)
-    assert _flat_at_zero(n, *_block_sums(signs, d, n)).tolist() == flat.tolist()
+    assert _flat_at_zero(n, *_block_sums(signs, d)).tolist() == flat.tolist()
     assert flat.any() and not flat.all()
     expect = flat.reshape(len(tables), -1).all(axis=1)
     assert expect.sum() == planar
@@ -492,10 +492,29 @@ def test_column_screen_never_rejects_a_flat_column(mode, n, data):
         quadratic += [is_quadratic] * len(twists)
     signs = np.hstack([s for s, _ in blocks])
     d = np.concatenate([e for _, e in blocks])
-    screen = _flat_at_zero(n, *_block_sums(signs, d, n))
+    screen = _flat_at_zero(n, *_block_sums(signs, d))
     flat = _flat_columns(signs, d, n)
     assert not (flat & ~screen).any()
     assert (screen == flat)[quadratic].all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(1, 7), st.data())
+def test_the_screen_is_the_squared_modulus_of_the_spectrum_at_zero(mode, n, data):
+    # The screen is the definition of flatness at u = 0, |V_c(0)|^2 = 2^n,
+    # at every n and twist: from the sums of all twists at once
+    # (_column_sums) and from the sums of their sign blocks (_block_sums).
+    # A(0)^2 = 2^n alone, the corollary for even n, passes twists where
+    # |A(d)| is not 2^(n/2).
+    q = 1 << n
+    spec = make_field(n) if mode == "uv" else None
+    g = TruthTable(n, data.draw(st.integers(0, (1 << q) - 1)), mode)
+    transform = transform_U if spec is None else lambda g, c: transform_V(spec, g, c)
+    want = [re * re + im * im == q for re, im in (transform(g, c).value(0) for c in range(q))]
+    bits = g.bit_array()[:, None]
+    assert _flat_at_zero(n, *_column_sums(bits, spec)).tolist() == want
+    signs, d = _twisted_signs(bits, spec, np.arange(q))
+    assert _flat_at_zero(n, *_block_sums(signs, d)).tolist() == want
 
 
 def _block_screen_sums(bits, spec):
@@ -509,12 +528,11 @@ def _block_screen_sums(bits, spec):
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_column_sums_equal_the_block_screen_sums(n):
-    # _column_sums gives every twist's A(0) (and A(d) at odd n) at once,
-    # for uv by one correlation and for mv by the tensor butterfly; twist
-    # by twist it must equal the sums over the signs that the block
-    # screen builds: in both modes on every table at n <= 3 and on seeded
-    # ones up to n = 9, and for mv also at n = 10 (the bent4-sweep size)
-    # and n = 11.
+    # _column_sums gives every twist's A(0) and A(d) at once, for uv by
+    # one correlation and for mv by the tensor butterfly; twist by twist
+    # it must equal the sums over the signs that the block screen builds:
+    # in both modes on every table at n <= 3 and on seeded ones up to
+    # n = 9, and for mv also at n = 10 (the bent4-sweep size) and n = 11.
     q = 1 << n
     rng = random.Random(17 * n)
     if n <= 3:
@@ -526,13 +544,9 @@ def test_column_sums_equal_the_block_screen_sums(n):
             table = TruthTable(n, bits, mode).bit_array()
             s0, ad = _column_sums(table[:, None], spec)
             want_s0, want_ad = _block_screen_sums(table, spec)
-            assert s0.dtype == np.int64
+            assert s0.dtype == ad.dtype == np.int64
             assert s0.tolist() == want_s0.tolist(), (mode, bits)
-            if n & 1:
-                assert ad.dtype == np.int64
-                assert ad.tolist() == want_ad.tolist(), (mode, bits)
-            else:
-                assert ad is None
+            assert ad.tolist() == want_ad.tolist(), (mode, bits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -544,12 +558,10 @@ def test_column_sums_are_the_spectrum_at_zero(mode, n, data):
     spec = make_field(n) if mode == "uv" else None
     g = TruthTable(n, data.draw(st.integers(0, (1 << q) - 1)), mode)
     s0, ad = _column_sums(g.bit_array()[:, None], spec)
-    assert (ad is None) == (not n & 1)
     for c in range(q):
         re, im = (transform_U(g, c) if spec is None else transform_V(spec, g, c)).value(0)
         assert s0[c] == re + im
-        if n & 1:
-            assert ad[c] == re - im
+        assert ad[c] == re - im
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -564,13 +576,9 @@ def test_uv_column_sums_equal_the_correlation_oracle(n):
     for bits in tables:
         column = TruthTable(n, bits, "uv").bit_array()[:, None]
         (s0, ad), (want_s0, want_ad) = _column_sums(column, spec), correlation_column_sums(column, spec)
-        assert s0.dtype == np.int64
+        assert s0.dtype == ad.dtype == np.int64
         assert s0.tolist() == want_s0.tolist(), bits
-        if n & 1:
-            assert ad.dtype == np.int64
-            assert ad.tolist() == want_ad.tolist(), bits
-        else:
-            assert ad is None is want_ad
+        assert ad.tolist() == want_ad.tolist(), bits
 
 
 @settings(max_examples=30, deadline=None)
@@ -590,11 +598,10 @@ def test_uv_column_sums_follow_a_scaling_of_the_input(n, data):
     s0, ad = _column_sums(g[:, None], spec)
     h0, hd = _column_sums(g[scaled][:, None], spec)
     assert h0[scaled].tolist() == s0.tolist()
+    assert hd[scaled].tolist() == ad.tolist()
     own0, own_d = _column_sums(t.sigma_exp.take(t.log.take(scaled))[:, None], spec)
     assert own0[lam] == q
-    if n & 1:
-        assert hd[scaled].tolist() == ad.tolist()
-        assert own_d[lam] == 0
+    assert own_d[lam] == 0
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -637,8 +644,7 @@ def test_mv_screen_and_witnesses_follow_a_coordinate_permutation(n, is_quadratic
     s0, ad = _column_sums(g.bit_array()[:, None], None)
     s0p, adp = _column_sums(gp.bit_array()[:, None], None)
     assert s0p.tolist() == s0[p].tolist()
-    if n & 1:
-        assert adp.tolist() == ad[p].tolist()
+    assert adp.tolist() == ad[p].tolist()
     inverse = np.argsort(p)
     assert bent4_witnesses(gp) == {int(inverse[c]) for c in bent4_witnesses(g)}
 
