@@ -10,12 +10,13 @@ forbidden subgroup N has the same number of ordered-difference
 representations from R and no nonidentity element of N has any.  Two
 independent verifiers test (2^n, 2^n, 2^n, 1) graphs relative to the
 canonical N = {0} x F: exhaustive difference counting, which also takes
-any other N, and the character-modulus criterion.
+any other N, and the character-modulus criterion.  The count takes
+5 bytes per group element, whatever the set: 320 MiB at n = 13.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -97,7 +98,7 @@ def _check_elements(g: GroupSpec, elements: Iterable) -> None:
 def _check_pair_work(g: GroupSpec, *sizes: int) -> None:
     """Refuse a brute-force job over MAX_WORK before building anything of its size.
 
-    The work is the largest of |R|^2 ordered differences, the scan of all
+    The work is the largest of |R|^2 ordered differences, a count for all
     |G| = 4^n elements and, for a given N, |N|^2 closure products.
     """
     work = max([g.order] + [k * k for k in sizes])
@@ -123,7 +124,9 @@ def rds_verify_bruteforce(
     N defaults to {0} x F, a subgroup by construction; a given N is range-
     and closure-checked.  The convention does not change the verdict in
     these groups.  lam is None, and is_rds false, when |R|(|R| - 1) is
-    not a multiple of |G| - |N|, or N is all of G.
+    not a multiple of |G| - |N|, or N is all of G.  Each (x, y) has an int32
+    count at x * 2^n + y, the scan order; with its bool check that is 5
+    bytes per element whatever R is, 80 MiB at n = 12 and 320 at n = 13.
     """
     R = list(R)
     canonical = N is None
@@ -133,30 +136,26 @@ def rds_verify_bruteforce(
     if not canonical:
         _check_elements(g, N)
         _check_subgroup(g, N)
-    identity = group_identity(g)
-    counts: Counter = Counter()
+    n, order = g.n, g.order
+    counts = array("i", [0]) * order
     inverses = {r: group_inverse(g, r) for r in set(R)}
     for r1 in R:
         for r2 in R:
-            if r1 != r2:
-                counts[group_op(g, r1, inverses[r2])] += 1
-    order = g.order
+            x, y = group_op(g, r1, inverses[r2])
+            counts[x << n | y] += 1
     nu = len(N)
     k = len(R)
     mu = order // nu
     off_n = order - nu
     lam_target = k * (k - 1) // off_n if off_n and k * (k - 1) % off_n == 0 else None
-    failing = None
-    failing_count = None
-    for d in group_elements(g):
-        if d == identity:
-            continue
-        have = counts.get(d, 0)
-        want = 0 if d in N else lam_target
-        if want is None or have != want:
-            failing = d
-            failing_count = have
-            break
+    have = np.frombuffer(counts, dtype=np.intc)
+    # No count is -1, so with lam undefined every element off N fails.
+    bad = have != (-1 if lam_target is None else lam_target)
+    in_n = np.array([x << n | y for x, y in N])
+    bad[in_n] = have[in_n] != 0
+    bad[0] = False  # the identity holds the r1 = r2 pairs, which are no differences
+    first = int(bad.argmax())
+    failing, failing_count = (divmod(first, 1 << n), int(have[first])) if bad[first] else (None, None)
     is_rds = failing is None and lam_target is not None
     return RdsReport(mu, nu, k, lam_target, is_rds, failing, failing_count)
 

@@ -7,6 +7,7 @@ it verifies.
 """
 
 import functools
+from collections import Counter
 
 import numpy as np
 
@@ -20,7 +21,19 @@ from mpf.planar import (
     is_modified_planar_components,
     is_modified_planar_perm,
 )
-from mpf.rds import GroupSpec, graph_of, group_for, rds_verify_bruteforce, rds_verify_characters
+from mpf.rds import (
+    GroupSpec,
+    RdsReport,
+    forbidden_subgroup,
+    graph_of,
+    group_elements,
+    group_for,
+    group_identity,
+    group_inverse,
+    group_op,
+    rds_verify_bruteforce,
+    rds_verify_characters,
+)
 from mpf.search import _check_bounds, class_size, decode_block, slot_monomials
 from mpf.transforms import GaussianInt, Spectrum, fwht
 
@@ -512,6 +525,43 @@ def table_to_json(g: TruthTable) -> dict:
 def table_from_json(obj: dict) -> TruthTable:
     mode, n, bits, _ = decode("truth_table", obj)  # a TruthTable has no field
     return TruthTable(n, bits, mode)
+
+
+def rds_report_counter(g: GroupSpec, R, N=None) -> RdsReport:
+    """The brute-force RDS report from a Counter of element tuples and a scan of G.
+
+    Inputs are taken as valid: the library's range, subgroup and work
+    checks are not repeated.  Pairs r1 = r2 (equal values) are skipped,
+    and the scan skips the identity, so neither counts.
+    """
+    R = list(R)
+    N = forbidden_subgroup(g) if N is None else frozenset(N)
+    identity = group_identity(g)
+    counts: Counter = Counter()
+    inverses = {r: group_inverse(g, r) for r in set(R)}
+    for r1 in R:
+        for r2 in R:
+            if r1 != r2:
+                counts[group_op(g, r1, inverses[r2])] += 1
+    order = g.order
+    nu = len(N)
+    k = len(R)
+    mu = order // nu
+    off_n = order - nu
+    lam_target = k * (k - 1) // off_n if off_n and k * (k - 1) % off_n == 0 else None
+    failing = None
+    failing_count = None
+    for d in group_elements(g):
+        if d == identity:
+            continue
+        have = counts.get(d, 0)
+        want = 0 if d in N else lam_target
+        if want is None or have != want:
+            failing = d
+            failing_count = have
+            break
+    is_rds = failing is None and lam_target is not None
+    return RdsReport(mu, nu, k, lam_target, is_rds, failing, failing_count)
 
 
 def elements_to_json(elements) -> list:

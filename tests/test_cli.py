@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -498,6 +499,40 @@ def test_spectrum_at_the_degree_bound_runs_under_a_memory_cap(tmp_path, payload)
     with out.open() as f:
         rows = sum(1 for _ in f)
     assert rows == 2 + (1 << 20)
+
+
+def test_analyze_at_n_12_runs_under_a_memory_cap(tmp_path):
+    # The brute force keeps 2^24 int32 counts; a dict keyed by every
+    # difference of a random table outgrew the 1 GiB cap and exited 4.
+    rng = random.Random(12)
+    table = [rng.randrange(1 << 12) for _ in range(1 << 12)]
+    path = tmp_path / "mv12.json"
+    path.write_text(json.dumps(function_to_json(VectorialFunction("mv", 12, tuple(table)))))
+    env = dict(os.environ, PYTHONPATH=str(Path(mpf.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "analyze", "--file", str(path), "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert [obj[k] for k in ("planar_perm", "planar_components", "rds_bruteforce")] == [False] * 3
+    assert obj["rds_parameters"] == {"mu": 4096, "nu": 4096, "k": 4096, "lambda": 1}
+
+
+def test_verify_rds_at_the_work_bound_runs_under_a_memory_cap(tmp_path):
+    # n = 13 is the largest group the brute force admits: 2^26 counts
+    # whatever the point set, so two points cost as much as a graph.
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"group": {"law": "star_mv", "n": 13}, "elements": [["0x0", "0x0"], ["0x1", "0x0"]]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(mpf.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "verify-rds", "--file", str(path), "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["parameters"]["lambda"] is None
+    assert (obj["failing_element"], obj["failing_count"]) == (["0x1", "0x0"], 1)
 
 
 def test_huge_shard_count_matches_one_shard_under_a_memory_cap():

@@ -1,8 +1,12 @@
+import functools
 import itertools
+import operator
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpf.errors import InputError
 from mpf.gf2n import make_field
@@ -13,6 +17,7 @@ from oracles import (
     enumerate_class,
     four_verdicts,
     group_to_json,
+    rds_report_counter,
     transport_function,
     transport_point,
     z4n_elements,
@@ -251,6 +256,102 @@ def test_bruteforce_work_is_bounded_at_2_26():
         rds_verify_bruteforce(MV, R, [(0, 0)])
     with pytest.raises(InputError, match=f"brute-force RDS work {(1 << 26) + (1 << 14) + 1} at n=2 exceeds"):
         rds_verify_bruteforce(MV, R + [(0, 0)], [(0, 0)])
+
+
+def _every_subgroup(g):
+    elems = list(group_elements(g))
+    subsets = ({a for i, a in enumerate(elems) if mask >> i & 1} for mask in range(1 << len(elems)))
+    return [sorted(N) for N in subsets if _is_subgroup(g, N)]
+
+
+@pytest.mark.parametrize("g", [GroupSpec("star_mv", 1), GroupSpec("star_uv", 1, make_field(1))])
+def test_bruteforce_matches_the_counter_oracle_on_every_set_at_n1(g):
+    elems = list(group_elements(g))
+    subgroups = _every_subgroup(g)
+    assert len(subgroups) == 3  # Z_4: the trivial group, {0} x F and G
+    for mask in range(1 << len(elems)):
+        R = [a for i, a in enumerate(elems) if mask >> i & 1]
+        for N in [None] + subgroups:
+            assert rds_verify_bruteforce(g, R, N) == rds_report_counter(g, R, N), (R, N)
+
+
+@pytest.mark.parametrize("g", [UV, MV])
+def test_bruteforce_matches_the_counter_oracle_on_every_4_point_set_at_n2(g):
+    rds = 0
+    for R in itertools.combinations(group_elements(g), 4):
+        report = rds_verify_bruteforce(g, R)
+        assert report == rds_report_counter(g, R), R
+        rds += report.is_rds
+    assert 0 < rds < 1820
+
+
+def _seeded_point_sets(g, rng):
+    """Graphs (affine ones are RDS in star_uv), graphs with repeated points, multisets and a closed N."""
+    q = 1 << g.n
+    elems = list(group_elements(g))
+    for _ in range(6):
+        graph = [(x, rng.randrange(q)) for x in range(q)]
+        yield graph, None
+        affine = _linear_map([rng.randrange(q) for _ in range(g.n)])
+        yield [(x, v ^ 1) for x, v in enumerate(affine)], None
+        yield graph + rng.choices(graph, k=rng.randint(1, 3)), None
+        yield rng.choices(elems, k=rng.randint(0, 3 * q)), None
+        yield rng.choices(elems, k=q), None
+        N = {group_identity(g), *rng.sample(elems, 2)}
+        while (grown := N | {group_op(g, a, b) for a in N for b in N}) != N:
+            N = grown
+        yield rng.choices(elems, k=rng.randint(1, q)), sorted(N)
+
+
+def test_bruteforce_matches_the_counter_oracle_on_seeded_sets_at_n3_and_n4():
+    rng = random.Random(3304)
+    kinds = set()
+    for n in (3, 4):
+        for g in (GroupSpec("star_mv", n), GroupSpec("star_uv", n, make_field(n))):
+            for R, N in _seeded_point_sets(g, rng):
+                report = rds_verify_bruteforce(g, R, N)
+                assert report == rds_report_counter(g, R, N), (g, R, N)
+                kinds.add((report.is_rds, report.lam is None, len(set(R)) < len(R)))
+    # Verdicts true and false, lambda undefined, and repeated points all occur.
+    assert {(True, False, False), (False, True, False), (False, False, True), (False, True, True)} <= kinds
+
+
+def test_bruteforce_counts_past_16_bits():
+    # Each ordered pair of the two points, 300 copies each, gives 300^2 =
+    # 90000 differences: more than a 16-bit count holds.
+    g = GroupSpec("star_mv", 1)
+    R = [(0, 0)] * 300 + [(1, 0)] * 300
+    report = rds_verify_bruteforce(g, R)
+    assert report == rds_report_counter(g, R)
+    assert (report.lam, report.failing_element, report.failing_count) == (179700, (1, 0), 90000)
+
+
+def _linear_map(images):
+    """The GF(2)-linear map sending bit i to images[i], as a table."""
+    return [functools.reduce(operator.xor, (v for i, v in enumerate(images) if x >> i & 1), 0)
+            for x in range(1 << len(images))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["mv", "uv"]), st.integers(1, 4), st.data())
+def test_adding_an_affine_function_keeps_the_graph_report(mode, n, data):
+    # On a graph, r1 * r2^-1 = (a, F(x1) + F(x2) + cross(x1, x2)) with a = x1 + x2,
+    # so adding L(x) + b moves every difference over direction a by L(a):
+    # each direction's counts are permuted, and direction 0 (the subgroup
+    # {0} x F) is left alone.
+    q = 1 << n
+    elem = st.integers(0, q - 1)
+    table = data.draw(st.lists(elem, min_size=q, max_size=q) | st.just([0] * q))
+    L = _linear_map(data.draw(st.lists(elem, min_size=n, max_size=n)))
+    b = data.draw(elem)
+    spec = make_field(n) if mode == "uv" else None
+    F = VectorialFunction(mode, n, tuple(table), spec)
+    G = VectorialFunction(mode, n, tuple(v ^ L[x] ^ b for x, v in enumerate(table)), spec)
+    before = rds_verify_bruteforce(group_for(F), graph_of(F))
+    after = rds_verify_bruteforce(group_for(G), graph_of(G))
+    fields = operator.attrgetter("is_rds", "mu", "nu", "k", "lam")
+    assert fields(after) == fields(before)
+    assert (after.failing_element or [None])[0] == (before.failing_element or [None])[0]
 
 
 def test_characters_verifier_examples():

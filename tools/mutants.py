@@ -16,9 +16,10 @@ sites.  Each mutant runs the module's targeted tests with ``pytest -x``
 in a temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``; the
 checkout itself is never written.  Every module but ``gf2n`` and
 ``transforms`` deselects the two n = 20 spectra of ``tests/test_cli.py``
-(``CAPPED_SPECTRA``), and the report's ``tests`` field records it.  A
-mutant is killed when the tests fail or time out.  The score and every
-survivor are written as JSON.
+(``CAPPED_SPECTRA``), every module but ``rds`` deselects its n = 12
+analyze (``CAPPED_ANALYZE``), and the report's ``tests`` field records
+both.  A mutant is killed when the tests fail or time out.  The score
+and every survivor are written as JSON.
 
 ``--root`` points at another checkout, to score a parent commit with
 the same tool.  Stdlib only; not part of the test suite.
@@ -47,6 +48,9 @@ COMMON_TESTS = ["tests/test_golden.py", "tests/test_cli.py"]
 # in the small spectra, so every other module's run deselects them.
 CAPPED_SPECTRA = "tests/test_cli.py::test_spectrum_at_the_degree_bound_runs_under_a_memory_cap"
 CAPPED_SPECTRA_MODULES = {"gf2n", "transforms"}
+# The n = 12 analyze under the same cap takes about 12 s, nearly all of it
+# in the brute-force RDS count, so only rds runs it.
+CAPPED_ANALYZE = "tests/test_cli.py::test_analyze_at_n_12_runs_under_a_memory_cap"
 TESTS = {
     "boolfun": ["tests/test_boolfun.py"],
     "cli": ["tests/test_codecs.py"],
@@ -173,6 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     tests = TESTS[args.module] + COMMON_TESTS
     if args.module not in CAPPED_SPECTRA_MODULES:
         tests += ["--deselect", CAPPED_SPECTRA]
+    if args.module != "rds":
+        tests += ["--deselect", CAPPED_ANALYZE]
 
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
