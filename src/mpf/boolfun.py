@@ -42,14 +42,11 @@ class TruthTable:
 
 
 def from_values(values, mode: str) -> TruthTable:
-    """Build a table from an iterable of 0/1 values in index order."""
+    """Build a table from an iterable of values in index order, each read by its bit 0."""
     vals = list(values)
     n = (len(vals) - 1).bit_length()
     if len(vals) != 1 << n:
         raise InputError("number of values must be a power of two")
-    bits = 0
-    for t, v in enumerate(vals):
-        if v & 1:
-            bits |= 1 << t
-    return TruthTable(n, bits, mode)
+    packed = np.packbits(np.fromiter((v & 1 for v in vals), np.uint8, len(vals)), bitorder="little")
+    return TruthTable(n, int.from_bytes(packed, "little"), mode)
 

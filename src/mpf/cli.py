@@ -2,9 +2,10 @@
 
 Verbs: analyze, spectrum, verify-rds, search, selftest.  Exit codes:
 0 success, 1 false verdict on a verify verb, 2 usage error, 3 I/O or
-input-data error, 4 internal error (the independent verdict routes
-disagreed, or an unexpected exception escaped the library: either means
-a bug in this package).
+input-data error (a search job past a bound cannot be built), 4 internal
+error (the independent verdict routes disagreed, among them verify-rds's
+two verifiers at k = 2^n, or an unexpected exception escaped the
+library: either means a bug in this package).
 Identical invocations produce byte-identical output.
 """
 
@@ -148,8 +149,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         f"witness: {witness or '-'}",
     ])
     if len(set(verdicts)) != 1:
-        sys.stderr.write("internal error: verdict routes disagree; this is a bug\n")
-        return EXIT_INTERNAL
+        raise FilterDisagreementError("verdict routes disagree; this is a bug", F)
     return EXIT_OK if all(verdicts) else EXIT_VERDICT_FALSE
 
 
@@ -196,6 +196,9 @@ def _cmd_verify_rds(args: argparse.Namespace) -> int:
         f"parameters: ({brute.mu}, {brute.nu}, {brute.k}, {brute.lam})",
         f"is_rds: {str(brute.is_rds).lower()}  characters: {str(characters).lower()}",
     ])
+    # At k = 2^n both decide one (2^n, 2^n, 2^n, 1) property; at other k they may differ.
+    if characters is not None and brute.k == 1 << group.n and characters != brute.is_rds:
+        raise FilterDisagreementError("verdict routes disagree; this is a bug")
     ok = brute.is_rds and characters is not False
     return EXIT_OK if ok else EXIT_VERDICT_FALSE
 

@@ -12,10 +12,10 @@ class InputError(MpfError, ValueError):
 
 
 class FilterDisagreementError(MpfError):
-    """The two planarity filters disagreed on a candidate.
+    """Two verdict routes disagreed on one input.
 
-    This would indicate a bug in one of the verdict routes, never a
-    property of the candidate itself; the offending function is attached.
+    This would indicate a bug in one of the routes, never a property of
+    the input itself; the offending function is attached when there is one.
     """
 
     def __init__(self, message, function=None):

@@ -65,6 +65,17 @@ class SearchJob:
             raise InputError("shards must be >= 1")
         if self.sample is not None and self.sample < 0:
             raise InputError("sample must be >= 0")
+        # A candidate costs up to 4^n steps, and a draw holds its 2^n-entry
+        # table until the merge; both are refused past MAX_WORK.
+        if self.sample is None:
+            bound = _CLASSES[self.klass][0]
+            if self.n > bound:
+                raise InputError(f"exhaustive {self.klass} jobs are limited to n <= {bound}, got n={self.n}")
+        elif 4 ** self.n > MAX_WORK:
+            raise InputError(f"sampled jobs are limited to 4^n <= {MAX_WORK}, got n={self.n}")
+        elif self.sample << self.n > MAX_WORK:
+            raise InputError(
+                f"sampled jobs are limited to sample * 2^n <= {MAX_WORK}, got {self.sample} at n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -110,12 +121,6 @@ def decode_block(n: int, monomials: np.ndarray | None, indices: list[int]) -> np
     bits = np.unpackbits(raw.reshape(len(indices), width), axis=1, bitorder="little")
     digits = bits[:, : n * count].reshape(len(indices), count, n) @ (1 << np.arange(n))
     return digits if monomials is None else do_tables(make_field(n), monomials, digits)
-
-
-def _check_bounds(n: int, klass: str) -> None:
-    bound = _CLASSES[klass][0]
-    if n > bound:
-        raise InputError(f"exhaustive {klass} jobs are limited to n <= {bound}, got n={n}")
 
 
 def _sampler(seed: int, size: int):
@@ -195,18 +200,7 @@ def run_search(job: SearchJob, stream=None) -> SearchReport:
     passing function is written to it as one JSON object per line (not
     capped).
     """
-    # A candidate costs up to 4^n steps, and a draw holds its 2^n-entry
-    # table until the merge; both are refused past MAX_WORK before any
-    # shard starts.
-    if job.sample is None:
-        _check_bounds(job.n, job.klass)
-        total = class_size(job.mode, job.n, job.klass)
-    elif 4 ** job.n > MAX_WORK:
-        raise InputError(f"sampled jobs are limited to 4^n <= {MAX_WORK}, got n={job.n}")
-    elif job.sample << job.n > MAX_WORK:
-        raise InputError(f"sampled jobs are limited to sample * 2^n <= {MAX_WORK}, got {job.sample} at n={job.n}")
-    else:
-        total = job.sample
+    total = class_size(job.mode, job.n, job.klass) if job.sample is None else job.sample
     # The report does not depend on the shard count, so a job runs one
     # shard per process, at most one per candidate and one per CPU: the
     # caller runs shard 0 and a pool of shards - 1 workers the rest.

@@ -34,7 +34,7 @@ from mpf.rds import (
     rds_verify_bruteforce,
     rds_verify_characters,
 )
-from mpf.search import _check_bounds, class_size, decode_block, slot_monomials
+from mpf.search import SearchJob, class_size, decode_block, slot_monomials
 from mpf.transforms import GaussianInt, Spectrum, fwht
 
 QUARTER_RE = (1, 0, -1, 0)
@@ -613,7 +613,7 @@ def candidate_function(mode: str, n: int, klass: str, index: int) -> VectorialFu
 
 def enumerate_class(mode: str, n: int, klass: str):
     """Yield every function of a search class exactly once, in canonical order."""
-    _check_bounds(n, klass)
+    SearchJob(mode, n, klass)
     for index in range(class_size(mode, n, klass)):
         yield candidate_function(mode, n, klass, index)
 

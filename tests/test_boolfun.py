@@ -1,3 +1,6 @@
+import random
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +64,27 @@ def test_values_round_trip():
     assert from_values([0, 1], "uv") == TruthTable(1, 0b10, "uv")  # the smallest table, n = 1
     with pytest.raises(ValueError, match="number of values must be a power of two"):
         from_values([0, 1, 1], "mv")
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_from_values_reads_bit_0_of_each_value(n):
+    # 2, 3, -1 and True read as bit 0, as v & 1 reads them.
+    rng = random.Random(n)
+    vals = [rng.choice((0, 1, 2, 3, -1, -2, True, False)) for _ in range(1 << n)]
+    bits = 0
+    for t, v in enumerate(vals):
+        bits |= (v & 1) << t
+    assert from_values(vals, "mv") == TruthTable(n, bits, "mv")
+
+
+def test_from_values_at_n_20_is_linear_time():
+    # Setting one bit at a time copies the growing int: about 3 s at n = 20.
+    vals = [t % 3 for t in range(1 << 20)]
+    start = time.perf_counter()
+    g = from_values(vals, "uv")
+    elapsed = time.perf_counter() - start
+    assert g.bits == pack_bits(np.array(vals) & 1)
+    assert elapsed < 1.0, f"from_values at n = 20 took {elapsed:.2f} s"
 
 
 @settings(max_examples=60)

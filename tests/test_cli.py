@@ -377,7 +377,43 @@ def test_analyze_route_disagreement_exits_4(uv_zero_file, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "is_modified_planar_components", lambda F: False)
     assert main(["analyze", "--file", uv_zero_file]) == 4
-    assert "disagree" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: verdict routes disagree; this is a bug\n"
+    assert captured.out.startswith("mpf analyze v1\n")  # the report is still written
+
+
+@pytest.mark.parametrize("group", [
+    {"law": "star_uv", "n": 2, "field": {"n": 2, "modulus": "0x7"}}, {"law": "star_mv", "n": 2},
+], ids=["rds", "not-rds"])
+def test_verify_rds_verifier_disagreement_exits_4(tmp_path, monkeypatch, capsys, group):
+    # At k = 2^n both verifiers decide one property, so a flipped character
+    # verdict is a bug: exit 4, not a false verdict (1).
+    import mpf.cli as cli
+
+    real = cli.rds_verify_characters
+    monkeypatch.setattr(cli, "rds_verify_characters", lambda g, R: not real(g, R))
+    elements = [[f"0x{x:x}", "0x0"] for x in range(4)]  # the graph of the zero function
+    path = tmp_path / "rds.json"
+    path.write_text(json.dumps({"group": group, "elements": elements}))
+    assert main(["verify-rds", "--file", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: verdict routes disagree; this is a bug\n"
+    obj = json.loads(captured.out)
+    assert obj["character_criterion"] is not obj["is_rds"]
+    assert obj["is_rds"] is (group["law"] == "star_uv")
+
+
+def test_verify_rds_single_point_is_a_false_verdict(tmp_path, capsys):
+    # k = 1 < 2^n: a lambda = 0 RDS by the count, refuted by the character
+    # criterion, which covers only k = 2^n.  The verifiers do not disagree.
+    path = tmp_path / "rds.json"
+    path.write_text(json.dumps({"group": {"law": "star_mv", "n": 1}, "elements": [["0x0", "0x0"]]}))
+    assert main(["verify-rds", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    obj = json.loads(captured.out)
+    assert (obj["is_rds"], obj["character_criterion"]) == (True, False)
+    assert obj["parameters"] == {"mu": 2, "nu": 2, "k": 1, "lambda": 0}
 
 
 @pytest.mark.parametrize("exc", [

@@ -124,6 +124,26 @@ def test_sampled_jobs_are_bounded_by_draws_times_table_entries(monkeypatch, caps
             run_search(SearchJob("uv", n, "affine", sample=edge))
 
 
+@pytest.mark.parametrize("job, message", [
+    ({"mode": "mv", "n": 3, "klass": "all"}, "exhaustive all jobs are limited to n <= 2, got n=3"),
+    ({"mode": "uv", "n": 5, "klass": "affine"}, "exhaustive affine jobs are limited to n <= 4, got n=5"),
+    ({"mode": "uv", "n": 5, "klass": "do_quadratic"}, "exhaustive do_quadratic jobs are limited to n <= 4, got n=5"),
+    ({"mode": "uv", "n": 14, "klass": "affine", "sample": 1}, f"sampled jobs are limited to 4^n <= {1 << 26}, got n=14"),
+    ({"mode": "uv", "n": 1, "klass": "all", "sample": 10**8},
+     f"sampled jobs are limited to sample * 2^n <= {1 << 26}, got 100000000 at n=1"),
+    ({"mode": "uv", "n": 1, "klass": "affine", "sample": (1 << 25) + 1},
+     f"sampled jobs are limited to sample * 2^n <= {1 << 26}, got {(1 << 25) + 1} at n=1"),
+    ({"mode": "uv", "n": 13, "klass": "affine", "sample": (1 << 13) + 1},
+     f"sampled jobs are limited to sample * 2^n <= {1 << 26}, got {(1 << 13) + 1} at n=13"),
+], ids=["all-3", "affine-5", "do_quadratic-5", "sampled-14", "sample-1e8", "sample-edge-1", "sample-edge-13"])
+def test_a_job_past_a_bound_cannot_be_built(job, message):
+    # The job itself refuses, so run_search and the shards only ever see jobs
+    # within every bound.
+    with pytest.raises(InputError) as info:
+        SearchJob(**job)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("stream", [False, True])
 def test_each_candidate_is_decoded_once(stream, monkeypatch, tmp_path):
     rows = []
